@@ -513,13 +513,3 @@ def gl_count(k):
     for i in range(k):
         out = out * (q_power(k) - q_power(i))
     return out
-
-
-def eval_at(f, q0):
-    """Exact value of f at q = q0 (a prime power)."""
-    return f.eval_at_q(q0)
-
-
-def classical_limit(f):
-    """Exact value of f at q^(1/2) = 1; PoleError when f leaves Q_reg."""
-    return f.eval_at_v1()

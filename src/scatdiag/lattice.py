@@ -24,11 +24,18 @@ class Seed:
     b: tuple
 
     def __post_init__(self):
-        n = len(self.b)
-        object.__setattr__(self, "b", tuple(tuple(int(x) for x in row) for row in self.b))
+        try:
+            b = tuple(tuple(row) for row in self.b)
+        except TypeError:
+            raise ValueError("B must be a matrix, got %r" % (self.b,)) from None
+        # int() would accept 1.5 and True; the pairing must be exact
+        if any(type(x) is not int for row in b for x in row):
+            raise ValueError("B entries must be integers, got %r" % (self.b,))
+        object.__setattr__(self, "b", b)
+        n = len(b)
+        if any(len(row) != n for row in self.b):
+            raise ValueError("B must be square")
         for i in range(n):
-            if len(self.b[i]) != n:
-                raise ValueError("B must be square")
             if self.b[i][i] != 0:
                 raise ValueError("B must have zero diagonal")
             for j in range(n):
@@ -42,7 +49,9 @@ class Seed:
     @staticmethod
     def from_json(text):
         data = json.loads(text) if isinstance(text, str) else text
-        seed = Seed(tuple(tuple(row) for row in data["B"]))
+        if "B" not in data:
+            raise ValueError("seed JSON has no \"B\" matrix")
+        seed = Seed(data["B"])
         if seed.rank != data.get("rank", seed.rank):
             raise ValueError("rank field disagrees with B")
         return seed
@@ -185,25 +194,6 @@ def t_k(seed, k, sign, m):
             return tuple(mi - Fraction(row[i]) * mk for i, mi in enumerate(m))
         return tuple(m)
     raise ValueError("sign must be +1 or -1")
-
-
-def t_k_linear(seed, k, inverse=False):
-    """Matrix of the linear map T_k (or its inverse) on covectors."""
-    n = seed.rank
-    kk = k - 1
-    s = -1 if inverse else 1
-    rows = []
-    for i in range(n):
-        row = [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        rows.append(row)
-    for i in range(n):
-        rows[i][kk] += s * seed.b[kk][i]
-    # acts as m -> m + p*(s_k) * m_k, i.e. column k of the matrix picks up p*(s_k)
-    return tuple(tuple(rows[i][j] for j in range(n)) for i in range(n))
-
-
-def apply_matrix(mat, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
 
 
 # ---------------------------------------------------------------------------

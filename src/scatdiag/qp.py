@@ -318,26 +318,15 @@ def reduce_qp(quiver, potential, cap=None):
             raise ReductionError("reduction did not stabilize below the cap")
         quad = [(w, c) for w, c in pot.terms
                 if len(w) == 2 and w[0] not in eliminated and w[1] not in eliminated]
-        live = None
-        for w, c in quad:
-            u, vv = w
-            if u in eliminated or vv in eliminated:
-                continue
-            live = (w, c)
+        if not quad:
             break
-        if live is None:
-            break
-        (u, vv), c = live
+        (u, vv), c = quad[0]
         # d_u pot = c*v + rest;  substitute v -> v - rest/c
         du = cyclic_derivative(quiver, pot, u)
         rest = {p: q for p, q in du.items() if p != (vv,)}
         if du.get((vv,), Fraction(0)) == 0:
             raise ReductionError("non-invertible quadratic part at %r" % ((u, vv),))
         cc = du[(vv,)]
-        if any(u in p or vv in p for p in rest):
-            # substitution would not converge in one pass for this pair; the
-            # round limit above catches genuinely non-stabilizing inputs
-            pass
         repl = {(vv,): Fraction(1)}
         for path, q in rest.items():
             repl[path] = -q / cc

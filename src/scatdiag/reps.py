@@ -19,7 +19,7 @@ from .coeff import CoeffFn
 from .lattice import pair
 from .qp import SeedWithPotential, cyclic_derivative, mutate_sp, ReductionError
 from .torus import GROUP, QUANTUM, GradedElement
-from .scattering import _factorize_carrier
+from .scattering import phi_element
 
 
 class BudgetExceeded(RuntimeError):
@@ -257,11 +257,6 @@ def enumerate_reps(sp, dims, p, budget=300000):
 # ---------------------------------------------------------------------------
 # subrepresentations and King stability
 # ---------------------------------------------------------------------------
-
-def subrep_dimension_vectors(rep):
-    """Dimension vectors of all subrepresentations (with multiplicity one)."""
-    return {dims for dims, _ in _subreps(rep)}
-
 
 def _subreps(rep):
     sp, p = rep.sp, rep.p
@@ -697,27 +692,16 @@ def total_counting_element(sp, order, p):
     quiver = sp.quiver
     n = sp.seed.rank
     coeffs = {}
-    for total in range(1, order + 1):
-        for dims in _fixed_total(n, total):
-            npoints = 1
-            for _, s, t in quiver.arrows:
-                npoints *= p ** (dims[s - 1] * dims[t - 1])
-            denom = 1
-            for d in dims:
-                denom *= gl_order(d, p)
-            c = CoeffFn.from_fraction(npoints, denom)
-            coeffs[dims] = c.mul_vpow(euler_form(quiver, dims, dims))
+    for dims in _dimension_vectors(n, order):
+        npoints = 1
+        for _, s, t in quiver.arrows:
+            npoints *= p ** (dims[s - 1] * dims[t - 1])
+        denom = 1
+        for d in dims:
+            denom *= gl_order(d, p)
+        c = CoeffFn.from_fraction(npoints, denom)
+        coeffs[dims] = c.mul_vpow(euler_form(quiver, dims, dims))
     return GradedElement(sp.seed, order, QUANTUM, GROUP, coeffs)
-
-
-def _fixed_total(n, total):
-    for cuts in itertools.combinations(range(total + n - 1), n - 1):
-        prev = -1
-        dims = []
-        for c in cuts + (total + n - 1,):
-            dims.append(c - prev - 1)
-            prev = c
-        yield tuple(dims)
 
 
 def _reduce_at_sqrt(coeffs, p):
@@ -732,10 +716,8 @@ def _reduce_at_sqrt(coeffs, p):
 def iq_wall_series(sp, m, order, p):
     """The integrated semistable series at the stability m, evaluated at
     q = p: the middle factor of the total counting element."""
-    g = total_counting_element(sp, order, p)
-    state = _factorize_carrier(g, m)
-    _, z, _ = state.parts()
-    return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(z, p))
+    z = phi_element(total_counting_element(sp, order, p), m)
+    return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(z.coeffs, p))
 
 
 def iq_wall_series_brute(sp, m, dims_list, p, budget=300000):

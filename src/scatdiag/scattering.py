@@ -27,11 +27,11 @@ from .coeff import CoeffFn, ONE, ZERO
 from .lattice import (SignedFace, cone_generators, dedupe_primitive,
                       face_enumerate, mutate_seed, nullspace, p_star, pair,
                       primitive, rational_primitive, reduce_ray_generators,
-                      skew, total_degree, apply_change_to_dimvec,
+                      t_k, total_degree, apply_change_to_dimvec,
                       covector_to_new_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
-                    _zero_key)
+                    _MUL_TWIST, _acc, _full, _product, _zero_key)
 
 
 class DegenerateSegmentError(ValueError):
@@ -78,12 +78,12 @@ class _FactorizationState:
     """Degree-by-degree factorization of a group element at a covector m,
     maintaining the log of the middle factor along the way."""
 
-    __slots__ = ("seed", "convention", "order", "m", "L", "Z", "P",
+    __slots__ = ("seed", "twist", "order", "m", "L", "Z", "P",
                  "LZ", "upow", "logZ", "pending", "done")
 
     def __init__(self, seed, convention, order, m):
         self.seed = seed
-        self.convention = convention
+        self.twist = _MUL_TWIST[convention]
         self.order = order
         self.m = tuple(Fraction(x) for x in m)
         zero = _zero_key(seed)
@@ -96,34 +96,8 @@ class _FactorizationState:
         self.pending = None    # (t, r_t, lz_t, corr_t)
         self.done = 0
 
-    # product of one output layer
     def _layer(self, a, b, t):
-        seed, conv, order = self.seed, self.convention, self.order
-        out = {}
-        classical = conv == CLASSICAL
-        dt = conv == DT_TWIST
-        for d1, c1 in a.items():
-            t1 = total_degree(d1)
-            if t1 > t:
-                continue
-            for d2, c2 in b.items():
-                if total_degree(d2) != t - t1:
-                    continue
-                d = tuple(x + y for x, y in zip(d1, d2))
-                c = c1 * c2
-                if not classical:
-                    w = skew(seed, d1, d2)
-                    if w:
-                        c = c.mul_vpow(w)
-                        if dt and w % 2:
-                            c = -c
-                s = out.get(d)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = s
-        return out
+        return _product(self.seed, self.order, a, b, self.twist, degree=t)
 
     def compute_layer(self, t):
         """Products and log corrections of layer t from the settled layers."""
@@ -133,12 +107,7 @@ class _FactorizationState:
         lz_t = self._layer(self.L, self.Z, t)
         r_t = self._layer(self.LZ, self.P, t)
         for d, c in lz_t.items():
-            s = r_t.get(d)
-            s = c if s is None else s + c
-            if s.is_zero():
-                r_t.pop(d, None)
-            else:
-                r_t[d] = s
+            _acc(r_t, d, c)
         # (Z-1)^p layers for p >= 2 are complete without the layer-t entries
         corr_t = {}
         if self.upow:
@@ -151,12 +120,7 @@ class _FactorizationState:
                     self.upow[p - 1].update(newterms)
                     inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
                     for d, c in newterms.items():
-                        s = corr_t.get(d)
-                        s = c * inv if s is None else s + c * inv
-                        if s.is_zero():
-                            corr_t.pop(d, None)
-                        else:
-                            corr_t[d] = s
+                        _acc(corr_t, d, c * inv)
         self.pending = (t, r_t, lz_t, corr_t)
         return self.pending
 
@@ -182,30 +146,18 @@ class _FactorizationState:
                 self.Z[d] = delta
                 new_z[d] = delta
         # close the minus*zero cache at layer t
-        for d, c in lz_t.items():
-            s = self.LZ.get(d)
-            s = c if s is None else s + c
-            if not s.is_zero():
-                self.LZ[d] = s
-        for d, c in new_l.items():
-            self.LZ[d] = self.LZ.get(d, ZERO) + c
-        for d, c in new_z.items():
-            self.LZ[d] = self.LZ.get(d, ZERO) + c
+        for part in (lz_t, new_l, new_z):
+            for d, c in part.items():
+                _acc(self.LZ, d, c)
         # log of the middle factor: layer t = new zero entries + corrections
         if not self.upow:
             self.upow.append({})
         self.upow[0].update(new_z)
         for d, c in new_z.items():
-            s = self.logZ.get(d, ZERO) + c
-            if not s.is_zero():
-                self.logZ[d] = s
+            _acc(self.logZ, d, c)
         for d, c in corr_t.items():
             if pair(m, d) == 0:
-                s = self.logZ.get(d, ZERO) + c
-                if s.is_zero():
-                    self.logZ.pop(d, None)
-                else:
-                    self.logZ[d] = s
+                _acc(self.logZ, d, c)
         self.pending = None
         self.done = t
 
@@ -213,45 +165,41 @@ class _FactorizationState:
         for t in range(self.done + 1, self.order + 1):
             self.finish_layer(g, t)
 
-    def parts(self):
-        zero = _zero_key(self.seed)
 
-        def strip(dd):
-            out = dict(dd)
-            out.pop(zero, None)
-            return out
-        return strip(self.L), strip(self.Z), strip(self.P)
+def _factor(carrier, m):
+    """Factor a carrier group element at the covector m: the coefficient
+    dicts of minus, zero and plus (zero key stripped) and the log of the
+    zero part."""
+    seed = carrier.seed
+    if len(m) != seed.rank:
+        raise ValueError("covector has %d entries, the seed rank is %d"
+                         % (len(m), seed.rank))
+    state = _FactorizationState(seed, carrier.convention, carrier.order, m)
+    state.run(_full(carrier))
+    zero = _zero_key(seed)
+    lo, z, p = ({d: c for d, c in part.items() if d != zero}
+                for part in (state.L, state.Z, state.P))
+    return lo, z, p, state.logZ
 
 
-def _factorize_carrier(carrier, m):
-    state = _FactorizationState(carrier.seed, carrier.convention, carrier.order, m)
-    full = dict(carrier.coeffs)
-    full[_zero_key(carrier.seed)] = ONE
-    state.run(full)
-    return state
+def _group(carrier, coeffs):
+    return GradedElement(carrier.seed, carrier.order, carrier.convention,
+                         GROUP, coeffs)
 
 
 def factorize(g, m):
     """Unique factorization g = minus * zero * plus by the sign of m."""
     if g.flavor != GROUP:
         raise ValueError("factorize needs a group element")
-    conv = g.convention
     carrier = to_carrier(g)
-    state = _factorize_carrier(carrier, m)
-    lo, z, p = state.parts()
-    mk = lambda d: expose(GradedElement(carrier.seed, carrier.order,
-                                        carrier.convention, GROUP, d), conv)
-    return mk(lo), mk(z), mk(p)
+    return tuple(expose(_group(carrier, part), g.convention)
+                 for part in _factor(carrier, m)[:3])
 
 
 def phi_element(g, m):
     """The wall/face-crossing value of the diagram of g at the covector m."""
-    conv = g.convention
     carrier = to_carrier(g)
-    state = _factorize_carrier(carrier, m)
-    _, z, _ = state.parts()
-    return expose(GradedElement(carrier.seed, carrier.order,
-                                carrier.convention, GROUP, z), conv)
+    return expose(_group(carrier, _factor(carrier, m)[1]), g.convention)
 
 
 def project_face(g_zero, face1, face2):
@@ -305,6 +253,20 @@ def _ray_targets(eta, seed, order, convention):
     return targets
 
 
+def _ray_states(seed, convention, order, rays, support):
+    """The factorization state at p*(n) for each ray n; rays whose p*(n)
+    takes the same signs on the support share one state."""
+    support = sorted(support)
+    by_sign, out = {}, {}
+    for n in rays:
+        m = p_star(seed, n)
+        sig = tuple((pair(m, d) > 0) - (pair(m, d) < 0) for d in support)
+        if sig not in by_sign:
+            by_sign[sig] = _FactorizationState(seed, convention, order, m)
+        out[n] = by_sign[sig]
+    return out
+
+
 def psi_extract(g):
     """The initial data of the consistent diagram of g: for each primitive n,
     the ray component of the middle factor at p*(n), as a group element."""
@@ -313,19 +275,13 @@ def psi_extract(g):
     seed, order = carrier.seed, carrier.order
     support = _semigroup_closure(set(carrier.coeffs), order, seed.rank)
     rays = sorted({primitive(d) for d in support})
-    gdict = dict(carrier.coeffs)
-    gdict[_zero_key(seed)] = ONE
+    ray_state = _ray_states(seed, carrier.convention, order, rays, support)
+    full = _full(carrier)
+    for state in dict.fromkeys(ray_state.values()):
+        state.run(full)
     out = {}
-    states = {}
-    for n in rays:
-        m = tuple(Fraction(x) for x in p_star(seed, n))
-        sig = tuple(1 if pair(m, d) > 0 else (-1 if pair(m, d) < 0 else 0)
-                    for d in sorted(support))
-        if sig not in states:
-            states[sig] = _FactorizationState(seed, carrier.convention, order, m)
-            states[sig].run(gdict)
-        logz = states[sig].logZ
-        lie = {d: c for d, c in logz.items() if primitive(d) == n}
+    for n, state in ray_state.items():
+        lie = {d: c for d, c in state.logZ.items() if primitive(d) == n}
         if lie:
             elem = GradedElement(seed, order, carrier.convention, LIE, lie).exp()
             out[n] = expose(elem, sd.convention)
@@ -342,17 +298,9 @@ def complete_from_initial(eta, seed, order, convention):
     for n, tau in targets.items():
         support.update(tau)
     rays = sorted({primitive(d) for d in support})
-    support_sorted = sorted(support)
     g = {_zero_key(seed): ONE}
-    states = {}
-    ray_state = {}
-    for n in rays:
-        m = tuple(Fraction(x) for x in p_star(seed, n))
-        sig = tuple(1 if pair(m, d) > 0 else (-1 if pair(m, d) < 0 else 0)
-                    for d in support_sorted)
-        if sig not in states:
-            states[sig] = _FactorizationState(seed, carrier_conv, order, m)
-        ray_state[n] = states[sig]
+    ray_state = _ray_states(seed, carrier_conv, order, rays, support)
+    states = list(dict.fromkeys(ray_state.values()))
     for t in range(1, order + 1):
         for n in rays:
             deg = total_degree(n)
@@ -368,7 +316,7 @@ def complete_from_initial(eta, seed, order, convention):
             val = tau.get(kn, ZERO) - corr_t.get(kn, ZERO) + r_t.get(kn, ZERO)
             if not val.is_zero():
                 g[kn] = val
-        for state in states.values():
+        for state in states:
             state.finish_layer(g, t)
     g.pop(_zero_key(seed), None)
     carrier = GradedElement(seed, order, carrier_conv, GROUP, g)
@@ -450,17 +398,11 @@ class ScatDiagram:
         return self._exposed
 
     def phi(self, m):
-        state = _factorize_carrier(self.carrier, m)
-        _, z, _ = state.parts()
-        return expose(GradedElement(self.seed, self.order,
-                                    self.carrier.convention, GROUP, z),
+        return expose(_group(self.carrier, _factor(self.carrier, m)[1]),
                       self.convention)
 
     def minus_part(self, m):
-        state = _factorize_carrier(self.carrier, m)
-        lo, _, _ = state.parts()
-        return GradedElement(self.seed, self.order, self.carrier.convention,
-                             GROUP, lo)
+        return _group(self.carrier, _factor(self.carrier, m)[0])
 
     def support_normals(self):
         lie = self.carrier.log()
@@ -495,8 +437,8 @@ class ScatDiagram:
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
-        state = _factorize_carrier(self.carrier, m)
-        ray = {d: c for d, c in state.logZ.items() if primitive(d) == n}
+        ray = {d: c for d, c in _factor(self.carrier, m)[3].items()
+               if primitive(d) == n}
         if not ray:
             return False
         if self.convention == CLASSICAL:
@@ -666,9 +608,7 @@ def path_ordered_product(sd, a, b):
     for t in sorted(crossings):
         n, downward = crossings[t]
         point = tuple(x + t * (y - x) for x, y in zip(a, b))
-        state = _factorize_carrier(sd.carrier, point)
-        _, z, _ = state.parts()
-        value = GradedElement(sd.seed, sd.order, sd.carrier.convention, GROUP, z)
+        value = _group(sd.carrier, _factor(sd.carrier, point)[1])
         if not downward:
             value = value.group_inverse()
         result = result.mul(value)
@@ -714,21 +654,26 @@ def mutate_sd_check(sd, k, sign, sd_mut, samples=20, rng=None):
             return None
         return total_degree(d)
 
-    def compare(val1, val2, theta=None, theta_inv=None):
-        # val1 from sd (s-coordinates), val2 from sd_mut (s'-coordinates);
-        # a lattice key is verifiable only when it is visible inside both
-        # truncations, i.e. its pre-transport degree on the sd side and its
-        # degree on the mutated side are both within the order
-        lat1 = {}
-        for d, c in val1.coeffs.items():
-            key = tuple(theta(d)) if theta else d
-            lat1[key] = c
-        lat2 = {}
-        for d, c in val2.coeffs.items():
-            lat2[apply_change_to_dimvec(change, d)] = c
+    b_row = seed.b[kk]
+
+    def theta(d, s):
+        # (T_k^vee)^s on dimension vectors: n -> n + s s_k {s_k, n}
+        out = list(d)
+        out[kk] += s * sum(b_row[j] * d[j] for j in range(len(d)))
+        return tuple(out)
+
+    def compare(val1, val2, s):
+        # val1 from sd (s-coordinates) transported by theta^s, val2 from
+        # sd_mut (s'-coordinates); a lattice key is verifiable only when it
+        # is visible inside both truncations, i.e. its pre-transport degree
+        # on the sd side and its degree on the mutated side are both within
+        # the order
+        lat1 = {theta(d, s): c for d, c in val1.coeffs.items()}
+        lat2 = {apply_change_to_dimvec(change, d): c
+                for d, c in val2.coeffs.items()}
         for key in set(lat1) | set(lat2):
             dm = deg_mut(key)
-            src = tuple(theta_inv(key)) if theta_inv else key
+            src = theta(key, -s)
             ds = total_degree(src) if not any(x < 0 for x in src) else None
             if ds is not None and ds <= order and (dm is None or dm > order):
                 continue
@@ -748,25 +693,6 @@ def mutate_sd_check(sd, k, sign, sd_mut, samples=20, rng=None):
             if pair(m, _unit_rays(seed)[kk]) != 0:
                 return m
 
-    b_row = seed.b[kk]
-
-    def t_map(m, inverse=False):
-        s = -1 if inverse else 1
-        mk = m[kk]
-        return tuple(mi + s * Fraction(b_row[i]) * mk for i, mi in enumerate(m))
-
-    def theta_plus(d):   # T_k^vee: n -> n + s_k {s_k, n}
-        w = sum(b_row[j] * d[j] for j in range(len(d)))
-        out = list(d)
-        out[kk] += w
-        return tuple(out)
-
-    def theta_minus(d):  # (T_k^vee)^{-1}
-        w = sum(b_row[j] * d[j] for j in range(len(d)))
-        out = list(d)
-        out[kk] -= w
-        return tuple(out)
-
     for _ in range(samples):
         # equal half-space: mu_k^sign agrees with sd where sign * m(s_k) > 0
         m = rand_point()
@@ -774,7 +700,7 @@ def mutate_sd_check(sd, k, sign, sd_mut, samples=20, rng=None):
             m = tuple(-x for x in m)
         v1 = sd.phi(m)
         v2 = sd_mut.phi(covector_to_new_basis(change, m))
-        bad = compare(v1, v2)
+        bad = compare(v1, v2, 0)
         checked += 1
         if bad is not None:
             failures.append(("equal-side", m, bad))
@@ -782,16 +708,9 @@ def mutate_sd_check(sd, k, sign, sd_mut, samples=20, rng=None):
         m = rand_point()
         if (m[kk] > 0) == (sign > 0):
             m = tuple(-x for x in m)
-        if sign == -1:
-            mm = t_map(m)
-            v1 = sd.phi(m)
-            v2 = sd_mut.phi(covector_to_new_basis(change, mm))
-            bad = compare(v1, v2, theta=theta_minus, theta_inv=theta_plus)
-        else:
-            mm = t_map(m, inverse=True)
-            v1 = sd.phi(m)
-            v2 = sd_mut.phi(covector_to_new_basis(change, mm))
-            bad = compare(v1, v2, theta=theta_plus, theta_inv=theta_minus)
+        v1 = sd.phi(m)
+        v2 = sd_mut.phi(covector_to_new_basis(change, t_k(seed, k, sign, m)))
+        bad = compare(v1, v2, sign)
         checked += 1
         if bad is not None:
             failures.append(("transported-side", m, bad))

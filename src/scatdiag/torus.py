@@ -16,6 +16,8 @@ classical limit divides it back out before evaluating at v = 1.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .coeff import CoeffFn, ONE, ZERO, gl_count, q_int
 from .lattice import skew, total_degree
 
@@ -77,9 +79,6 @@ class GradedElement:
     def constant(self):
         return ONE if self.flavor == GROUP else ZERO
 
-    def with_flavor(self, flavor):
-        return GradedElement(self.seed, self.order, self.convention, flavor, self.coeffs)
-
     def support(self):
         return set(self.coeffs)
 
@@ -97,11 +96,7 @@ class GradedElement:
             raise ValueError("can only add lie elements")
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = out.get(d, ZERO) + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
+            _acc(out, d, c)
         return GradedElement(self.seed, self.order, self.convention, LIE, out)
 
     def scale(self, a, b=1):
@@ -117,8 +112,8 @@ class GradedElement:
     def mul(self, other):
         """Truncated twisted product (commutative in the classical convention)."""
         self._require_same_context(other)
-        out = _dict_mul(self.seed, self.convention, self.order,
-                        _full(self), _full(other))
+        out = _product(self.seed, self.order, _full(self), _full(other),
+                       _MUL_TWIST[self.convention])
         c0 = out.pop(_zero_key(self.seed), ZERO)
         if c0 == ONE:
             flavor = GROUP
@@ -133,35 +128,9 @@ class GradedElement:
         self._require_same_context(other)
         if self.flavor != LIE or other.flavor != LIE:
             raise ValueError("bracket needs lie elements")
-        seed, order = self.seed, self.order
-        out = {}
-        if self.convention == CLASSICAL:
-            for d1, c1 in self.coeffs.items():
-                for d2, c2 in other.coeffs.items():
-                    d = _add_key(d1, d2)
-                    if total_degree(d) > order:
-                        continue
-                    w = skew(seed, d1, d2)
-                    if w == 0:
-                        continue
-                    c = c1 * c2
-                    c = c.scale(w)
-                    _acc(out, d, c)
-        else:
-            dt = self.convention == DT_TWIST
-            for d1, c1 in self.coeffs.items():
-                for d2, c2 in other.coeffs.items():
-                    d = _add_key(d1, d2)
-                    if total_degree(d) > order:
-                        continue
-                    w = skew(seed, d1, d2)
-                    if w == 0:
-                        continue
-                    tw = CoeffFn.v_power(w) - CoeffFn.v_power(-w)
-                    if dt and w % 2:
-                        tw = -tw
-                    _acc(out, d, c1 * c2 * tw)
-        return GradedElement(seed, order, self.convention, LIE, out)
+        out = _product(self.seed, self.order, self.coeffs, other.coeffs,
+                       _BRACKET_TWIST[self.convention])
+        return GradedElement(self.seed, self.order, self.convention, LIE, out)
 
     # -- series ----------------------------------------------------------------------
 
@@ -170,19 +139,22 @@ class GradedElement:
         (the commutative algebra in the classical convention)."""
         if self.flavor != LIE:
             raise ValueError("exp needs a lie element")
-        out = _exp_dict(self.seed, self.convention, self.order, self.coeffs)
+        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
+                      self.coeffs, _exp_coef)
         return GradedElement(self.seed, self.order, self.convention, GROUP, out)
 
     def log(self):
         if self.flavor != GROUP:
             raise ValueError("log needs a group element")
-        out = _log_dict(self.seed, self.convention, self.order, self.coeffs)
+        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
+                      self.coeffs, lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k))
         return GradedElement(self.seed, self.order, self.convention, LIE, out)
 
     def group_inverse(self):
         if self.flavor != GROUP:
             raise ValueError("inverse needs a group element")
-        out = _group_inverse_dict(self.seed, self.convention, self.order, self.coeffs)
+        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
+                      self.coeffs, lambda k: CoeffFn.from_int((-1) ** k))
         return GradedElement(self.seed, self.order, self.convention, GROUP, out)
 
     def project(self, keep):
@@ -243,90 +215,80 @@ def _full(elem):
     return out
 
 
-def _twist(seed, convention, d1, d2):
-    if convention == CLASSICAL:
-        return None
-    w = skew(seed, d1, d2)
-    if convention == DT_TWIST and w % 2:
-        return -CoeffFn.v_power(w)
-    return CoeffFn.v_power(w) if w else None
+# Twists (c1, c2, w) -> the coefficient of x^(d1+d2) contributed by
+# c1 x^d1 and c2 x^d2, where w = {d1, d2}; None when the term vanishes.
+# A twist of None is the commutative product, which needs no pairing.
+
+def _quantum_mul(c1, c2, w):
+    return (c1 * c2).mul_vpow(w)
 
 
-def _dict_mul(seed, convention, order, a, b):
+def _dt_mul(c1, c2, w):
+    c = (c1 * c2).mul_vpow(w)
+    return -c if w % 2 else c
+
+
+def _poisson(c1, c2, w):
+    return (c1 * c2).scale(w) if w else None
+
+
+def _commutator(c1, c2, w):
+    return c1 * c2 * (CoeffFn.v_power(w) - CoeffFn.v_power(-w)) if w else None
+
+
+def _dt_commutator(c1, c2, w):
+    c = _commutator(c1, c2, w)
+    return -c if w % 2 else c
+
+
+_MUL_TWIST = {QUANTUM: _quantum_mul, DT_TWIST: _dt_mul, CLASSICAL: None}
+_BRACKET_TWIST = {QUANTUM: _commutator, DT_TWIST: _dt_commutator, CLASSICAL: _poisson}
+
+
+def _by_degree(a):
     out = {}
-    classical = convention == CLASSICAL
-    dt = convention == DT_TWIST
-    for d1, c1 in a.items():
-        t1 = total_degree(d1)
-        for d2, c2 in b.items():
-            if t1 + total_degree(d2) > order:
-                continue
-            d = _add_key(d1, d2)
-            c = c1 * c2
-            if not classical:
-                w = skew(seed, d1, d2)
-                if w:
-                    c = c.mul_vpow(w)
-                    if dt and w % 2:
-                        c = -c
-            _acc(out, d, c)
-    return out
-
-
-def _exp_dict(seed, convention, order, a):
-    out = {_zero_key(seed): ONE}
-    if not a:
-        return {}
-    term = dict(a)
     for d, c in a.items():
-        _acc(out, d, c)
-    k = 1
-    while term and k < order:
-        k += 1
-        term = _dict_mul(seed, convention, order, term, a)
-        inv = CoeffFn.from_fraction(1, _factorial(k))
-        for d, c in term.items():
-            _acc(out, d, c * inv)
-    out.pop(_zero_key(seed), None)
+        out.setdefault(total_degree(d), []).append((d, c))
     return out
 
 
-def _log_dict(seed, convention, order, g):
-    u = dict(g)
-    u.pop(_zero_key(seed), None)
-    out = dict(u)
-    term = dict(u)
-    k = 1
-    while term and k < order:
-        k += 1
-        term = _dict_mul(seed, convention, order, term, u)
-        inv = CoeffFn.from_fraction((-1) ** (k - 1), k)
-        for d, c in term.items():
-            _acc(out, d, c * inv)
-    return out
-
-
-def _group_inverse_dict(seed, convention, order, g):
-    u = dict(g)
-    u.pop(_zero_key(seed), None)
+def _product(seed, order, a, b, twist, degree=None):
+    """The truncated product of two coefficient dicts (the zero key is
+    allowed): the sum of twist(c1, c2, {d1, d2}) x^(d1+d2).  Terms are
+    paired by total degree, so with degree=t only the layer of total
+    degree t is formed."""
     out = {}
-    term = {d: -c for d, c in u.items()}
-    for d, c in term.items():
-        _acc(out, d, c)
-    k = 1
-    while term and k < order:
+    right = _by_degree(b)
+    for i, left in _by_degree(a).items():
+        for j in (degree - i,) if degree is not None else range(order - i + 1):
+            for d2, c2 in right.get(j, ()):
+                for d1, c1 in left:
+                    if twist is None:
+                        c = c1 * c2
+                    else:
+                        c = twist(c1, c2, skew(seed, d1, d2))
+                        if c is None:
+                            continue
+                    _acc(out, _add_key(d1, d2), c)
+    return out
+
+
+def _series(seed, order, twist, u, coef):
+    """The truncated power series sum_{k >= 1} coef(k) u^k of a dict u
+    without constant term."""
+    out = {}
+    term, k = u, 1
+    while term:
+        c = coef(k)
+        for d, x in term.items():
+            _acc(out, d, x * c)
+        term = _product(seed, order, term, u, twist)
         k += 1
-        term = {d: -c for d, c in _dict_mul(seed, convention, order, term, u).items()}
-        for d, c in term.items():
-            _acc(out, d, c)
     return out
 
 
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+def _exp_coef(k):
+    return CoeffFn.from_fraction(1, factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +314,7 @@ def dilog_group_element(seed, n, order, convention):
         lie = {}
         for k in range(1, kmax + 1):
             lie[tuple(k * x for x in n)] = CoeffFn.from_fraction((-1) ** (k - 1), k * k)
-        coeffs = _exp_dict(seed, CLASSICAL, order, lie)
+        coeffs = _series(seed, order, None, lie, _exp_coef)
     else:
         for k in range(1, kmax + 1):
             c = CoeffFn.v_power(k * k) / gl_count(k)

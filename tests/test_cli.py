@@ -139,3 +139,22 @@ def test_invalid_inputs(tmp_path, a2_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rank": 2, "B": [[0, 1], [1, 0]]}))
     assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
+    for m in ("1", "1,0,5"):
+        assert main(["reps", "--seed", a2_file, "--m", m, "--order", "4",
+                     "--primes", "2"]) == 2
+    for data in ({"rank": 2, "B": [[0, 1.5], [-1.5, 0]]},
+                 {"rank": 2, "B": [[0, True], [-1, 0]]},
+                 {"rank": 2, "B": [1, 2]},
+                 {"rank": 2}):
+        bad.write_text(json.dumps(data))
+        assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
+
+
+def test_verify_psi_roundtrip_counts_checked_trials(tmp_path, a2_file):
+    # at order 1 every drawn initial datum is empty, so nothing is checked
+    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite",
+                        "psi-roundtrip", "--order", "1", "--random-seed", "2024")
+    assert code == 1 and payload["trials"] == 0 and not payload["passed"]
+    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite",
+                        "psi-roundtrip", "--order", "2", "--random-seed", "2024")
+    assert code == 0 and payload["trials"] == 7 and payload["passed"]

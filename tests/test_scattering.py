@@ -265,6 +265,15 @@ def test_path_product_trivial_and_errors():
         path_ordered_product(sd, (F(2), F(1)), (F(-2), F(-1)))
 
 
+def test_covector_of_wrong_length_rejected():
+    sd = quantum_cluster_sd(a2_seed(), 4)
+    for m in ((F(1),), (F(1), F(0), F(5))):
+        with pytest.raises(ValueError):
+            sd.phi(m)
+        with pytest.raises(ValueError):
+            factorize(sd.group_element(), m)
+
+
 def test_endpoint_independence(rng):
     for conv, build in BUILDERS.items():
         sd = build(a2_seed(), 6)

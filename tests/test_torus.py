@@ -1,7 +1,7 @@
 import pytest
 
 from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power
-from scatdiag.lattice import a2_seed, markov_seed
+from scatdiag.lattice import a2_seed, a3_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element,
                             dilog_lie_element, lift_classical)
@@ -65,6 +65,23 @@ def test_bracket_antisymmetry_and_jacobi(rng):
             jac = a.bracket(b.bracket(c)).add(b.bracket(c.bracket(a))) \
                 .add(c.bracket(a.bracket(b)))
             assert jac.coeffs == {}
+
+
+def test_bracket_is_the_commutator_of_the_product(rng):
+    # ties the bracket twists to the product twists: [a, b] = ab - ba in the
+    # quantum and dt conventions, and the Poisson bracket is the classical
+    # limit of the commutator of the quantum lifts
+    for seed, order in ((a2_seed(), 6), (a3_seed(), 5)):
+        for conv in (QUANTUM, DT_TWIST):
+            for _ in range(10):
+                a = random_lie(rng, seed, conv, order)
+                b = random_lie(rng, seed, conv, order)
+                assert a.bracket(b) == a.mul(b).add(b.mul(a).neg())
+        for _ in range(10):
+            a = random_lie(rng, seed, CLASSICAL, order)
+            b = random_lie(rng, seed, CLASSICAL, order)
+            lifted = lift_classical(a).bracket(lift_classical(b))
+            assert classical_map(lifted) == a.bracket(b)
 
 
 def test_mul_associativity(rng):
