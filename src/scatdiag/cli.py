@@ -29,6 +29,8 @@ CONVENTIONS = {"quantum": QUANTUM, "classical": CLASSICAL, "dt": DT_TWIST}
 def _load_seed(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("seed file must hold a JSON object")
     if "quiver" in data or "potential" in data:
         sp = SeedWithPotential.from_json(data)
         return sp.seed, sp

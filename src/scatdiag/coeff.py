@@ -58,6 +58,8 @@ def _pmul(a, b):
 def _pscale(a, c):
     if c == 0:
         return ()
+    if c == 1:
+        return a
     return tuple(x * c for x in a)
 
 
@@ -126,7 +128,8 @@ _HEU_XI_MIN = 1 << 20
 
 
 def _pgcd(a, b):
-    """Primitive gcd of integer polynomials, positive leading coefficient.
+    """(g, a / g, b / g): the primitive gcd of integer polynomials, with a
+    positive leading coefficient, and the two cofactors.
 
     Heuristic gcd (Char, Geddes and Gonnet, "GCDHEU", 1989): evaluate the
     primitive inputs at an integer xi >= 2*min(|a|_oo, |b|_oo) + 2, take the
@@ -137,27 +140,28 @@ def _pgcd(a, b):
     of the digit polynomial, which is at most xi/2.  Otherwise xi grows a
     few times, then the primitive PRS decides.
     """
-    a, b = _pprim(a), _pprim(b)
-    if len(a) == 1 or len(b) == 1:
-        return (1,)
-    if not a or not b:
-        return _pgcd_prs(a, b)
-    # the floor keeps small spurious integer factors of the two values below
-    # xi/2, where they read back as a constant instead of a false factor
-    xi = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, _HEU_XI_MIN)
-    for _ in range(_HEU_TRIES):
-        h = _pprim(_digits(gcd(_pval(a, xi), _pval(b, xi)), xi))
-        if h[-1] < 0:
-            h = _pneg(h)
-        if h == (1,):
-            return h
-        try:
-            _pdiv_exact(a, h)
-            _pdiv_exact(b, h)
-            return h
-        except ArithmeticError:
-            xi = xi * 73794 // 27011   # about 1 + sqrt 3, as in GCDHEU
-    return _pgcd_prs(a, b)
+    pa, pb = _pprim(a), _pprim(b)
+    if len(pa) == 1 or len(pb) == 1:
+        return (1,), a, b
+    if pa and pb:
+        # the floor keeps small spurious integer factors of the two values
+        # below xi/2, where they read back as a constant, not a false factor
+        xi = max(2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2, _HEU_XI_MIN)
+        for _ in range(_HEU_TRIES):
+            h = _pprim(_digits(gcd(_pval(pa, xi), _pval(pb, xi)), xi))
+            if h[-1] < 0:
+                h = _pneg(h)
+            if h == (1,):
+                return h, a, b
+            try:
+                # the division check yields the cofactors of the primitive
+                # parts; the contents restore those of a and b
+                return (h, _pscale(_pdiv_exact(pa, h), _pcontent(a)),
+                        _pscale(_pdiv_exact(pb, h), _pcontent(b)))
+            except ArithmeticError:
+                xi = xi * 73794 // 27011   # about 1 + sqrt 3, as in GCDHEU
+    g = _pgcd_prs(a, b)
+    return g, _pdiv_exact(a, g), _pdiv_exact(b, g)
 
 
 def _pval(a, x):
@@ -275,14 +279,8 @@ class CoeffFn:
             return CoeffFn(s, _padd(_pmul(a, other.den), b), other.den)
         if other.den == (1,):
             return CoeffFn(s, _padd(a, _pmul(b, self.den)), self.den)
-        g = _pgcd(self.den, other.den)
-        if g == (1,):
-            num = _padd(_pmul(a, other.den), _pmul(b, self.den))
-            return CoeffFn(s, num, _pmul(self.den, other.den))
-        d1 = _pdiv_exact(self.den, g)
-        d2 = _pdiv_exact(other.den, g)
-        num = _padd(_pmul(a, d2), _pmul(b, d1))
-        return CoeffFn(s, num, _pmul(_pmul(d1, g), d2))
+        _, d1, d2 = _pgcd(self.den, other.den)
+        return CoeffFn(s, _padd(_pmul(a, d2), _pmul(b, d1)), _pmul(self.den, d2))
 
     def __neg__(self):
         if not self.num:
@@ -297,12 +295,12 @@ class CoeffFn:
             return ZERO
         # cross-cancellation keeps both pairs coprime, so the product is
         # already in lowest terms and the final gcd pass can be skipped
-        g1 = _pgcd(self.num, other.den) if len(other.den) > 1 and len(self.num) > 1 else (1,)
-        g2 = _pgcd(other.num, self.den) if len(self.den) > 1 and len(other.num) > 1 else (1,)
-        n1 = _pdiv_exact(self.num, g1) if g1 != (1,) else self.num
-        d2 = _pdiv_exact(other.den, g1) if g1 != (1,) else other.den
-        n2 = _pdiv_exact(other.num, g2) if g2 != (1,) else other.num
-        d1 = _pdiv_exact(self.den, g2) if g2 != (1,) else self.den
+        n1, d2 = self.num, other.den
+        if len(n1) > 1 and len(d2) > 1:
+            _, n1, d2 = _pgcd(n1, d2)
+        n2, d1 = other.num, self.den
+        if len(n2) > 1 and len(d1) > 1:
+            _, n2, d1 = _pgcd(n2, d1)
         num, den = _pmul(n1, n2), _pmul(d1, d2)
         c = gcd(_pcontent(num), _pcontent(den))
         if c > 1:
@@ -474,9 +472,7 @@ def _canonicalize(shift, num, den):
     shift += i - j
     num, den = num[i:], den[j:]
     # cancel polynomial gcd
-    g = _pgcd(num, den)
-    if g != (1,):
-        num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    _, num, den = _pgcd(num, den)
     # coprime integer contents, positive leading denominator coefficient
     c = gcd(_pcontent(num), _pcontent(den))
     if c > 1:

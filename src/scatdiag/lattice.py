@@ -3,14 +3,14 @@
 A seed is a basis of a rank-n lattice together with the matrix B of the
 skew-symmetric form in that basis, B[i][j] = {s_i, s_j}.  Dimension
 vectors are integer tuples in the seed basis; covectors are rational
-tuples in the dual basis, so m(d) = sum(m_i d_i).  All geometry is done
-with exact rationals: wall membership is decided by exact sign tests and
-cone feasibility by exact linear programming.
+tuples in the dual basis, so m(d) = sum(m_i d_i).  All geometry is exact:
+wall membership is decided by sign tests, and cones and the faces of a
+hyperplane arrangement are built by double description, as integer extreme
+rays modulo a lineality basis, with no linear programming.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,316 +263,89 @@ def mat_inverse(rows):
 
 
 # ---------------------------------------------------------------------------
-# exact strict feasibility (Fourier-Motzkin for rank <= 3, simplex beyond)
+# cones and arrangement faces by double description
 # ---------------------------------------------------------------------------
+#
+# A cone is kept as cone(rays) + span(lineality): primitive integer extreme
+# rays, taken modulo an integer lineality basis (Motzkin's double
+# description; Fukuda and Prodon, "Double description method revisited",
+# 1996).  Cutting it by one more hyperplane needs only sign tests.
 
-def strict_feasible(zeros, stricts, dim):
-    """Exact rational point m with m.z = 0 for z in zeros and m.s > 0 for
-    s in stricts, or None if the system is infeasible."""
-    basis = nullspace(zeros, dim) if zeros else \
-        [tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)]
-    if not basis:
-        return tuple(Fraction(0) for _ in range(dim)) if not stricts else None
-    reduced = []
-    for s in stricts:
-        reduced.append(tuple(pair(b, s) for b in basis))
-    if not reduced:
-        y = tuple(Fraction(0) for _ in basis)
-    else:
-        r = len(basis)
-        if r <= 3:
-            y = _fm_strict(reduced, r)
-        else:
-            y = _simplex_strict(reduced, r)
-        if y is None:
-            return None
-    out = [Fraction(0)] * dim
-    for coef, b in zip(y, basis):
-        for i in range(dim):
-            out[i] += coef * b[i]
-    return tuple(out)
+def _unit_basis(dim):
+    return tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
 
 
-def _norm_row(row):
-    g = 0
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _cut(rays, lin, n, cut):
+    """Cut cone(rays) + span(lin) by the hyperplane of n.
 
-
-def _fm_strict(rows, r):
-    """Fourier-Motzkin witness for {y : row . y > 0 for all rows}."""
-    system = {_norm_row(row) for row in rows}
-    if any(not any(row) for row in system):
-        return None
-    eliminated = []
-    for var in range(r - 1):
-        pos, neg, rest = [], [], set()
-        for row in system:
-            if row[var] > 0:
-                pos.append(row)
-            elif row[var] < 0:
-                neg.append(row)
-            else:
-                rest.add(row)
-        for p, q in itertools.product(pos, neg):
-            comb = tuple(p[var] * q[i] - q[var] * p[i] for i in range(r))
-            comb = _norm_row(tuple(Fraction(x) for x in comb))
-            if not any(comb):
-                return None
-            rest.add(comb)
-        eliminated.append((pos, neg))
-        system = rest
-        if any(not any(row) for row in system):
-            return None
-    # only the last variable remains
-    last = r - 1
-    lo_open = any(row[last] > 0 for row in system)
-    hi_open = any(row[last] < 0 for row in system)
-    if lo_open and hi_open:
-        return None
-    y = [Fraction(0)] * r
-    if lo_open:
-        y[last] = Fraction(1)
-    elif hi_open:
-        y[last] = Fraction(-1)
-    # back-substitute the eliminated variables in reverse order
-    for var in range(r - 2, -1, -1):
-        pos, neg = eliminated[var]
-        lo = None
-        for row in pos:  # row[var] y_var > -rest
-            bound = -sum(row[i] * y[i] for i in range(var + 1, r)) / Fraction(row[var])
-            lo = bound if lo is None else max(lo, bound)
-        hi = None
-        for row in neg:
-            bound = -sum(row[i] * y[i] for i in range(var + 1, r)) / Fraction(row[var])
-            hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            y[var] = Fraction(0)
-        elif lo is None:
-            y[var] = hi - 1
-        elif hi is None:
-            y[var] = lo + 1
-        else:
-            if lo >= hi:
-                return None
-            y[var] = (lo + hi) / 2
-    return tuple(y)
-
-
-def _simplex_strict(rows, r):
-    """Exact phase-1 simplex witness for {y : row . y > 0}.
-
-    Maximizes t subject to row . y >= t, -1 <= y_i <= 1, t <= 1; the strict
-    system is feasible iff the optimum is positive.
+    `cut` lists the normals of the hyperplanes that already bound the cone.
+    Returns (lineality, closed, live): `closed[s]` are the extreme rays of
+    the cone's intersection with s*n >= 0 (s = 1, -1) or with n = 0 (s = 0),
+    modulo the returned lineality basis, and `live` the signs s whose open
+    piece (where the sign of n is s) meets the relative interior.
     """
-    cons = []
-    for row in rows:
-        cons.append(([Fraction(x) for x in row] + [Fraction(-1)], Fraction(0)))
-    for i in range(r):
-        e = [Fraction(0)] * (r + 1)
-        e[i] = Fraction(1)
-        cons.append((list(e), Fraction(1)))       # y_i + 1 >= 0 -> -y_i <= 1
-        e2 = [Fraction(0)] * (r + 1)
-        e2[i] = Fraction(-1)
-        cons.append((e2, Fraction(1)))
-    e3 = [Fraction(0)] * (r + 1)
-    e3[r] = Fraction(-1)
-    cons.append((e3, Fraction(1)))                # t <= 1
-    # maximize t == minimize -t ; variables free -> split y = u - w
-    nvar = r + 1
-    ncols = 2 * nvar + len(cons)
-    tab = []
-    for idx, (a, rhs) in enumerate(cons):
-        # a . x + rhs >= 0  ->  -a . x + slack = rhs
-        row = [Fraction(0)] * (ncols + 1)
-        for j in range(nvar):
-            row[j] = -a[j]
-            row[nvar + j] = a[j]
-        row[2 * nvar + idx] = Fraction(1)
-        row[-1] = rhs
-        if rhs < 0:
-            row = [-x for x in row]
-        tab.append(row)
-    cost = [Fraction(0)] * (ncols + 1)
-    cost[r] = Fraction(-1)
-    cost[nvar + r] = Fraction(1)
-    basis = [2 * nvar + i for i in range(len(cons))]
-    # ensure basic feasibility: all rhs >= 0 holds by the sign flip above,
-    # but flipped rows lose their slack identity; run a standard phase-1.
-    y = _simplex_solve(tab, basis, cost, ncols)
-    if y is None:
-        return None
-    yy = [y[j] - y[nvar + j] for j in range(r)]
-    t = y[r] - y[nvar + r]
-    if t <= 0:
-        return None
-    return tuple(yy)
+    k = next((i for i, l in enumerate(lin) if pair(n, l)), None)
+    if k is not None:
+        # n cuts the lineality: project onto n-perp along lin[k]
+        lead = lin[k] if pair(n, lin[k]) > 0 else tuple(-x for x in lin[k])
+        a = pair(n, lead)
+
+        def onto(v):
+            return primitive(tuple(a * x - pair(n, v) * y for x, y in zip(v, lead)))
+        rays = tuple(onto(r) for r in rays)
+        lin = tuple(onto(l) for i, l in enumerate(lin) if i != k)
+        back = tuple(-x for x in lead)
+        return lin, {1: rays + (lead,), 0: rays, -1: rays + (back,)}, (1, 0, -1)
+    side = {1: [], 0: [], -1: []}
+    for r in rays:
+        v = pair(n, r)
+        side[(v > 0) - (v < 0)].append(r)
+    pos, zero, neg = side[1], side[0], side[-1]
+    if pos and neg:
+        # new rays join adjacent (+, -) pairs: two extreme rays are adjacent
+        # when no third one is tight on every bounding hyperplane that both
+        # are tight on (hyperplanes not yet cut do not bound the cone)
+        tight = {r: sum(1 << i for i, c in enumerate(cut) if not pair(c, r)) for r in rays}
+        for p in pos:
+            for q in neg:
+                common = tight[p] & tight[q]
+                if not any(tight[r] & common == common for r in rays if r != p and r != q):
+                    zero.append(primitive(tuple(pair(n, p) * y - pair(n, q) * x
+                                                for x, y in zip(p, q))))
+    live = tuple(s for s, ok in ((1, pos), (0, bool(pos) == bool(neg)), (-1, neg)) if ok)
+    return lin, {1: tuple(pos + zero), 0: tuple(zero), -1: tuple(neg + zero)}, live
 
 
-def _simplex_solve(tab, basis, cost, ncols):
-    """Tiny exact simplex: minimize cost.x, tab rows are equalities with
-    nonnegative rhs; returns the full variable vector or None."""
-    m = len(tab)
-    art = []
-    for i in range(m):
-        if tab[i][basis[i]] != 1 or any(tab[k][basis[i]] != 0 for k in range(m) if k != i):
-            art.append(i)
-    if art:
-        width = ncols + len(art) + 1
-        for i in range(m):
-            extra = [Fraction(0)] * len(art)
-            tab[i] = tab[i][:ncols] + extra + [tab[i][ncols]]
-        for pos, i in enumerate(art):
-            tab[i][ncols + pos] = Fraction(1)
-            basis[i] = ncols + pos
-        phase_cost = [Fraction(0)] * (ncols + len(art) + 1)
-        for pos in range(len(art)):
-            phase_cost[ncols + pos] = Fraction(1)
-        if _simplex_iterate(tab, basis, phase_cost, ncols + len(art)) is None:
+def _follow(constraints, dim, closed):
+    """Rays and lineality of the cone cut out by (normal, sign) constraints,
+    closed (sign 1 means n >= 0) or open (n > 0); None when the open cone is
+    empty."""
+    rays, lin = (), _unit_basis(dim)
+    for k, (n, s) in enumerate(constraints):
+        lin, pieces, live = _cut(rays, lin, n, [c for c, _ in constraints[:k]])
+        if not closed and s not in live:
             return None
-        if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(m)):
-            return None
-        cost = cost[:ncols] + [Fraction(0)] * len(art) + [cost[-1] if len(cost) > ncols else Fraction(0)]
-        total = ncols + len(art)
-    else:
-        cost = cost + [Fraction(0)]
-        total = ncols
-    if _simplex_iterate(tab, basis, cost, total, forbid=ncols) is None:
-        return None
-    out = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        out[b] = tab[i][-1]
-    return out
+        rays = pieces[s]
+    return rays, lin
 
 
-def _simplex_iterate(tab, basis, cost, total, forbid=None):
-    m = len(tab)
-    limit = 10000
-    while limit:
-        limit -= 1
-        red = list(cost[:total])
-        for i, b in enumerate(basis):
-            if cost[b] != 0:
-                f = cost[b]
-                for j in range(total):
-                    red[j] -= f * tab[i][j]
-        enter = None
-        for j in range(total):
-            if forbid is not None and j >= forbid:
-                continue
-            if red[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            return True
-        leave, best = None, None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            return None  # unbounded
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        basis[leave] = enter
-    raise RuntimeError("simplex did not terminate")
+def _ray_sum(rays, dim):
+    """A point of the relative interior of cone(rays) + span(lineality)."""
+    return tuple(sum(r[i] for r in rays) for i in range(dim))
 
-
-def _nonneg_solve(cols, target):
-    """Exact feasibility of sum lambda_i cols_i = target with lambda >= 0."""
-    mrows = len(target)
-    ncols = len(cols)
-    tab = []
-    basis = []
-    for r in range(mrows):
-        row = [Fraction(cols[j][r]) for j in range(ncols)]
-        rhs = Fraction(target[r])
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        row += [Fraction(1) if i == r else Fraction(0) for i in range(mrows)]
-        row.append(rhs)
-        tab.append(row)
-        basis.append(ncols + r)
-    cost = [Fraction(0)] * ncols + [Fraction(1)] * mrows + [Fraction(0)]
-    total = ncols + mrows
-    guard = 5000
-    while guard:
-        guard -= 1
-        red = list(cost[:total])
-        for i, b in enumerate(basis):
-            if cost[b] != 0:
-                f = cost[b]
-                for j in range(total):
-                    red[j] -= f * tab[i][j]
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(mrows):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            return False
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(mrows):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        basis[leave] = enter
-    value = sum(tab[i][-1] for i in range(mrows) if basis[i] >= ncols)
-    return value == 0
-
-
-def in_cone(vec, rays, lineality):
-    """Whether vec lies in cone(rays) + span(lineality), exactly."""
-    cols = [tuple(r) for r in rays]
-    for l in lineality:
-        cols.append(tuple(l))
-        cols.append(tuple(-x for x in l))
-    if not cols:
-        return not any(vec)
-    return _nonneg_solve(cols, tuple(vec))
-
-
-def reduce_ray_generators(rays, lineality):
-    """Drop rays lying in the cone of the remaining generators."""
-    rays = sorted(set(rays))
-    keep = []
-    for i, r in enumerate(rays):
-        others = rays[:i] + rays[i + 1:]
-        if not in_cone(r, others, lineality):
-            keep.append(r)
-    return tuple(keep)
-
-
-# ---------------------------------------------------------------------------
-# hyperplane arrangement faces
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SignedFace:
-    """A feasible sign vector over a support set, with an interior witness."""
+    """A face of a central arrangement: its sign vector over the normals, an
+    interior witness, and its extreme rays modulo the arrangement's
+    lineality basis."""
 
     normals: tuple
     signs: tuple
     witness: tuple
     ambient: int
+    rays: tuple
+    lineality: tuple
 
     @property
     def dim(self):
@@ -601,87 +374,38 @@ def dedupe_primitive(vectors):
     return tuple(out)
 
 
-def cone_interior_point(signs, normals, dim):
-    """Exact witness for the open sign region, or None when infeasible."""
-    zeros = [n for n, s in zip(normals, signs) if s == 0]
-    stricts = [n if s > 0 else tuple(-x for x in n)
-               for n, s in zip(normals, signs) if s != 0]
-    return strict_feasible(zeros, stricts, dim)
-
-
 def face_enumerate(support, dim):
     """All faces of the hyperplane arrangement of the supplied normals.
 
-    Normals are deduplicated to primitive vectors first.  Returns a list of
-    SignedFace covering all feasible sign vectors; an empty support yields
-    the single all-space face.
+    Normals are deduplicated to primitive vectors first.  The arrangement is
+    built one hyperplane at a time: a normal that cuts the lineality splits
+    every face in three; otherwise a face splits in three when its rays take
+    both signs on the normal and keeps its rays when they do not.  An empty
+    support yields the single all-space face.
     """
     normals = dedupe_primitive(support)
-    faces = [((), tuple(Fraction(0) for _ in range(dim)))]
-    for idx, n in enumerate(normals):
-        new_faces = []
-        for signs, witness in faces:
-            w = pair(witness, n)
-            inherited = 1 if w > 0 else (-1 if w < 0 else 0)
-            new_faces.append((signs + (inherited,), witness))
-            for s in (1, 0, -1):
-                if s == inherited:
-                    continue
-                cand = cone_interior_point(signs + (s,), normals[: idx + 1], dim)
-                if cand is not None:
-                    new_faces.append((signs + (s,), cand))
-        faces = new_faces
-    return [SignedFace(normals, signs, witness, dim) for signs, witness in faces]
+    lin = _unit_basis(dim)
+    faces = [((), ())]
+    for k, n in enumerate(normals):
+        split = []
+        for signs, rays in faces:
+            new_lin, pieces, live = _cut(rays, lin, n, normals[:k])
+            split.extend((signs + (s,), pieces[s]) for s in live)
+        lin, faces = new_lin, split
+    lin = tuple(sorted(lin))
+    return [SignedFace(normals, signs, _ray_sum(rays, dim), dim, rays, lin)
+            for signs, rays in faces]
 
 
-# ---------------------------------------------------------------------------
-# extreme rays (used to export cones of the minimal complex)
-# ---------------------------------------------------------------------------
+def cone_interior_point(signs, normals, dim):
+    """Exact witness for the open sign region, or None when it is empty."""
+    cone = _follow(list(zip(normals, signs)), dim, closed=False)
+    return None if cone is None else _ray_sum(cone[0], dim)
+
 
 def cone_generators(zeros, weaks, dim):
-    """Generators of {m : m.z = 0, m.w >= 0}: (extreme rays, lineality basis).
-
-    All output vectors are primitive integer tuples, deterministically
-    ordered.  Correct for the low ranks this package works at.
-    """
-    basis = nullspace(zeros, dim) if zeros else \
-        [tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)]
-    if not basis:
-        return (), ()
-    rows = [tuple(pair(b, w) for b in basis) for w in weaks]
-    rows = [r for r in {_norm_row(tuple(Fraction(x) for x in r)) for r in rows} if any(r)]
-    r = len(basis)
-    lin = nullspace(rows, r) if rows else \
-        [tuple(Fraction(1) if i == j else Fraction(0) for i in range(r)) for j in range(r)]
-    rays = []
-    if rows and len(lin) < r:
-        # quotient by the lineality space: an extreme ray is the kernel line
-        # of a corank-one subset of active constraints, taken inside lin-perp
-        sub_size = r - 1 - len(lin)
-        lin_rows = [tuple(Fraction(x) for x in l) for l in lin]
-        for sub in itertools.combinations(range(len(rows)), max(sub_size, 0)):
-            eqs = [tuple(Fraction(x) for x in rows[i]) for i in sub] + lin_rows
-            ker = nullspace(eqs, r)
-            if len(ker) != 1:
-                continue
-            for cand in (ker[0], tuple(-x for x in ker[0])):
-                values = [pair(cand, row) for row in rows]
-                if all(x >= 0 for x in values) and any(x > 0 for x in values):
-                    rays.append(cand)
-    out_rays = set()
-    for y in rays:
-        vec = [Fraction(0)] * dim
-        for coef, b in zip(y, basis):
-            for i in range(dim):
-                vec[i] += coef * b[i]
-        if any(vec):
-            out_rays.add(rational_primitive(vec))
-    out_lin = set()
-    for y in lin:
-        vec = [Fraction(0)] * dim
-        for coef, b in zip(y, basis):
-            for i in range(dim):
-                vec[i] += coef * b[i]
-        if any(vec):
-            out_lin.add(rational_primitive(vec))
-    return tuple(sorted(out_rays)), tuple(sorted(out_lin))
+    """Generators of {m : m.z = 0, m.w >= 0}: (extreme rays, lineality basis),
+    primitive integer tuples in sorted order."""
+    rays, lin = _follow([(z, 0) for z in zeros] + [(w, 1) for w in weaks], dim,
+                        closed=True)
+    return tuple(sorted(rays)), tuple(sorted(lin))

@@ -24,10 +24,9 @@ from fractions import Fraction
 import functools
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (SignedFace, cone_generators, dedupe_primitive,
-                      face_enumerate, mutate_seed, nullspace, p_star, pair,
-                      primitive, rational_primitive, reduce_ray_generators,
-                      t_k, total_degree, apply_change_to_dimvec,
+from .lattice import (SignedFace, dedupe_primitive, face_enumerate,
+                      mutate_seed, nullspace, p_star, pair, primitive,
+                      rational_primitive, t_k, total_degree, apply_change_to_dimvec,
                       covector_to_new_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
@@ -474,6 +473,8 @@ class ScatDiagram:
         for i, d1 in enumerate(ordered):
             d2 = ordered[(i + 1) % len(ordered)]
             w2 = (d1[0] + d2[0], d1[1] + d2[1])
+            if w2 == (0, 0):    # a single line: the half-plane left of d1
+                w2 = (-d1[1], d1[0])
             m = tuple(Fraction(w2[0]) * b1 + Fraction(w2[1]) * b2
                       for b1, b2 in zip(basis[0], basis[1]))
             if self._ray_part_nontrivial(m, n):
@@ -509,18 +510,10 @@ class ScatDiagram:
             groups.setdefault(find(i), []).append(i)
         cells = []
         face_cell = {}
+        lineality = faces[0].lineality
         for members in groups.values():
             dims = [faces[i].dim for i in members]
             top = members[dims.index(max(dims))]
-            raylist, linlist = set(), set()
-            for i in members:
-                f = faces[i]
-                zeros = [n for n, s in zip(f.normals, f.signs) if s == 0]
-                weaks = [n if s > 0 else tuple(-x for x in n)
-                         for n, s in zip(f.normals, f.signs) if s != 0]
-                rays, lin = cone_generators(zeros, weaks, rank)
-                raylist.update(rays)
-                linlist.update(lin)
             func = None
             if values[top]:
                 func = GradedElement(self.seed, self.order,
@@ -530,16 +523,20 @@ class ScatDiagram:
                 f = faces[top]
                 zn = [n for n, s in zip(f.normals, f.signs) if s == 0]
                 normal = primitive(zn[0]) if zn else None
-            linlist = tuple(sorted(linlist))
-            cell = Cell(max(dims), tuple(faces[i].signs for i in members),
-                        faces[top].witness, func,
-                        reduce_ray_generators(raylist, linlist), linlist, normal)
             idx = len(cells)
-            cells.append(cell)
+            cells.append(Cell(max(dims), tuple(faces[i].signs for i in members),
+                              faces[top].witness, func, (), lineality, normal))
             for i in members:
                 face_cell[faces[i].signs] = idx
-        self._complex = MinimalComplex(rank, normals, faces, cells, face_cell)
-        return self._complex
+        mc = MinimalComplex(rank, normals, faces, cells, face_cell)
+        # a ray of a member face generates its cell when the ray's own face,
+        # one dimension above the lineality, is a cell by itself
+        edge = len(lineality) + 1
+        for cell, members in zip(cells, groups.values()):
+            cell.rays = tuple(sorted({r for i in members for r in faces[i].rays
+                                      if mc.locate(r).dim == edge}))
+        self._complex = mc
+        return mc
 
 
 def minimal_complex(sd):

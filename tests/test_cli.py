@@ -145,7 +145,7 @@ def test_invalid_inputs(tmp_path, a2_file):
     for data in ({"rank": 2, "B": [[0, 1.5], [-1.5, 0]]},
                  {"rank": 2, "B": [[0, True], [-1, 0]]},
                  {"rank": 2, "B": [1, 2]},
-                 {"rank": 2}):
+                 {"rank": 2}, 5, [[0, 1], [-1, 0]]):
         bad.write_text(json.dumps(data))
         assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
 

@@ -110,7 +110,8 @@ def test_string_form():
 
 
 def test_heuristic_gcd_matches_prs(rng, monkeypatch):
-    """The heuristic `_pgcd` against the kept PRS gcd, its fallback."""
+    """The heuristic `_pgcd` against the kept PRS gcd, its fallback; the
+    cofactors it returns multiply back to the inputs."""
     def poly(deg, span=5):
         return coeff._ptrim([rng.randint(-span, span) for _ in range(deg + 1)])
 
@@ -130,7 +131,9 @@ def test_heuristic_gcd_matches_prs(rng, monkeypatch):
     for xi_min in (coeff._HEU_XI_MIN, 0):
         monkeypatch.setattr(coeff, "_HEU_XI_MIN", xi_min)
         for a, b in pairs:
-            assert coeff._pgcd(a, b) == coeff._pgcd_prs(a, b), (a, b)
+            g, ca, cb = coeff._pgcd(a, b)
+            assert g == coeff._pgcd_prs(a, b), (a, b)
+            assert coeff._pmul(g, ca) == a and coeff._pmul(g, cb) == b, (a, b)
 
     # the fallback alone gives the primitive gcd with positive leading
     # coefficient: planted non-monic linear factors with rational,
@@ -150,5 +153,6 @@ def test_heuristic_gcd_matches_prs(rng, monkeypatch):
             b = coeff._pmul(b, (-r, 1))
         a = coeff._pscale(a, rng.choice((-6, -1, 1, 4)))
         b = coeff._pscale(b, rng.choice((-5, -2, 1, 3)))
-        assert coeff._pgcd(a, b) == g, (a, b)
+        assert coeff._pgcd(a, b) == (g, coeff._pdiv_exact(a, g),
+                                     coeff._pdiv_exact(b, g)), (a, b)
         assert coeff._pgcd_prs(a, b) == g, (a, b)

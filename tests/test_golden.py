@@ -26,6 +26,7 @@ CASES = {
     "scatter_a3_classical_3": ("scatter", "a3", "3", "classical"),
     "scatter_a3_dt_3": ("scatter", "a3", "3", "dt"),
     "scatter_markov_quantum_2": ("scatter", "markov", "2", "quantum"),
+    "scatter_markov_quantum_3": ("scatter", "markov", "3", "quantum"),
     "dt_a3_classical_4": ("dt", "a3", "4", "classical"),
     "dt_a3_dt_4": ("dt", "a3", "4", "dt"),
 }

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 
 from scatdiag.lattice import (Seed, a2_seed, cone_generators,
                               cone_interior_point, covector_to_new_basis,
-                              dedupe_primitive, face_enumerate, in_cone,
-                              markov_seed, mutate_seed,
-                              p_star, pair, primitive, reduce_ray_generators,
-                              skew, t_k)
+                              dedupe_primitive, face_enumerate, mat_rank,
+                              markov_seed, mutate_seed, nullspace,
+                              p_star, pair, primitive, rational_primitive,
+                              rref, skew, t_k)
 from conftest import random_skew_seed, random_rational_point
 
 F = Fraction
@@ -148,15 +149,13 @@ def test_cone_interior_point():
     # a rank-3 chamber of the markov support at low order
     support = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
     w = cone_interior_point((1, 1, -1, 1, 1, 1), tuple(support), 3)
-    if w is not None:
-        signs = (1, 1, -1, 1, 1, 1)
-        for n, s in zip(support, signs):
-            val = pair(w, n)
-            assert (val > 0) == (s > 0) and (val < 0) == (s < 0)
+    assert w is not None
+    for n, s in zip(support, (1, 1, -1, 1, 1, 1)):
+        val = pair(w, n)
+        assert (val > 0) == (s > 0) and (val < 0) == (s < 0)
 
 
 def test_face_enumerate_rank4_uses_simplex():
-    # rank >= 4 goes through the exact simplex feasibility path
     fs = face_enumerate([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                          (0, 0, 0, 1)], 4)
     assert len(fs) == 81
@@ -177,12 +176,112 @@ def test_cone_generators():
     assert rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0)) and lin == ()
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: cone membership by Caratheodory, no linear programming
+# ---------------------------------------------------------------------------
+
+def in_cone(vec, rays, lineality):
+    """Whether vec lies in cone(rays) + span(lineality), exactly.
+
+    By Caratheodory's theorem vec is then a nonnegative combination of a
+    linearly independent subset of the generators (lineality vectors taken
+    with both signs); each subset's system is solved exactly.
+    """
+    gens = [tuple(r) for r in rays]
+    gens += [tuple(s * x for x in l) for l in lineality for s in (1, -1)]
+    for k in range(len(vec) + 1):
+        for sub in itertools.combinations(gens, k):
+            if k and mat_rank(sub) < k:
+                continue
+            red, pivots = rref([[g[i] for g in sub] + [vec[i]] for i in range(len(vec))])
+            if k not in pivots and all(row[k] >= 0 for row in red):
+                return True
+    return False
+
+
+def reduce_ray_generators(rays, lineality):
+    """Drop rays lying in the cone of the remaining generators."""
+    rays = sorted(set(rays))
+    return tuple(r for i, r in enumerate(rays)
+                 if not in_cone(r, rays[:i] + rays[i + 1:], lineality))
+
+
 def test_reduce_ray_generators():
     rays = [(1, 0), (1, 1), (0, 1), (2, 1)]
     assert reduce_ray_generators(rays, ()) == ((0, 1), (1, 0))
     assert in_cone((1, 1), [(1, 0), (0, 1)], ())
     assert not in_cone((-1, 0), [(1, 0), (0, 1)], ())
     assert in_cone((-1, 5), [(0, 1)], [(1, 0)])
+
+
+def _signs(m, normals):
+    return tuple((pair(m, n) > 0) - (pair(m, n) < 0) for n in normals)
+
+
+def _random_arrangement(rng, dim):
+    """Normals with entries in {-1, 0, 1}, so that many meet along common
+    rays; some proportional, some not spanning."""
+    normals = [tuple(rng.randint(-1, 1) for _ in range(dim))
+               for _ in range(rng.randint(1, 7 if dim < 4 else 5))]
+    if rng.random() < 0.3:
+        normals.append(tuple(rng.choice((-2, -1, 2)) * x for x in normals[0]))
+    if rng.random() < 0.3:      # all normals in the hyperplane x_last = 0
+        normals = [n[:-1] + (0,) for n in normals]
+    return normals
+
+
+def _check_cone(zeros, weaks, dim):
+    """cone_generators against the oracle: its rays satisfy the constraints
+    and are extreme, and it holds every feasible kernel ray of a subset of
+    the constraints."""
+    rays, lin = cone_generators(zeros, weaks, dim)
+    for r in rays + lin:
+        assert all(pair(r, z) == 0 for z in zeros)
+        assert all(pair(r, w) >= 0 for w in weaks)
+    assert all(pair(l, w) == 0 for l in lin for w in weaks)
+    assert len(lin) == len(nullspace(list(zeros) + list(weaks), dim))
+    assert reduce_ray_generators(rays, lin) == rays
+    for k in range(dim):
+        for sub in itertools.combinations(weaks, k):
+            kernel = nullspace(list(zeros) + list(sub), dim)
+            if len(kernel) != len(lin) + 1:
+                continue
+            for b in kernel:
+                for t in (b, tuple(-x for x in b)):
+                    if all(pair(t, w) >= 0 for w in weaks):
+                        assert in_cone(rational_primitive(t), rays, lin)
+    return rays, lin
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_arrangement_against_reference(rng, dim):
+    for _ in range(12 if dim < 4 else 6):
+        support = _random_arrangement(rng, dim)
+        faces = face_enumerate(support, dim)
+        normals = faces[0].normals
+        assert normals == dedupe_primitive(support)
+        assert len({f.signs for f in faces}) == len(faces)
+        # the open faces partition space: Euler characteristic (-1)^dim
+        assert sum((-1) ** f.dim for f in faces) == (-1) ** dim
+        for f in faces:
+            assert _signs(f.witness, normals) == f.signs
+            assert f.lineality == faces[0].lineality
+            assert cone_interior_point(f.signs, normals, dim) is not None
+            # the face's rays span the closed face, as cone_generators finds it
+            zeros = [n for n, s in zip(normals, f.signs) if s == 0]
+            weaks = [tuple(s * x for x in n) for n, s in zip(normals, f.signs) if s]
+            rays, lin = _check_cone(zeros, weaks, dim)
+            assert len(f.rays) == len(rays)
+            assert all(in_cone(r, rays, lin) for r in f.rays)
+            assert all(in_cone(r, f.rays, f.lineality) for r in rays)
+        for _ in range(40):
+            m = tuple(rng.randint(-2, 2) for _ in range(dim))
+            assert sum(f.signs == _signs(m, normals) for f in faces) == 1
+        # a sign vector that is not a face has no interior point
+        seen = {f.signs for f in faces}
+        for signs in itertools.islice(itertools.product((1, 0, -1), repeat=len(normals)), 200):
+            if signs not in seen:
+                assert cone_interior_point(signs, normals, dim) is None
 
 
 def test_primitive_and_dedupe():

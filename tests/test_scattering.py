@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from scatdiag.coeff import CoeffFn, ONE, q_power
-from scatdiag.lattice import a2_seed, markov_seed, mutate_seed, primitive
+from scatdiag.lattice import Seed, a2_seed, markov_seed, mutate_seed, primitive
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
@@ -198,6 +198,22 @@ def test_a2_minimal_complex():
     ray_dirs = sorted(w.rays[0] for w in walls)
     assert ray_dirs == [(-1, 0), (0, -1), (0, 1), (1, -1), (1, 0)]
     assert all(len(w.rays) == 1 and not w.lineality for w in walls)
+
+
+def test_walls_when_the_other_candidates_cut_one_line():
+    # A2 + A1 with walls only on the A2 side: every candidate plane n-perp
+    # contains the line of (0, 0, 1), and the other candidates cut it only
+    # along that line, into two half-planes
+    seed = Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0)))
+    for conv in (QUANTUM, CLASSICAL):
+        for order in (3, 4, 5):
+            eta = {n: dilog_group_element(seed, n, order, conv)
+                   for n in ((1, 0, 0), (0, 1, 0))}
+            sd = complete_from_initial(eta, seed, order, conv)
+            assert sd.wall_normals() == ((0, 1, 0), (1, 0, 0), (1, 1, 0))
+    mc = sd.minimal_complex()
+    assert len(mc.chambers()) == 5 and len(mc.walls()) == 5
+    assert all(c.lineality == ((0, 0, 1),) for c in mc.cells)
 
 
 def test_minimal_complex_partition(rng):
