@@ -258,9 +258,6 @@ class CoeffFn:
     def is_zero(self):
         return not self.num
 
-    def is_rational(self):
-        return self.shift == 0 and len(self.num) <= 1 and len(self.den) == 1
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

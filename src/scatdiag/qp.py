@@ -359,13 +359,20 @@ def mutate_qp(quiver, potential, k, cap=None):
     return rq, rw
 
 
+def _k_mutation(quiver, potential, k, cap=None):
+    """The DWZ mutation at k, or None when the input is not k-mutable."""
+    try:
+        rq, rw = mutate_qp(quiver, potential, k, cap)
+    except ReductionError:
+        return None
+    if rq.arrow_count_multiset() != mu_k_quiver(quiver, k).arrow_count_multiset():
+        return None
+    return rq, rw
+
+
 def is_k_mutable(quiver, potential, k, cap=None):
     """Whether the reduced quiver of the tilde mutation equals mu_k(quiver)."""
-    try:
-        rq, _ = mutate_qp(quiver, potential, k, cap)
-    except ReductionError:
-        return False
-    return rq.arrow_count_multiset() == mu_k_quiver(quiver, k).arrow_count_multiset()
+    return _k_mutation(quiver, potential, k, cap) is not None
 
 
 def nondegenerate_to_depth(quiver, potential, depth, cap=None):
@@ -373,10 +380,8 @@ def nondegenerate_to_depth(quiver, potential, depth, cap=None):
     if depth == 0:
         return True
     for k in range(1, quiver.nvertices + 1):
-        if not is_k_mutable(quiver, potential, k, cap):
-            return False
-        rq, rw = mutate_qp(quiver, potential, k, cap)
-        if not nondegenerate_to_depth(rq, rw, depth - 1, cap):
+        mutated = _k_mutation(quiver, potential, k, cap)
+        if mutated is None or not nondegenerate_to_depth(*mutated, depth - 1, cap):
             return False
     return True
 
@@ -415,10 +420,11 @@ class SeedWithPotential:
 
 def mutate_sp(sp, k, sign, cap=None):
     """Mutate the seed with the chosen sign and the potential by DWZ."""
-    if not is_k_mutable(sp.quiver, sp.potential, k, cap):
+    mutated = _k_mutation(sp.quiver, sp.potential, k, cap)
+    if mutated is None:
         raise ReductionError("seed with potential is not mutable at %d" % k)
     new_seed, change = mutate_seed(sp.seed, k, sign)
-    rq, rw = mutate_qp(sp.quiver, sp.potential, k, cap)
+    rq, rw = mutated
     if rq.b_matrix() != new_seed.b:
         raise AssertionError("mutated quiver disagrees with mutated seed")
     return SeedWithPotential(new_seed, rq, rw), change

@@ -305,23 +305,6 @@ def is_stable(rep, m):
 # generalized reflection functors
 # ---------------------------------------------------------------------------
 
-def _coker_projection(mat, p):
-    """Matrix q: F^rows -> coker(mat) with q mat = 0, surjective."""
-    rows = len(mat)
-    cols = len(mat[0]) if mat else 0
-    columns = [tuple(mat[i][j] for i in range(rows)) for j in range(cols)]
-    red, bpiv = rref_p(columns, p) if columns else ([], [])
-    free = [c for c in range(rows) if c not in bpiv]
-    proj = []
-    for f in free:
-        row = [0] * rows
-        row[f] = 1
-        for r, c in enumerate(bpiv):
-            row[c] = (-red[r][f]) % p
-        proj.append(tuple(row))
-    return tuple(proj)
-
-
 def reflect(rep, k, sign, cap=None):
     """F_k^+ (sign +) or F_k^- (sign -): transport to the mutated SP.
 
@@ -385,7 +368,7 @@ def reflect(rep, k, sign, cap=None):
     new_mats = {}
     if sign == 1:
         # M'_k = coker(beta_k)
-        proj = _coker_projection(beta, p)            # M_out -> coker
+        proj = tuple(kernel_basis(tuple(zip(*beta)), dout, p))   # M_out -> coker
         newdk = len(proj)
         new_dims[k - 1] = newdk
         # phi_k: coker -> M_in with phi_k q_k = gamma_k: solve on lifts
@@ -576,7 +559,7 @@ def is_isomorphic(rep1, rep2):
         ok = True
         for d, flat in zip(rep1.dims, combo):
             f = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
-            if d and _det_p(f, p) == 0:
+            if len(rref_p(f, p)[1]) < d:
                 ok = False
                 break
             fs.append(f)
@@ -592,30 +575,6 @@ def is_isomorphic(rep1, rep2):
         if good:
             return True
     return False
-
-
-def _det_p(m, p):
-    n = len(m)
-    mat = [list(r) for r in m]
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if mat[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det = (det * mat[c][c]) % p
-        inv = pow(mat[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = (mat[i][c] * inv) % p
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[c])]
-    return det % p
 
 
 # ---------------------------------------------------------------------------

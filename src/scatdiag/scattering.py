@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import functools
-
 from .coeff import CoeffFn, ONE, ZERO
 from .lattice import (SignedFace, dedupe_primitive, face_enumerate,
                       mutate_seed, nullspace, p_star, pair, primitive,
@@ -84,7 +82,7 @@ class _FactorizationState:
         self.seed = seed
         self.twist = _MUL_TWIST[convention]
         self.order = order
-        self.m = tuple(Fraction(x) for x in m)
+        self.m = rational_primitive(m)   # a positive multiple: same signs
         zero = _zero_key(seed)
         self.L = {zero: ONE}
         self.Z = {zero: ONE}
@@ -326,18 +324,6 @@ def complete_from_initial(eta, seed, order, convention):
 # the diagram object and its minimal cone complex
 # ---------------------------------------------------------------------------
 
-def _sort_rays(dirs):
-    """Exact counterclockwise order of distinct 2D integer directions."""
-    def compare(u, v):
-        hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-        hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-    return sorted(dirs, key=functools.cmp_to_key(compare))
-
-
 @dataclass
 class Cell:
     """One cell of the minimal complex: a union of arrangement faces on
@@ -418,21 +404,13 @@ class ScatDiagram:
         """Normals whose hyperplane carries a nontrivial wall somewhere.
 
         Candidates come from the support closure; each candidate hyperplane
-        is cut into sectors by the other candidates and the ray part of the
-        middle factor is tested on one witness per sector (exact).
+        is cut into faces by the other candidates and the ray part of the
+        middle factor is tested on one witness per open face (exact).
         """
-        if self._wall_normals is not None:
-            return self._wall_normals
-        rank = self.seed.rank
-        candidates = self.candidate_normals()
-        if rank > 3:
-            self._wall_normals = candidates
-            return candidates
-        walls = []
-        for n in candidates:
-            if self._hyperplane_has_wall(n, candidates):
-                walls.append(n)
-        self._wall_normals = tuple(walls)
+        if self._wall_normals is None:
+            candidates = self.candidate_normals()
+            self._wall_normals = tuple(n for n in candidates
+                                       if self._hyperplane_has_wall(n, candidates))
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
@@ -447,38 +425,22 @@ class ScatDiagram:
         return True
 
     def _hyperplane_has_wall(self, n, candidates):
+        # the middle factor is constant on each face of the candidate
+        # arrangement, so one witness per open face of the arrangement the
+        # candidates cut out of n-perp (in an integer basis of it) decides
         rank = self.seed.rank
-        if rank == 1:
-            return any(primitive(d) == n for d in self.carrier.coeffs)
-        basis = nullspace([n], rank)
-        if rank == 2:
-            b = basis[0]
-            return (self._ray_part_nontrivial(b, n)
-                    or self._ray_part_nontrivial(tuple(-x for x in b), n))
-        # rank 3: sector decomposition of the plane n-perp
-        dirs = set()
+        basis = [rational_primitive(b) for b in nullspace([n], rank)]
+        lines = set()
         for d in candidates:
-            if d == n:
-                continue
-            a1 = pair(basis[0], d)
-            a2 = pair(basis[1], d)
-            if a1 == 0 and a2 == 0:
-                continue
-            line = rational_primitive((-a2, a1))
-            dirs.add(line)
-            dirs.add(tuple(-x for x in line))
-        if not dirs:
-            return self._ray_part_nontrivial(basis[0], n)
-        ordered = _sort_rays(dirs)
-        for i, d1 in enumerate(ordered):
-            d2 = ordered[(i + 1) % len(ordered)]
-            w2 = (d1[0] + d2[0], d1[1] + d2[1])
-            if w2 == (0, 0):    # a single line: the half-plane left of d1
-                w2 = (-d1[1], d1[0])
-            m = tuple(Fraction(w2[0]) * b1 + Fraction(w2[1]) * b2
-                      for b1, b2 in zip(basis[0], basis[1]))
-            if self._ray_part_nontrivial(m, n):
-                return True
+            c = primitive(tuple(pair(b, d) for b in basis))
+            if any(c):
+                lines.add(max(c, tuple(-x for x in c)))     # c and -c: one line
+        for face in face_enumerate(sorted(lines), rank - 1):
+            if 0 not in face.signs:
+                m = tuple(sum(w * b[i] for w, b in zip(face.witness, basis))
+                          for i in range(rank))
+                if self._ray_part_nontrivial(m, n):
+                    return True
         return False
 
     def minimal_complex(self):

@@ -76,17 +76,8 @@ class GradedElement:
         if (self.seed, self.order, self.convention) != (other.seed, other.order, other.convention):
             raise ValueError("convention/seed/order mismatch")
 
-    def constant(self):
-        return ONE if self.flavor == GROUP else ZERO
-
     def support(self):
         return set(self.coeffs)
-
-    def coefficient(self, d):
-        d = tuple(d)
-        if not any(d):
-            return self.constant()
-        return self.coeffs.get(d, ZERO)
 
     # -- linear structure --------------------------------------------------------
 

@@ -19,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SEEDS = {
     "a3": {"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]},
     "markov": {"rank": 3, "B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]},
+    "a4": {"rank": 4, "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]},
 }
 
 CASES = {
@@ -27,6 +28,7 @@ CASES = {
     "scatter_a3_dt_3": ("scatter", "a3", "3", "dt"),
     "scatter_markov_quantum_2": ("scatter", "markov", "2", "quantum"),
     "scatter_markov_quantum_3": ("scatter", "markov", "3", "quantum"),
+    "scatter_a4_quantum_2": ("scatter", "a4", "2", "quantum"),
     "dt_a3_classical_4": ("dt", "a3", "4", "classical"),
     "dt_a3_dt_4": ("dt", "a3", "4", "dt"),
 }

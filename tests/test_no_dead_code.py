@@ -1,7 +1,9 @@
-"""No dead code in the package: every import is used, and every private
-module-level function or class is referenced somewhere in src/ or tests/."""
+"""No dead code in the package: every import is used, every private
+module-level function or class is referenced somewhere in src/ or tests/,
+and so is every public function and method, outside its own def."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +21,18 @@ def _used_names(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _name_uses(tree):
+    """Every occurrence of a name: read, looked up as an attribute or
+    imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
 
 
 def test_every_import_is_used():
@@ -40,10 +54,7 @@ def test_every_import_is_used():
 def test_every_private_definition_is_referenced():
     referenced = set()
     for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        referenced |= _used_names(tree)
-        referenced |= {alias.name for node in ast.walk(tree)
-                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+        referenced.update(_name_uses(ast.parse(path.read_text())))
     dead = []
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
@@ -51,4 +62,19 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced):
                 dead.append("%s: %s" % (path.name, node.name))
+    assert not dead
+
+
+def test_every_public_function_and_method_is_referenced():
+    uses = Counter()
+    for path in SOURCES:
+        uses.update(_name_uses(ast.parse(path.read_text())))
+    dead = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in defs:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and uses[fn.name] == list(_name_uses(fn)).count(fn.name)):
+                    dead.append("%s: %s" % (path.name, fn.name))
     assert not dead

@@ -216,6 +216,48 @@ def test_walls_when_the_other_candidates_cut_one_line():
     assert all(c.lineality == ((0, 0, 1),) for c in mc.cells)
 
 
+A4 = Seed(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0)))
+
+
+def test_a4_walls_are_the_positive_roots():
+    # the candidates of degree <= 2 are the 4 simple and 6 pair sums; only
+    # the 7 positive roots carry walls
+    sd = quantum_cluster_sd(A4, 2)
+    assert len(sd.candidate_normals()) == 10
+    assert sd.wall_normals() == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+                                 (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0),
+                                 (1, 1, 0, 0))
+
+
+WALL_CASES = [
+    (Seed(((0,),)), QUANTUM, 4),
+    (a2_seed(), QUANTUM, 5),
+    (a2_seed(), CLASSICAL, 4),
+    (Seed(((0, 1, 0), (-1, 0, 1), (0, -1, 0))), QUANTUM, 3),
+    (markov_seed(), QUANTUM, 3),
+    (Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0))), QUANTUM, 4),
+    (Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))), CLASSICAL, 3),
+    (A4, QUANTUM, 2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(WALL_CASES)))
+def test_wall_normals_match_the_full_arrangement(case):
+    # reference route: n is a wall exactly when some face of the full
+    # candidate arrangement whose only zero sign is at n has a nontrivial
+    # middle factor (there it is supported on the ray of n alone)
+    from scatdiag.lattice import face_enumerate
+    seed, conv, order = WALL_CASES[case]
+    sd = BUILDERS[conv](seed, order)
+    candidates = sd.candidate_normals()
+    walls = set()
+    for face in face_enumerate(candidates, seed.rank):
+        zeros = [n for n, s in zip(face.normals, face.signs) if s == 0]
+        if len(zeros) == 1 and sd.phi(face.witness).coeffs:
+            walls.add(zeros[0])
+    assert sd.wall_normals() == tuple(n for n in candidates if n in walls)
+
+
 def test_minimal_complex_partition(rng):
     sd = quantum_cluster_sd(a2_seed(), 6)
     mc = sd.minimal_complex()
