@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .coeff import CoeffFn
 from .lattice import pair
-from .qp import SeedWithPotential, cyclic_derivative, mutate_sp, ReductionError
+from .qp import (SeedWithPotential, ReductionError, composite_name,
+                 cyclic_derivative, mutate_sp)
 from .torus import GROUP, QUANTUM, GradedElement
 from .scattering import phi_element
 
@@ -183,19 +184,11 @@ def path_matrix(rep, path):
 
 def check_relations(rep, strict=True):
     """Jacobian relations and nilpotency of the path ideal."""
-    sp, p = rep.sp, rep.p
+    sp = rep.sp
     for name, s, t in sp.quiver.arrows:
         deriv = cyclic_derivative(sp.quiver, sp.potential, name)
-        if not deriv:
-            continue
-        total = zero_mat(rep.dims[s - 1], rep.dims[t - 1])
-        for path, coeff in deriv.items():
-            c = Fraction(coeff)
-            if c.denominator % p == 0:
-                raise ValueError("potential coefficient not defined mod p")
-            cm = (c.numerator * pow(c.denominator, p - 2, p)) % p
-            total = mat_add(total, mat_scale(path_matrix(rep, path), cm, p), p)
-        if any(any(row) for row in total):
+        if deriv and any(any(row) for row in
+                         _path_sum(rep, deriv, rep.dims[s - 1], rep.dims[t - 1])):
             if strict:
                 raise ValueError("Jacobian relation fails at %s" % name)
             return False
@@ -220,6 +213,20 @@ def check_relations(rep, strict=True):
                 raise ValueError("path ideal does not act nilpotently")
             return False
     return True
+
+
+def _path_sum(rep, deriv, rows, cols):
+    """The rows x cols matrix of a potential derivative: its paths' matrices
+    weighted by their coefficients mod p."""
+    p = rep.p
+    total = zero_mat(rows, cols)
+    for path, coeff in deriv.items():
+        c = Fraction(coeff)
+        if c.denominator % p == 0:
+            raise ValueError("potential coefficient not defined mod p")
+        cm = (c.numerator * pow(c.denominator, p - 2, p)) % p
+        total = mat_add(total, mat_scale(path_matrix(rep, path), cm, p), p)
+    return total
 
 
 def simple_rep(sp, p, i):
@@ -306,132 +313,83 @@ def is_stable(rep, m):
 # ---------------------------------------------------------------------------
 
 def reflect(rep, k, sign, cap=None):
-    """F_k^+ (sign +) or F_k^- (sign -): transport to the mutated SP.
+    """F_k^+ (sign +) or F_k^- (sign -): transport to the mutated SP by the
+    mutation of representations (Derksen-Weyman-Zelevinsky 2008).
+
+    alpha: M_in -> V_k and beta: V_k -> M_out stack the arrows into and out
+    of k, and gamma: M_out -> M_in holds the potential's derivatives by the
+    pairs beta alpha.  Both signs build a space W at k with maps
+    into_k: M_out -> W and out_of_k: W -> M_in such that
+    out_of_k into_k = gamma.  F_k^+ takes W = coker beta, into_k the
+    projection, and solves for out_of_k; F_k^- takes W = ker alpha,
+    out_of_k the inclusion, and solves for into_k.  A solution exists since
+    the Jacobian relations at the arrows through k give gamma beta = 0 and
+    alpha gamma = 0, and it is unique since the projection is onto and the
+    inclusion one-to-one.  Each beta* then acts by its block of into_k, each
+    alpha* by its block of out_of_k, each composite [beta alpha] by
+    beta alpha, and every other arrow as before.
 
     Only the reduction case whose substitutions never touch retained arrows
     is implemented; anything else raises UnsupportedReduction.
     """
-    sp, p = rep.sp, rep.p
-    quiver = sp.quiver
+    sp, p, dims = rep.sp, rep.p, rep.dims
     try:
         sp2, change = mutate_sp(sp, k, sign, cap)
     except ReductionError as exc:
         raise UnsupportedReduction(str(exc)) from exc
-    incoming = quiver.arrows_into(k)
-    outgoing = quiver.arrows_out_of(k)
-    from .qp import composite_name
-    comp_map = {composite_name(an, bn): (an, bn)
-                for an, _, _ in incoming for bn, _, _ in outgoing}
-    din = sum(rep.dims[a[1] - 1] for a in incoming)
-    dout = sum(rep.dims[a[2] - 1] for a in outgoing)
-    dk = rep.dims[k - 1]
-    in_off, acc = {}, 0
+    incoming = sp.quiver.arrows_into(k)
+    outgoing = sp.quiver.arrows_out_of(k)
+    in_off, din = {}, 0
     for name, s, _ in incoming:
-        in_off[name] = acc
-        acc += rep.dims[s - 1]
-    out_off, acc = {}, 0
+        in_off[name], din = din, din + dims[s - 1]
+    out_off, dout = {}, 0
     for name, _, t in outgoing:
-        out_off[name] = acc
-        acc += rep.dims[t - 1]
-    # alpha_k: M_in -> V_k, beta_k: V_k -> M_out, gamma_k: M_out -> M_in
-    alpha = [[0] * din for _ in range(dk)]
-    for name, s, _ in incoming:
-        m = rep.matrix(name)
-        for i in range(dk):
-            for j in range(rep.dims[s - 1]):
-                alpha[i][in_off[name] + j] = m[i][j]
-    beta = [[0] * dk for _ in range(dout)]
-    for name, _, t in outgoing:
-        m = rep.matrix(name)
-        for i in range(rep.dims[t - 1]):
-            for j in range(dk):
-                beta[out_off[name] + i][j] = m[i][j]
-    gamma = [[0] * dout for _ in range(din)]
-    for aname, s, _ in incoming:
-        for bname, _, t in outgoing:
-            deriv = _pair_derivative(quiver, sp.potential, aname, bname)
-            if not deriv:
-                continue
-            block = zero_mat(rep.dims[s - 1], rep.dims[t - 1])
-            for path, coeff in deriv.items():
-                c = Fraction(coeff)
-                cm = (c.numerator * pow(c.denominator, p - 2, p)) % p
-                block = mat_add(block, mat_scale(path_matrix(rep, path), cm, p), p)
-            for i in range(rep.dims[s - 1]):
-                for j in range(rep.dims[t - 1]):
-                    gamma[in_off[aname] + i][out_off[bname] + j] = block[i][j]
-    alpha = tuple(tuple(r) for r in alpha)
-    beta = tuple(tuple(r) for r in beta)
-    gamma = tuple(tuple(r) for r in gamma)
-
-    new_dims = list(rep.dims)
-    new_mats = {}
+        out_off[name], dout = dout, dout + dims[t - 1]
+    dk = dims[k - 1]
+    alpha = _hcat([rep.matrix(a) for a, _, _ in incoming], dk)
+    beta = sum((rep.matrix(b) for b, _, _ in outgoing), ())
+    gamma = ()
+    for a, s, _ in incoming:
+        gamma += _hcat([_path_sum(rep, _pair_derivative(sp.potential, a, b),
+                                  dims[s - 1], dims[t - 1]) for b, _, t in outgoing],
+                       dims[s - 1])
     if sign == 1:
-        # M'_k = coker(beta_k)
-        proj = tuple(kernel_basis(tuple(zip(*beta)), dout, p))   # M_out -> coker
-        newdk = len(proj)
-        new_dims[k - 1] = newdk
-        # phi_k: coker -> M_in with phi_k q_k = gamma_k: solve on lifts
-        lift = _solve_right_inverse(proj, p)          # coker -> M_out section
-        phi = mat_mul(gamma, lift, p, shape=(din, newdk))
-        for name, s, t in sp2.quiver.arrows:
-            base = name[:-1] if name.endswith("*") else None
-            if name in comp_map:
-                an, bn = comp_map[name]
-                new_mats[name] = mat_mul(rep.matrix(bn), rep.matrix(an), p,
-                                         shape=(new_dims[t - 1], new_dims[s - 1]))
-            elif base is not None and any(a[0] == base for a in outgoing):
-                # beta*: j -> k acts by q_k iota_beta
-                j = quiver.arrow(base)[2]
-                ib = [list(r) for r in zero_mat(dout, rep.dims[j - 1])]
-                for i in range(rep.dims[j - 1]):
-                    ib[out_off[base] + i][i] = 1
-                new_mats[name] = mat_mul(proj, tuple(tuple(r) for r in ib), p,
-                                         shape=(newdk, rep.dims[j - 1]))
-            elif base is not None:
-                # alpha*: k -> i acts by pi_alpha phi_k
-                i_v = quiver.arrow(base)[1]
-                pa = tuple(tuple(1 if c == in_off[base] + rr else 0 for c in range(din))
-                           for rr in range(rep.dims[i_v - 1]))
-                new_mats[name] = mat_mul(pa, phi, p,
-                                         shape=(rep.dims[i_v - 1], newdk))
-            else:
-                new_mats[name] = rep.matrix(name)
+        into_k = tuple(kernel_basis(_transpose(beta, dk), dout, p))
+        out_of_k = _transpose(_solve(_transpose(into_k, dout), _transpose(gamma, dout),
+                                     len(into_k), din, p), din)
     else:
-        # M0_k = ker(alpha_k)
         kb = kernel_basis(alpha, din, p)
-        newdk = len(kb)
-        new_dims[k - 1] = newdk
-        incl = tuple(tuple(kb[j][i] for j in range(newdk)) for i in range(din))
-        # psi_k: M_out -> ker with incl psi = gamma
-        psi = _solve_through_kernel(incl, gamma, p, din, dout, newdk)
-        for name, s, t in sp2.quiver.arrows:
-            base = name[:-1] if name.endswith("*") else None
-            if name in comp_map:
-                an, bn = comp_map[name]
-                new_mats[name] = mat_mul(rep.matrix(bn), rep.matrix(an), p,
-                                         shape=(new_dims[t - 1], new_dims[s - 1]))
-            elif base is not None and any(a[0] == base for a in incoming):
-                # alpha*: k -> i acts by pi_alpha r_k
-                i_v = quiver.arrow(base)[1]
-                pa = tuple(tuple(1 if c == in_off[base] + rr else 0 for c in range(din))
-                           for rr in range(rep.dims[i_v - 1]))
-                new_mats[name] = mat_mul(pa, incl, p,
-                                         shape=(rep.dims[i_v - 1], newdk))
-            elif base is not None:
-                # beta*: j -> k acts by psi_k iota_beta
-                j = quiver.arrow(base)[2]
-                ib = [[0] * rep.dims[j - 1] for _ in range(dout)]
-                for i in range(rep.dims[j - 1]):
-                    ib[out_off[base] + i][i] = 1
-                new_mats[name] = mat_mul(psi, tuple(tuple(r) for r in ib), p,
-                                         shape=(newdk, rep.dims[j - 1]))
-            else:
-                new_mats[name] = rep.matrix(name)
-    return make_rep(sp2, p, tuple(new_dims), new_mats), sp2, change
+        out_of_k = _transpose(kb, din)
+        into_k = _solve(out_of_k, gamma, len(kb), dout, p)
+    new_dims = dims[:k - 1] + (len(into_k),) + dims[k:]
+    comp_map = {composite_name(a, b): (a, b) for a in in_off for b in out_off}
+    new_mats = {}
+    for name, s, t in sp2.quiver.arrows:
+        base = name[:-1] if name.endswith("*") else None
+        if name in comp_map:
+            a, b = comp_map[name]
+            new_mats[name] = mat_mul(rep.matrix(b), rep.matrix(a), p,
+                                     shape=(new_dims[t - 1], new_dims[s - 1]))
+        elif base in out_off:    # beta*: j -> k
+            o = out_off[base]
+            new_mats[name] = tuple(row[o:o + dims[s - 1]] for row in into_k)
+        elif base in in_off:     # alpha*: k -> i
+            new_mats[name] = out_of_k[in_off[base]:in_off[base] + dims[t - 1]]
+        else:
+            new_mats[name] = rep.matrix(name)
+    return make_rep(sp2, p, new_dims, new_mats), sp2, change
 
 
-def _pair_derivative(quiver, potential, aname, bname):
+def _hcat(mats, rows):
+    """Matrices with `rows` rows each, side by side."""
+    return tuple(sum((m[i] for m in mats), ()) for i in range(rows))
+
+
+def _transpose(m, cols):
+    return tuple(tuple(row[j] for row in m) for j in range(cols))
+
+
+def _pair_derivative(potential, aname, bname):
     """d/d(beta alpha): paths read from after beta around to before alpha."""
     out = {}
     for word, coeff in potential.terms:
@@ -447,36 +405,16 @@ def _pair_derivative(quiver, potential, aname, bname):
     return out
 
 
-def _solve_right_inverse(proj, p):
-    """A section s with proj s = id (proj has full row rank)."""
-    rows = len(proj)
-    cols = len(proj[0]) if proj else 0
-    aug = [list(proj[i]) + [1 if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    red, pivots = rref_p([tuple(r) for r in aug], p)
-    sec = [[0] * rows for _ in range(cols)]
-    for r, c in enumerate(pivots):
-        if c < cols:
-            for j in range(rows):
-                sec[c][j] = red[r][cols + j]
-    return tuple(tuple(r) for r in sec)
-
-
-def _solve_through_kernel(incl, gamma, p, din, dout, newdk):
-    """psi with incl psi = gamma (im gamma inside im incl)."""
-    # solve column by column
-    cols = []
-    for j in range(dout):
-        rhs = tuple(gamma[i][j] for i in range(din))
-        aug = [tuple(incl[i][t] for t in range(newdk)) + (rhs[i],) for i in range(din)]
-        red, pivots = rref_p(aug, p)
-        sol = [0] * newdk
-        for r, c in enumerate(pivots):
-            if c == newdk:
-                raise ValueError("gamma does not factor through the kernel")
-            sol[c] = red[r][newdk]
-        cols.append(sol)
-    return tuple(tuple(cols[j][i] for j in range(dout)) for i in range(newdk))
+def _solve(a, b, n, r, p):
+    """An n x r matrix x with a x = b over F_p, free unknowns set to 0;
+    ValueError when there is none."""
+    red, pivots = rref_p([ra + rb for ra, rb in zip(a, b)], p)
+    if pivots and pivots[-1] >= n:
+        raise ValueError("a x = b has no solution")
+    x = [(0,) * r] * n
+    for row, c in zip(red, pivots):
+        x[c] = row[n:]
+    return tuple(x)
 
 
 def rebase_rep(rep, sp_to, arrow_map=None):

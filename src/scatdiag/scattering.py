@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (SignedFace, dedupe_primitive, face_enumerate,
-                      mutate_seed, nullspace, p_star, pair, primitive,
-                      rational_primitive, t_k, total_degree, apply_change_to_dimvec,
-                      covector_to_new_basis)
+from .lattice import (dedupe_primitive, face_enumerate, mutate_seed, nullspace,
+                      p_star, pair, primitive, rational_primitive, t_k, total_degree,
+                      apply_change_to_dimvec, covector_to_new_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
                     _MUL_TWIST, _acc, _full, _product, _zero_key)
@@ -61,10 +60,6 @@ def group_mul(a, b):
         raise ValueError("convention mismatch")
     out = to_carrier(a).mul(to_carrier(b))
     return expose(out, a.convention)
-
-
-def group_inverse(a):
-    return expose(to_carrier(a).group_inverse(), a.convention)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +192,6 @@ def phi_element(g, m):
     """The wall/face-crossing value of the diagram of g at the covector m."""
     carrier = to_carrier(g)
     return expose(_group(carrier, _factor(carrier, m)[1]), g.convention)
-
-
-def project_face(g_zero, face1, face2):
-    """Transport a face-local value to an incident face (the cone functor)."""
-    if not isinstance(face1, SignedFace) or not isinstance(face2, SignedFace):
-        raise ValueError("faces must be SignedFace instances")
-    if not face1.is_face_of(face2):
-        raise ValueError("faces are not incident")
-    return phi_element(g_zero, face2.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +358,7 @@ class ScatDiagram:
         self._complex = None
         self._exposed = None
         self._wall_normals = None
+        self._support_normals = None
 
     @staticmethod
     def from_group_element(g):
@@ -390,8 +377,9 @@ class ScatDiagram:
         return _group(self.carrier, _factor(self.carrier, m)[0])
 
     def support_normals(self):
-        lie = self.carrier.log()
-        return dedupe_primitive(sorted(lie.coeffs))
+        if self._support_normals is None:
+            self._support_normals = dedupe_primitive(sorted(self.carrier.log().coeffs))
+        return self._support_normals
 
     def candidate_normals(self):
         """Primitive directions of the multiplicative closure of the support;
@@ -720,15 +708,10 @@ def central_difference(sd1, sd2):
         raise ValueError("diagrams live in different contexts")
     seed = sd1.seed
     c = sd1.carrier.group_inverse().mul(sd2.carrier)
-    lie = expose_lie(c.log(), sd1.convention)
+    lie = expose(c.log(), sd1.convention)
     bad = [d for d in lie.coeffs if any(p_star(seed, d))]
     if bad:
         d = min(bad, key=lambda x: (total_degree(x), x))
         return CentralReport(False, None, (d, lie.coeffs[d]))
     return CentralReport(True, expose(c, sd1.convention), None)
 
-
-def expose_lie(lie, convention):
-    if convention == CLASSICAL:
-        return classical_map(lie)
-    return lie

@@ -1,6 +1,9 @@
 """No dead code in the package: every import is used, every private
 module-level function or class is referenced somewhere in src/ or tests/,
-and so is every public function and method, outside its own def."""
+and so is every public function and method, outside its own def.  A
+module-level function counts as used only where its name is read, imported
+or looked up on a module, so a method call of the same name does not keep
+it alive."""
 
 import ast
 from collections import Counter
@@ -10,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "scatdiag").glob("*.py")
                  if p.name != "__init__.py")
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = {p.stem for p in MODULES}
 
 
 def _used_names(tree):
@@ -30,6 +34,32 @@ def _name_uses(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _module_names(tree):
+    """Names bound to a module: `import x [as y]`, and `from ... import m
+    [as y]` for a module m of the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name in PACKAGE)
+    return names
+
+
+def _function_uses(tree, modules):
+    """Every use that can reach a module-level function: a bare name read, an
+    import by name, or an attribute looked up on one of `modules`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
@@ -66,15 +96,23 @@ def test_every_private_definition_is_referenced():
 
 
 def test_every_public_function_and_method_is_referenced():
-    uses = Counter()
+    method_uses, function_uses = Counter(), Counter()
     for path in SOURCES:
-        uses.update(_name_uses(ast.parse(path.read_text())))
+        tree = ast.parse(path.read_text())
+        method_uses.update(_name_uses(tree))
+        function_uses.update(_function_uses(tree, _module_names(tree)))
     dead = []
     for path in MODULES:
-        for node in ast.parse(path.read_text()).body:
-            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        tree = ast.parse(path.read_text())
+        modules = _module_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs, uses, own = node.body, method_uses, _name_uses
+            else:
+                defs, uses = [node], function_uses
+                own = lambda fn: _function_uses(fn, modules)
             for fn in defs:
                 if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                        and uses[fn.name] == list(_name_uses(fn)).count(fn.name)):
+                        and uses[fn.name] == list(own(fn)).count(fn.name)):
                     dead.append("%s: %s" % (path.name, fn.name))
     assert not dead

@@ -1,8 +1,11 @@
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from scatdiag.lattice import Seed, a2_seed, kronecker_seed
+from scatdiag.lattice import Seed, a2_seed, a3_seed, kronecker_seed
 from scatdiag.qp import SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
@@ -14,6 +17,7 @@ from scatdiag.reps import (BudgetExceeded, dimension_lattice_vector,
                            reflect, semistable_transport_check, simple_rep)
 
 F = Fraction
+REFLECT_GOLDEN = Path(__file__).parent / "golden" / "reflect_f2.json"
 
 
 def a2sp():
@@ -81,6 +85,18 @@ def test_reflect_preserves_lattice_class():
     assert dimension_lattice_vector(o2, ch2) == (0, 1)
 
 
+def test_reflect_keeps_reversed_arrows_away_from_k():
+    # after F_1^-, the reversed arrow a1_2_1* does not touch vertex 3, so
+    # F_3^+ carries it over unchanged
+    sp = SeedWithPotential.make(a3_seed())
+    rep = make_rep(sp, 2, (1, 1, 1), {"a1_2_1": ((1,),), "a2_3_1": ((1,),)})
+    once, _, _ = reflect(rep, 1, -1)
+    assert once.dims == (0, 1, 1)
+    twice, _, _ = reflect(once, 3, 1)
+    assert twice.dims == (0, 1, 0)
+    assert twice.matrix("a1_2_1*") == once.matrix("a1_2_1*")
+
+
 def test_reflect_output_satisfies_relations():
     sp = cycsp()
     reps, _ = enumerate_reps(sp, (1, 1, 1), 2)
@@ -88,6 +104,34 @@ def test_reflect_output_satisfies_relations():
         for k in (1, 2, 3):
             for sign in (1, -1):
                 out, _, _ = reflect(r, k, sign)   # make_rep re-checks
+
+
+def reflect_golden_text():
+    """Every representation over F_2 of total dimension 1 to 3 of A3 (zero
+    potential) and of the 3-cycle with potential, reflected at every vertex
+    with both signs: one JSON line per input with its images' dimensions and
+    matrices.  To regenerate after an intended change, write this text to
+    tests/golden/reflect_f2.json."""
+    lines = []
+    for name, sp in (("a3", SeedWithPotential.make(a3_seed())), ("cycle", cycsp())):
+        for dims in itertools.product(range(4), repeat=3):
+            if not 1 <= sum(dims) <= 3:
+                continue
+            for rep in enumerate_reps(sp, dims, 2)[0]:
+                images = {}
+                for k in (1, 2, 3):
+                    for sign in (1, -1):
+                        out, _, _ = reflect(rep, k, sign)
+                        images["%d%s" % (k, "+-"[sign < 0])] = [out.dims, dict(out.mats)]
+                lines.append(json.dumps([name, rep.dims, dict(rep.mats), images],
+                                        sort_keys=True))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_reflect_matches_golden():
+    text = reflect_golden_text()
+    assert len(json.loads(text)) * 6 == 474
+    assert text == REFLECT_GOLDEN.read_text()
 
 
 def test_inverse_equivalences(rng):
