@@ -1,18 +1,18 @@
 """Cluster chambers, green-to-red search and refined DT series.
 
-A chamber node is the pullback of the positive chamber of a mutated seed
-through the inverses of the piecewise-linear maps attached to the mutation
-sequence; its generators are the g-vectors and its inward facet normals
-the c-vectors.  All vectors live in root-seed coordinates, exact.
+A chamber node is the cone of a seed reached by a mutation sequence from
+the root: its generators are the g-vectors and its inward facet normals
+the c-vectors, both in root-seed coordinates.  Each mutation is one exact
+integer step of the tropical recurrence from the parent node, so a walk
+over the mutation tree costs one step per node.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .lattice import mat_inverse, mutate_seed, pair, rational_primitive
+from .lattice import Seed, mutate_seed
 from .torus import GradedElement, dilog_group_element
 from .scattering import expose, to_carrier
 
@@ -21,6 +21,7 @@ from .scattering import expose, to_carrier
 class ChamberNode:
     """A cluster chamber reached by a mutation sequence from the root."""
 
+    seed: Seed          # the root seed mutated along the sequence
     sequence: tuple     # vertices, 1-based
     generators: tuple   # g-vectors aligned with vertices, root coordinates
     cvectors: tuple     # primitive inward facet normals aligned with vertices
@@ -28,75 +29,66 @@ class ChamberNode:
     def key(self):
         return frozenset(self.generators)
 
+    def crossing(self, k):
+        """(c_k made positive, +1 if it was green, -1 if it was red)."""
+        c = self.cvectors[k - 1]
+        if all(x >= 0 for x in c):
+            return c, 1
+        if all(x <= 0 for x in c):
+            return tuple(-x for x in c), -1
+        raise AssertionError("c-vector is not sign-coherent: %r" % (c,))
 
-def chamber_from_sequence(seed, sequence, signs=None):
-    """C^+ of the end seed pulled back along the sequence.
+    def mutate(self, k):
+        """The chamber across the facet c_k^perp, one tropical step away.
 
-    The resulting cone is independent of the choice of signs; the default
-    mutates with all minus signs.
-    """
+        With eps the sign of c_k and b this seed's matrix: c'_k = -c_k,
+        c'_j = c_j + [-eps b_kj]_+ c_k and g'_j = g_j for j != k, and
+        g'_k = -g_k + sum_i [eps b_ik]_+ g_i.  This is exact.  The chambers
+        share the facet c_k^perp.  c-vectors are sign-coherent (Gross,
+        Hacking, Keel and Kontsevich, "Canonical bases for cluster
+        algebras", 2018), so the piecewise-linear mutation is linear on this
+        step with the sign eps, and the recurrence is its tropical form
+        (Nakanishi and Zelevinsky, "On tropical dualities in cluster
+        algebras", 2012).  It keeps c_i . g_j = delta_ij, the duality that
+        inverting the generator matrix used to enforce, so every vector
+        stays primitive and integer.
+        """
+        seed = mutate_seed(self.seed, k, -1)[0]     # also checks the vertex
+        eps, kk = self.crossing(k)[1], k - 1
+        b, c, g = self.seed.b, self.cvectors, self.generators
+        cvecs = tuple(tuple(x + max(-eps * b[kk][j], 0) * y for x, y in zip(c[j], c[kk]))
+                      if j != kk else tuple(-x for x in c[kk]) for j in range(len(c)))
+        gk = tuple(sum(max(eps * b[i][kk], 0) * gi[t] for i, gi in enumerate(g)) - x
+                   for t, x in enumerate(g[kk]))
+        return ChamberNode(seed, self.sequence + (k,), g[:kk] + (gk,) + g[k:], cvecs)
+
+
+def chamber_from_sequence(seed, sequence):
+    """The chamber reached from C^+ by mutating at each vertex in turn."""
     n = seed.rank
-    sequence = tuple(sequence)
-    signs = tuple(signs) if signs is not None else (-1,) * len(sequence)
-    assert len(signs) == len(sequence)
-    # seeds along the path, as basis matrices in root coordinates
-    mats = [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
-    cur = seed
-    for k, eps in zip(sequence, signs):
-        cur, change = mutate_seed(cur, k, eps)
-        prev = mats[-1]
-        mats.append(tuple(tuple(sum(prev[i][t] * change[t][j] for t in range(n))
-                                for j in range(n)) for i in range(n)))
-    # generators of C+ of the end seed: columns of (S^T)^{-1}
-    end = mats[-1]
-    st = tuple(tuple(Fraction(end[i][j]) for i in range(n)) for j in range(n))
-    inv = mat_inverse(st)
-    gens = [tuple(inv[i][j] for i in range(n)) for j in range(n)]
-    # pull back through the inverse of each T_k^eps, last step first
-    for idx in range(len(sequence) - 1, -1, -1):
-        k, eps = sequence[idx], signs[idx]
-        sk = tuple(mats[idx][i][k - 1] for i in range(n))
-        pk = tuple(Fraction(sum(sk[a] * seed.b[a][i] for a in range(n)))
-                   for i in range(n))
-        interior = tuple(sum(g[i] for g in gens) for i in range(n))
-        side = pair(interior, sk)
-        if side == 0:
-            raise ValueError("chamber degenerates onto the mutation wall")
-        if eps == -1 and side > 0:       # (T_k^-)^{-1} acts by T_k^{-1} there
-            gens = [tuple(g[i] - pk[i] * pair(g, sk) for i in range(n))
-                    for g in gens]
-        elif eps == 1 and side < 0:      # (T_k^+)^{-1} acts by T_k there
-            gens = [tuple(g[i] + pk[i] * pair(g, sk) for i in range(n))
-                    for g in gens]
-    gens = [rational_primitive(g) for g in gens]
-    gmat_t = tuple(tuple(Fraction(gens[j][i]) for j in range(n)) for i in range(n))
-    ginv = mat_inverse(gmat_t)
-    if ginv is None:
-        raise ValueError("degenerate chamber")
-    cvecs = tuple(rational_primitive(tuple(ginv[i][j] for j in range(n)))
-                  for i in range(n))
-    return ChamberNode(sequence, tuple(gens), cvecs)
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    node = ChamberNode(seed, (), unit, unit)
+    for k in sequence:
+        node = node.mutate(k)
+    return node
 
 
 def enumerate_chambers(seed, max_depth):
     """Breadth-first walk of the mutation tree, deduplicating chambers by
     their generator sets; immediate backtracking is skipped."""
-    n = seed.rank
     root = chamber_from_sequence(seed, ())
     seen = {root.key(): root}
-    queue = deque([()])
+    queue = deque([root])
     while queue:
-        seq = queue.popleft()
-        if len(seq) >= max_depth:
+        node = queue.popleft()
+        if len(node.sequence) >= max_depth:
             continue
-        for k in range(1, n + 1):
-            if seq and seq[-1] == k:
-                continue
-            child_seq = seq + (k,)
-            node = chamber_from_sequence(seed, child_seq)
-            if node.key() not in seen:
-                seen[node.key()] = node
-                queue.append(child_seq)
+        for k in range(1, seed.rank + 1):
+            if node.sequence[-1:] != (k,):
+                child = node.mutate(k)
+                if child.key() not in seen:
+                    seen[child.key()] = child
+                    queue.append(child)
     return list(seen.values())
 
 
@@ -105,58 +97,42 @@ def negative_chamber_key(seed):
     return frozenset(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def find_green_to_red(seed, max_depth, green_restricted=True):
-    """Shortest mutation sequence whose terminal chamber is C^-, or None."""
-    found = enumerate_green_to_red(seed, max_depth, green_restricted,
-                                   first_only=True)
-    return found[0] if found else None
-
-
-def enumerate_green_to_red(seed, max_depth, green_restricted=True,
-                           first_only=False):
+def _green_to_red(seed, max_depth, green_restricted):
     """Green-to-red sequences up to the depth, in breadth-first order.
 
-    The default restricts each mutation to a green vertex (positive
-    c-vector); the unrestricted mode searches every sequence.
+    The restricted mode mutates only at green vertices (positive c-vector);
+    the unrestricted mode searches every sequence.
     """
-    n = seed.rank
     target = negative_chamber_key(seed)
-    out = []
-    queue = deque([((), chamber_from_sequence(seed, ()))])
+    queue = deque([chamber_from_sequence(seed, ())])
     while queue:
-        seq, node = queue.popleft()
+        node = queue.popleft()
         if node.key() == target:
-            out.append(seq)
-            if first_only:
-                return out
-            continue
-        if len(seq) >= max_depth:
-            continue
-        for k in range(1, n + 1):
-            if seq and seq[-1] == k:
-                continue
-            if green_restricted:
-                if not all(x >= 0 for x in node.cvectors[k - 1]):
-                    continue
-            child_seq = seq + (k,)
-            queue.append((child_seq, chamber_from_sequence(seed, child_seq)))
-    return out
+            yield node.sequence
+        elif len(node.sequence) < max_depth:
+            for k in range(1, seed.rank + 1):
+                if node.sequence[-1:] != (k,) and \
+                        (not green_restricted or node.crossing(k)[1] > 0):
+                    queue.append(node.mutate(k))
+
+
+def find_green_to_red(seed, max_depth, green_restricted=True):
+    """Shortest mutation sequence whose terminal chamber is C^-, or None."""
+    return next(_green_to_red(seed, max_depth, green_restricted), None)
+
+
+def enumerate_green_to_red(seed, max_depth, green_restricted=True):
+    """Every green-to-red sequence up to the depth, in breadth-first order."""
+    return list(_green_to_red(seed, max_depth, green_restricted))
 
 
 def crossing_data(seed, sequence):
     """Per mutation step: (primitive positive facet normal, +1 for a green
     crossing, -1 for a red one)."""
-    out = []
-    for i, k in enumerate(sequence):
-        node = chamber_from_sequence(seed, sequence[:i])
-        c = node.cvectors[k - 1]
-        if all(x >= 0 for x in c):
-            out.append((c, 1))
-        elif all(x <= 0 for x in c):
-            out.append((tuple(-x for x in c), -1))
-        else:
-            raise AssertionError("c-vector is not sign-coherent: %r" % (c,))
-    return out
+    nodes = [chamber_from_sequence(seed, ())]
+    for k in sequence:
+        nodes.append(nodes[-1].mutate(k))
+    return [node.crossing(k) for node, k in zip(nodes, sequence)]
 
 
 def dt_series(seed, sequence, order, convention):

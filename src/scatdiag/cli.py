@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -124,11 +125,13 @@ def cmd_dt(args):
 
 
 def cmd_reps(args):
-    _, sp = _load_seed(args.seed)
+    seed, sp = _load_seed(args.seed)
     if sp is None:
-        seed, _ = _load_seed(args.seed)
         sp = SeedWithPotential.make(seed)
-    m = tuple(Fraction(x) for x in args.m.split(","))
+    try:
+        m = tuple(Fraction(x) for x in args.m.split(","))
+    except ZeroDivisionError:
+        raise ValueError("--m has a zero denominator: %r" % args.m) from None
     rows = []
     for p in args.primes:
         series = reps_mod.iq_wall_series(sp, m, args.order, p)
@@ -291,7 +294,7 @@ def main(argv=None):
         sys.stderr.write("order must be >= 1\n")
         return 2
     for p in getattr(args, "primes", []):
-        if p < 2 or any(p % q == 0 for q in range(2, p)):
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             sys.stderr.write("primes must be prime\n")
             return 2
     try:

@@ -251,17 +251,6 @@ def mat_rank(rows):
     return len(rref(rows)[0])
 
 
-def mat_inverse(rows):
-    """Exact inverse of a square rational matrix; None if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] +
-           [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return tuple(tuple(red[i][n:]) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # cones and arrangement faces by double description
 # ---------------------------------------------------------------------------

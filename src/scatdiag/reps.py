@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .coeff import CoeffFn
 from .lattice import pair
@@ -255,10 +256,7 @@ def enumerate_reps(sp, dims, p, budget=300000):
         rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
         if check_relations(rep, strict=False):
             out.append(rep)
-    denom = 1
-    for d in dims:
-        denom *= gl_order(d, p)
-    return out, Fraction(len(out), denom)
+    return out, Fraction(len(out), prod(gl_order(d, p) for d in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +453,6 @@ def hom_dimension(rep1, rep2):
     assert rep1.p == rep2.p
     p = rep1.p
     quiver = rep1.sp.quiver
-    offs1, acc = [], 0
-    for d in rep1.dims:
-        offs1.append(acc)
-        acc += d
     nvars = sum(a * b for a, b in zip(rep1.dims, rep2.dims))
     var_off = []
     acc = 0
@@ -582,6 +576,13 @@ def euler_form(quiver, d, e):
     return out
 
 
+def _groupoid_coefficient(quiver, dims, count, p):
+    """q^{<d,d>/2} count / |GL_d(F_p)|: the groupoid weight of count points
+    of Rep_d."""
+    c = CoeffFn.from_fraction(count, prod(gl_order(d, p) for d in dims))
+    return c.mul_vpow(euler_form(quiver, dims, dims))
+
+
 def total_counting_element(sp, order, p):
     """sum_d q^{<d,d>/2} (#Rep_d / |GL_d|) x^d for the zero potential."""
     if not sp.potential.is_zero():
@@ -590,14 +591,8 @@ def total_counting_element(sp, order, p):
     n = sp.seed.rank
     coeffs = {}
     for dims in _dimension_vectors(n, order):
-        npoints = 1
-        for _, s, t in quiver.arrows:
-            npoints *= p ** (dims[s - 1] * dims[t - 1])
-        denom = 1
-        for d in dims:
-            denom *= gl_order(d, p)
-        c = CoeffFn.from_fraction(npoints, denom)
-        coeffs[dims] = c.mul_vpow(euler_form(quiver, dims, dims))
+        npoints = p ** sum(dims[s - 1] * dims[t - 1] for _, s, t in quiver.arrows)
+        coeffs[dims] = _groupoid_coefficient(quiver, dims, npoints, p)
     return GradedElement(sp.seed, order, QUANTUM, GROUP, coeffs)
 
 
@@ -625,10 +620,6 @@ def iq_wall_series_brute(sp, m, dims_list, p, budget=300000):
         count = sum(1 for r in reps if is_semistable(r, m))
         if count == 0:
             continue
-        denom = 1
-        for d in dims:
-            denom *= gl_order(d, p)
-        c = CoeffFn.from_fraction(count, denom)
-        coeffs[tuple(dims)] = c.mul_vpow(euler_form(sp.quiver, dims, dims))
+        coeffs[tuple(dims)] = _groupoid_coefficient(sp.quiver, dims, count, p)
     order = max(sum(d) for d in dims_list)
     return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(coeffs, p))

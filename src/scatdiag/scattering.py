@@ -27,7 +27,8 @@ from .lattice import (dedupe_primitive, face_enumerate, mutate_seed, nullspace,
                       apply_change_to_dimvec, covector_to_new_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
-                    _MUL_TWIST, _acc, _full, _product, _zero_key)
+                    _MUL_TWIST, _acc, _by_degree, _full, _product,
+                    _zero_key)
 
 
 class DegenerateSegmentError(ValueError):
@@ -116,16 +117,15 @@ class _FactorizationState:
         self.pending = (t, r_t, lz_t, corr_t)
         return self.pending
 
-    def finish_layer(self, g, t):
-        """Assign the layer-t factor entries from the now-final g."""
+    def finish_layer(self, g_t, t):
+        """Assign the layer-t factor entries from the now-final layer-t
+        entries g_t of g."""
         t_, r_t, lz_t, corr_t = self.compute_layer(t)
         assert t_ == t
         m = self.m
         new_l, new_z = {}, {}
-        keys = {d for d in g if total_degree(d) == t}
-        keys.update(d for d in r_t if total_degree(d) == t)
-        for d in keys:
-            delta = g.get(d, ZERO) - r_t.get(d, ZERO)
+        for d in set(g_t).union(r_t):
+            delta = g_t.get(d, ZERO) - r_t.get(d, ZERO)
             if delta.is_zero():
                 continue
             s = pair(m, d)
@@ -154,8 +154,9 @@ class _FactorizationState:
         self.done = t
 
     def run(self, g):
+        layers = _by_degree(g)
         for t in range(self.done + 1, self.order + 1):
-            self.finish_layer(g, t)
+            self.finish_layer(dict(layers.get(t, ())), t)
 
 
 def _factor(carrier, m):
@@ -281,10 +282,11 @@ def complete_from_initial(eta, seed, order, convention):
     for n, tau in targets.items():
         support.update(tau)
     rays = sorted({primitive(d) for d in support})
-    g = {_zero_key(seed): ONE}
+    g = {}
     ray_state = _ray_states(seed, carrier_conv, order, rays, support)
     states = list(dict.fromkeys(ray_state.values()))
     for t in range(1, order + 1):
+        g_t = {}
         for n in rays:
             deg = total_degree(n)
             if t % deg:
@@ -298,10 +300,10 @@ def complete_from_initial(eta, seed, order, convention):
             tau = targets.get(n, {})
             val = tau.get(kn, ZERO) - corr_t.get(kn, ZERO) + r_t.get(kn, ZERO)
             if not val.is_zero():
-                g[kn] = val
+                g_t[kn] = val
+        g.update(g_t)
         for state in states:
-            state.finish_layer(g, t)
-    g.pop(_zero_key(seed), None)
+            state.finish_layer(g_t, t)
     carrier = GradedElement(seed, order, carrier_conv, GROUP, g)
     return ScatDiagram(seed, order, convention, carrier)
 
@@ -402,8 +404,12 @@ class ScatDiagram:
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
-        ray = {d: c for d, c in _factor(self.carrier, m)[3].items()
-               if primitive(d) == n}
+        # the ray of n has no term above degree (order // |n|) * |n|
+        deg = total_degree(n)
+        state = _FactorizationState(self.seed, self.carrier.convention,
+                                    self.order // deg * deg, m)
+        state.run(_full(self.carrier))
+        ray = {d: c for d, c in state.logZ.items() if primitive(d) == n}
         if not ray:
             return False
         if self.convention == CLASSICAL:

@@ -1,7 +1,8 @@
-import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
-from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
+from scatdiag.lattice import Seed, a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import CLASSICAL, DT_TWIST, QUANTUM
 from scatdiag.chambers import (chamber_from_sequence, crossing_data,
                                dt_series, enumerate_chambers,
@@ -9,6 +10,22 @@ from scatdiag.chambers import (chamber_from_sequence, crossing_data,
 from scatdiag.scattering import cluster_sd, dt_in_sd, quantum_cluster_sd
 
 F = Fraction
+
+CHAMBER_GOLDEN = Path(__file__).parent / "golden" / "chambers.json"
+
+D4 = Seed(((0, 1, 0, 0), (-1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0)))
+
+GOLDEN_SEEDS = (
+    ("a2", a2_seed()),
+    ("kronecker2", kronecker_seed()),
+    ("kronecker3", kronecker_seed(3)),
+    ("a3", a3_seed()),
+    ("markov", markov_seed()),
+    ("cycle3", Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))),
+    ("acyclic3", Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))),
+    ("a4", Seed(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0)))),
+    ("d4", D4),
+)
 
 
 def test_root_chamber():
@@ -22,12 +39,54 @@ def test_adjacent_chamber():
     assert node.key() == frozenset({(-1, 0), (0, 1)})
 
 
-def test_sign_independence():
-    for seq in [(1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2, 1)]:
-        base = chamber_from_sequence(a2_seed(), seq)
-        for signs in itertools.product((1, -1), repeat=len(seq)):
-            other = chamber_from_sequence(a2_seed(), seq, signs)
-            assert other.key() == base.key()
+def _sequences(rank, max_length):
+    """Every mutation sequence without immediate backtracking, shortest
+    first."""
+    layer = [()]
+    while layer:
+        yield from layer
+        if len(layer[0]) == max_length:
+            return
+        layer = [seq + (k,) for seq in layer for k in range(1, rank + 1)
+                 if not seq or seq[-1] != k]
+
+
+def chamber_golden_text():
+    """Generators and c-vectors of every sequence without immediate
+    backtracking (length at most 5 at rank 3 or less, 4 at rank 4) from nine
+    seeds, then each rank-2 and rank-3 seed's green-to-red sequences to
+    depth 7 with their crossing data: one JSON line each.  To regenerate
+    after an intended change, write this text to tests/golden/chambers.json."""
+    lines = []
+    for name, seed in GOLDEN_SEEDS:
+        for seq in _sequences(seed.rank, 5 if seed.rank <= 3 else 4):
+            node = chamber_from_sequence(seed, seq)
+            lines.append(json.dumps([name, seq, node.generators, node.cvectors]))
+        if seed.rank <= 3:
+            for seq in enumerate_green_to_red(seed, 7):
+                lines.append(json.dumps([name, "green-to-red", seq,
+                                         crossing_data(seed, seq)]))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_chambers_match_golden():
+    text = chamber_golden_text()
+    assert sum(row[1] != "green-to-red" for row in json.loads(text)) == 731
+    assert text == CHAMBER_GOLDEN.read_text()
+
+
+def test_cvectors_are_dual_to_gvectors():
+    # c_i . g_j = delta_ij: the c-vectors are the inward facet normals
+    nodes = 0
+    for seed, depth in ((a3_seed(), 9), (markov_seed(), 6),
+                        (kronecker_seed(3), 6), (D4, 4)):
+        for node in enumerate_chambers(seed, depth):
+            for i, c in enumerate(node.cvectors):
+                for j, g in enumerate(node.generators):
+                    assert sum(a * b for a, b in zip(c, g)) == (i == j), \
+                        (seed.b, node.sequence, i, j)
+            nodes += 1
+    assert nodes == 255
 
 
 def test_chamber_counts():

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import scatdiag
 from scatdiag.cli import main
 
 
@@ -139,7 +145,7 @@ def test_invalid_inputs(tmp_path, a2_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rank": 2, "B": [[0, 1], [1, 0]]}))
     assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
-    for m in ("1", "1,0,5"):
+    for m in ("1", "1,0,5", "1/0,1"):
         assert main(["reps", "--seed", a2_file, "--m", m, "--order", "4",
                      "--primes", "2"]) == 2
     for data in ({"rank": 2, "B": [[0, 1.5], [-1.5, 0]]},
@@ -148,6 +154,27 @@ def test_invalid_inputs(tmp_path, a2_file):
                  {"rank": 2}, 5, [[0, 1], [-1, 0]]):
         bad.write_text(json.dumps(data))
         assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
+
+
+def test_large_prime_is_accepted_quickly(tmp_path, a2_file):
+    # primality is checked by trial division up to sqrt(p), not up to p
+    start = time.perf_counter()
+    code, payload = run(tmp_path, "reps", "--seed", a2_file, "--m", "1,0",
+                        "--order", "1", "--primes", "1000000007")
+    assert code == 0 and payload["primes"] == [1000000007]
+    assert time.perf_counter() - start < 5
+
+
+def test_reps_reads_a_piped_seed(a2_file):
+    # a seed on a pipe can be read only once
+    src = str(Path(scatdiag.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatdiag.cli", "reps", "--seed", "/dev/stdin",
+         "--m", "1,0", "--order", "1", "--primes", "2"],
+        input=Path(a2_file).read_text(), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "reps"
 
 
 def test_verify_psi_roundtrip_counts_checked_trials(tmp_path, a2_file):
