@@ -309,6 +309,67 @@ def complete_from_initial(eta, seed, order, convention):
 
 
 # ---------------------------------------------------------------------------
+# wall detection on one candidate hyperplane
+# ---------------------------------------------------------------------------
+
+def _ray_top(order, n):
+    """The last degree at which the ray of n has a term."""
+    return order // total_degree(n) * total_degree(n)
+
+
+class _WallPlane:
+    """The hyperplane n-perp of one candidate, in an integer basis of it,
+    with the witnesses already tested on it."""
+
+    def __init__(self, n, candidates):
+        self.n = n
+        self.rank = len(n)
+        self.basis = [rational_primitive(b) for b in nullspace([n], self.rank)]
+        self.lines = {}         # other candidate -> its line in the basis
+        for d in candidates:
+            if d != n:
+                c = primitive(tuple(pair(b, d) for b in self.basis))
+                self.lines[d] = max(c, tuple(-x for x in c))   # c, -c: one line
+        self.tested = []
+        self.cut = None
+
+    def _witness(self, face):
+        # the face spans the plane, so each line vanishes at finitely many k
+        gens = face.rays + face.lineality
+        k = 1
+        while True:
+            x = tuple(sum(k ** i * g[j] for i, g in enumerate(gens))
+                      for j in range(self.rank - 1))
+            if all(pair(x, c) for c in self.lines.values()):
+                return x
+            k += 1
+
+    def retest(self, sd, walls):
+        """Test the open faces that the confirmed walls cut out of n-perp
+        and that hold no tested witness; True when one carries a wall."""
+        top = _ray_top(sd.order, self.n)
+        cut = sorted({self.lines[w] for w in walls
+                      if w != self.n and total_degree(w) < top})
+        if cut == self.cut:
+            return False
+        self.cut = cut
+        for face in face_enumerate(cut, self.rank - 1):
+            # a tested witness pairs nonzero with every line
+            if 0 in face.signs or any(
+                    all((pair(x, c) > 0) == (s > 0)
+                        for c, s in zip(face.normals, face.signs))
+                    for x in self.tested):
+                continue
+            x = self._witness(face)
+            self.tested.append(x)
+            m = tuple(sum(w * b[i] for w, b in zip(x, self.basis))
+                      for i in range(self.rank))
+            if sd._ray_part_nontrivial(m, self.n):
+                return True
+        return False
+
+
+# ---------------------------------------------------------------------------
 # the diagram object and its minimal cone complex
 # ---------------------------------------------------------------------------
 
@@ -393,21 +454,57 @@ class ScatDiagram:
     def wall_normals(self):
         """Normals whose hyperplane carries a nontrivial wall somewhere.
 
-        Candidates come from the support closure; each candidate hyperplane
-        is cut into faces by the other candidates and the ray part of the
-        middle factor is tested on one witness per open face (exact).
+        Candidates come from the support closure.  Write |n| for the total
+        degree, R_n(m) for the ray-of-n part of the middle factor at m on
+        n-perp (exposed in the diagram's convention), and D_n for
+        (order // |n|)*|n|, the last degree at which R_n has a term.  The
+        walls W are found as a fixpoint: candidates are taken by increasing
+        (|n|, n); n-perp (in an integer basis of it) is cut only by the
+        confirmed walls w != n with |w| < D_n, and R_n is tested at one
+        witness per open face, the face's rays and lineality vectors summed
+        with coefficients 1, k, k^2, ... for the least k >= 1 that puts it
+        off every other candidate's line.  A candidate keeps the witnesses
+        it has tested; when W grows, only the open faces holding none of
+        them are tested (faces only split).  Passes repeat until one
+        confirms nothing.
+
+        Exactness.  R_n is constant on each open face of the arrangement
+        the other candidates cut out of n-perp, and every witness lies in
+        one, so a positive test is one the all-candidates sweep makes too:
+        W holds walls only.  Conversely, order by order (Kontsevich-
+        Soibelman; Gross-Hacking-Keel-Kontsevich, App. C), the degree-s
+        part of R_n changes only across w-perp for a wall w with a term of
+        degree below s: around a joint of n-perp and w-perp, consistency
+        modulo degree > s changes it only by brackets of lower-degree terms
+        of the walls through the joint, and terms of degree s are central
+        there.  Suppose a wall were missed, and let s be the smallest degree
+        at which some missed wall n has R_n(m) nonzero, m generic on n-perp.
+        Every wall w with a term of degree below s is then confirmed, and
+        |w| <= that degree < s <= D_n, so w cuts the final arrangement of n.
+        Hence R_n agrees in degrees <= s on the whole face of m.  That face
+        holds a tested witness (faces only split, and the last pass tested
+        every face without one), where R_n was trivial: a contradiction.
+        In the classical convention the argument runs in the classical
+        group, to which classical_map carries the carrier's factorization.
         """
         if self._wall_normals is None:
             candidates = self.candidate_normals()
-            self._wall_normals = tuple(n for n in candidates
-                                       if self._hyperplane_has_wall(n, candidates))
+            planes = [_WallPlane(n, candidates)
+                      for n in sorted(candidates, key=lambda n: (total_degree(n), n))]
+            walls = set()
+            grew = True
+            while grew:
+                grew = False
+                for plane in planes:
+                    if plane.n not in walls and plane.retest(self, walls):
+                        walls.add(plane.n)
+                        grew = True
+            self._wall_normals = tuple(n for n in candidates if n in walls)
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
-        # the ray of n has no term above degree (order // |n|) * |n|
-        deg = total_degree(n)
         state = _FactorizationState(self.seed, self.carrier.convention,
-                                    self.order // deg * deg, m)
+                                    _ray_top(self.order, n), m)
         state.run(_full(self.carrier))
         ray = {d: c for d, c in state.logZ.items() if primitive(d) == n}
         if not ray:
@@ -418,25 +515,6 @@ class ScatDiagram:
             return bool(classical_map(lie).coeffs)
         return True
 
-    def _hyperplane_has_wall(self, n, candidates):
-        # the middle factor is constant on each face of the candidate
-        # arrangement, so one witness per open face of the arrangement the
-        # candidates cut out of n-perp (in an integer basis of it) decides
-        rank = self.seed.rank
-        basis = [rational_primitive(b) for b in nullspace([n], rank)]
-        lines = set()
-        for d in candidates:
-            c = primitive(tuple(pair(b, d) for b in basis))
-            if any(c):
-                lines.add(max(c, tuple(-x for x in c)))     # c and -c: one line
-        for face in face_enumerate(sorted(lines), rank - 1):
-            if 0 not in face.signs:
-                m = tuple(sum(w * b[i] for w, b in zip(face.witness, basis))
-                          for i in range(rank))
-                if self._ray_part_nontrivial(m, n):
-                    return True
-        return False
-
     def minimal_complex(self):
         if self._complex is not None:
             return self._complex
@@ -445,8 +523,9 @@ class ScatDiagram:
         faces = face_enumerate(normals, rank)
         values = []
         for f in faces:
-            z = self.phi(f.witness)
-            values.append(tuple(sorted((d, c) for d, c in z.coeffs.items())))
+            # a face of full dimension meets no wall: its value is the identity
+            z = self.phi(f.witness).coeffs if 0 in f.signs else {}
+            values.append(tuple(sorted(z.items())))
         parent = list(range(len(faces)))
 
         def find(i):

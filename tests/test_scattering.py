@@ -216,7 +216,10 @@ def test_walls_when_the_other_candidates_cut_one_line():
     assert all(c.lineality == ((0, 0, 1),) for c in mc.cells)
 
 
+A3 = Seed(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
 A4 = Seed(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0)))
+D4 = Seed(((0, 1, 0, 0), (-1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0)))
+CYCLE3 = Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
 
 
 def test_a4_walls_are_the_positive_roots():
@@ -233,11 +236,16 @@ WALL_CASES = [
     (Seed(((0,),)), QUANTUM, 4),
     (a2_seed(), QUANTUM, 5),
     (a2_seed(), CLASSICAL, 4),
-    (Seed(((0, 1, 0), (-1, 0, 1), (0, -1, 0))), QUANTUM, 3),
+    (A3, QUANTUM, 3),
     (markov_seed(), QUANTUM, 3),
     (Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0))), QUANTUM, 4),
-    (Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))), CLASSICAL, 3),
+    (CYCLE3, CLASSICAL, 3),
     (A4, QUANTUM, 2),
+    # walls above the lowest degree, whose planes later walls may cut
+    (A3, QUANTUM, 4),
+    (CYCLE3, QUANTUM, 4),
+    (Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0))), CLASSICAL, 4),
+    (D4, QUANTUM, 2),
 ]
 
 
@@ -256,6 +264,78 @@ def test_wall_normals_match_the_full_arrangement(case):
         if len(zeros) == 1 and sd.phi(face.witness).coeffs:
             walls.add(zeros[0])
     assert sd.wall_normals() == tuple(n for n in candidates if n in walls)
+
+
+@pytest.mark.parametrize("seed", [A3, CYCLE3], ids=["a3", "3-cycle"])
+def test_wall_witnesses_avoid_every_other_candidate(seed, monkeypatch):
+    # each ray test sits inside one face of the full candidate arrangement
+    from scatdiag.lattice import pair
+    sd = quantum_cluster_sd(seed, 4)
+    candidates = sd.candidate_normals()
+    calls = []
+    test = ScatDiagram._ray_part_nontrivial
+
+    def spy(self, m, n):
+        calls.append((m, n))
+        return test(self, m, n)
+    monkeypatch.setattr(ScatDiagram, "_ray_part_nontrivial", spy)
+    sd.wall_normals()
+    assert calls
+    for m, n in calls:
+        assert pair(m, n) == 0
+        assert all(pair(m, d) != 0 for d in candidates if d != n)
+
+
+def test_a_wall_confirmed_on_a_retest(monkeypatch):
+    # x^(1,2) and x^(2,1) scatter into the ray of (1,1) at degree 6 only, on
+    # one side of the line that (1,2) and (2,1) cut out of (1,1)-perp; the
+    # first test of (1,1) comes before they are confirmed and misses it
+    a2 = a2_seed()
+    eta = {n: GradedElement(a2, 6, QUANTUM, LIE, {n: ONE}).exp()
+           for n in ((1, 2), (2, 1))}
+    sd = complete_from_initial(eta, a2, 6, QUANTUM)
+    assert sd.phi((F(-1), F(1))).coeffs == {}
+    assert (3, 3) in sd.phi((F(1), F(-1))).coeffs
+    results = []
+    test = ScatDiagram._ray_part_nontrivial
+
+    def spy(self, m, n):
+        results.append((n, test(self, m, n)))
+        return results[-1][1]
+    monkeypatch.setattr(ScatDiagram, "_ray_part_nontrivial", spy)
+    assert sd.wall_normals() == ((1, 1), (1, 2), (2, 1))
+    assert [r for n, r in results if n == (1, 1)] == [False, True]
+
+
+@pytest.mark.parametrize("order, cap", [(5, 350), (6, 500)])
+def test_wall_detection_factorization_count(order, cap, monkeypatch):
+    from scatdiag import scattering
+    sd = quantum_cluster_sd(A3, order)
+    runs = []
+    run = scattering._FactorizationState.run
+
+    def counted(self, g):
+        runs.append(self.m)
+        return run(self, g)
+    monkeypatch.setattr(scattering._FactorizationState, "run", counted)
+    assert sd.wall_normals() == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+                                 (1, 1, 0), (1, 1, 1))
+    assert len(runs) <= cap
+
+
+@pytest.mark.parametrize("seed, conv, order",
+                         [(markov_seed(), QUANTUM, 3), (A3, CLASSICAL, 4)],
+                         ids=["markov-quantum-3", "a3-classical-4"])
+def test_full_dimensional_faces_are_identity(seed, conv, order):
+    # the complex gives these faces the identity without factoring; the
+    # public phi must agree at every witness
+    sd = BUILDERS[conv](seed, order)
+    mc = sd.minimal_complex()
+    full = [f for f in mc.faces if 0 not in f.signs]
+    assert full
+    for f in full:
+        assert sd.phi(f.witness).coeffs == {}
+        assert mc.locate(f.witness).function is None
 
 
 def test_minimal_complex_partition(rng):
