@@ -5,9 +5,8 @@ from .torus import (CLASSICAL, DT_TWIST, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, dilog_lie_element)
 from .scattering import (ScatDiagram, central_difference, cluster_sd,
                          complete_from_initial, dt_in_sd, endpoint_product,
-                         factorize, minimal_complex, mutate_sd_check,
-                         path_ordered_product, phi, psi_extract,
-                         quantum_cluster_sd)
+                         factorize, mutate_sd_check, path_ordered_product,
+                         psi_extract, quantum_cluster_sd)
 from .qp import Potential, Quiver, SeedWithPotential, mutate_qp, mutate_sp
 from .chambers import (chamber_from_sequence, dt_series, enumerate_chambers,
                        enumerate_green_to_red, find_green_to_red)

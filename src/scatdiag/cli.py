@@ -227,9 +227,9 @@ SUITES = {"psi-roundtrip": _suite_psi_roundtrip,
 
 
 def cmd_verify(args):
-    if args.suite not in SUITES:
-        sys.stderr.write("unknown suite %r (have: %s)\n"
-                         % (args.suite, ", ".join(sorted(SUITES))))
+    if args.corrupt and args.suite != "psi-roundtrip":
+        sys.stderr.write("--corrupt has a negative control only in the "
+                         "psi-roundtrip suite\n")
         return 2
     report = SUITES[args.suite](args)
     payload = {"schema": SCHEMA, "command": "verify"}
@@ -238,65 +238,78 @@ def cmd_verify(args):
     return 0 if report["passed"] else 1
 
 
+def _integer(text, low):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < low:
+        raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+    return value
+
+
+def _prime(text):
+    p = _integer(text, 2)
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError("not a prime: %d" % p)
+    return p
+
+
+# every flag once; each subcommand takes only the flags its handler reads
+FLAGS = {
+    "seed": dict(required=True, help="seed or QP JSON file"),
+    "order": dict(type=lambda text: _integer(text, 1), default=6),
+    "convention": dict(choices=sorted(CONVENTIONS), default="quantum"),
+    "depth": dict(type=lambda text: _integer(text, 0), default=6),
+    "primes": dict(type=_prime, nargs="+", default=[2, 3, 5]),
+    "m": dict(required=True, help="stability covector, e.g. 1,-1"),
+    "vertex": dict(type=int, required=True),
+    "sign": dict(choices=["+", "-"], default="-"),
+    "unrestricted": dict(action="store_true"),
+    "allow-missing": dict(action="store_true"),
+    "suite": dict(required=True, choices=sorted(SUITES)),
+    "random-seed": dict(type=int, default=2024),
+    "trials": dict(type=int, default=10),
+    "corrupt": dict(action="store_true",
+                    help="negative control: perturb before verifying"),
+    "out": dict(default=None),
+}
+
+COMMANDS = {
+    "scatter": (cmd_scatter, "walls and chambers of the completed diagram",
+                ("seed", "order", "convention", "out")),
+    "mutate": (cmd_mutate, "mutate a seed or seed-with-potential",
+               ("seed", "vertex", "sign", "out")),
+    "g2r": (cmd_g2r, "search for a green-to-red sequence",
+            ("seed", "depth", "unrestricted", "allow-missing", "out")),
+    "dt": (cmd_dt, "refined DT series along a green-to-red sequence",
+           ("seed", "order", "convention", "depth", "out")),
+    "reps": (cmd_reps, "finite-field counting series on a wall",
+             ("seed", "m", "order", "primes", "out")),
+    "verify": (cmd_verify, "run a named verification suite",
+               ("seed", "suite", "order", "convention", "depth", "random-seed",
+                "trials", "corrupt", "out")),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="scatdiag",
                                  description="exact scattering diagrams for "
                                              "quivers with potential")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", required=True, help="seed or QP JSON file")
-        p.add_argument("--order", type=int, default=6)
-        p.add_argument("--convention", choices=sorted(CONVENTIONS), default="quantum")
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
-        p.add_argument("--out", default=None)
-        p.add_argument("--random-seed", type=int, default=2024)
-        p.add_argument("--trials", type=int, default=10)
-
-    p = sub.add_parser("scatter", help="walls and chambers of the completed diagram")
-    common(p)
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("mutate", help="mutate a seed or seed-with-potential")
-    common(p)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--sign", choices=["+", "-"], default="-")
-    p.set_defaults(func=cmd_mutate)
-
-    p = sub.add_parser("g2r", help="search for a green-to-red sequence")
-    common(p)
-    p.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--allow-missing", action="store_true")
-    p.set_defaults(func=cmd_g2r)
-
-    p = sub.add_parser("dt", help="refined DT series along a green-to-red sequence")
-    common(p)
-    p.set_defaults(func=cmd_dt)
-
-    p = sub.add_parser("reps", help="finite-field counting series on a wall")
-    common(p)
-    p.add_argument("--m", required=True, help="stability covector, e.g. 1,-1")
-    p.set_defaults(func=cmd_reps)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
-    p.add_argument("--suite", required=True)
-    p.add_argument("--corrupt", action="store_true",
-                   help="negative control: perturb before verifying")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.order < 1:
-        sys.stderr.write("order must be >= 1\n")
-        return 2
-    for p in getattr(args, "primes", []):
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            sys.stderr.write("primes must be prime\n")
-            return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse rejected the arguments (2) or printed help (0)
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError, reps_mod.BudgetExceeded) as exc:

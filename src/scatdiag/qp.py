@@ -139,8 +139,8 @@ class Potential:
         return Potential(tuple(sorted(acc.items())), cap)
 
     @staticmethod
-    def zero(cap=DEFAULT_CAP):
-        return Potential((), cap)
+    def zero():
+        return Potential(())
 
     def as_dict(self):
         return dict(self.terms)
@@ -298,7 +298,7 @@ def _substitute(quiver, potential, name, replacement):
     return Potential.make(quiver, out, potential.cap)
 
 
-def reduce_qp(quiver, potential, cap=None):
+def reduce_qp(quiver, potential):
     """Split off the trivial part: returns (trivial_terms, reduced_quiver,
     reduced_potential, eliminated_arrows).
 
@@ -307,8 +307,7 @@ def reduce_qp(quiver, potential, cap=None):
     themselves being deleted, so the induced module transport keeps the
     retained arrow actions unchanged.
     """
-    cap = cap or potential.cap
-    pot = Potential(potential.terms, cap)
+    pot = potential
     eliminated = []
     trivial = {}
     rounds = 0
@@ -338,7 +337,7 @@ def reduce_qp(quiver, potential, cap=None):
         trivial[normalize_cycle((u, vv))] = du2[(vv,)]
         pot = Potential.make(quiver,
                              [(w, q) for w, q in pot.terms
-                              if u not in w and vv not in w], cap)
+                              if u not in w and vv not in w], potential.cap)
         eliminated.extend([u, vv])
     leftover = [w for w, _ in pot.terms if len(w) == 2]
     if leftover:
@@ -348,21 +347,21 @@ def reduce_qp(quiver, potential, cap=None):
     # potential never coupled them; that case is a non-mutable input and is
     # caught by the is_k_mutable comparison downstream.
     red_quiver = Quiver(quiver.nvertices, tuple(keep))
-    red_pot = Potential.make(red_quiver, pot.terms, cap)
+    red_pot = Potential.make(red_quiver, pot.terms, potential.cap)
     return trivial, red_quiver, red_pot, tuple(eliminated)
 
 
-def mutate_qp(quiver, potential, k, cap=None):
+def mutate_qp(quiver, potential, k):
     """DWZ mutation: the reduced part of the tilde mutation."""
     tq, tw = tilde_mutate(quiver, potential, k)
-    trivial, rq, rw, elim = reduce_qp(tq, tw, cap)
+    trivial, rq, rw, elim = reduce_qp(tq, tw)
     return rq, rw
 
 
-def _k_mutation(quiver, potential, k, cap=None):
+def _k_mutation(quiver, potential, k):
     """The DWZ mutation at k, or None when the input is not k-mutable."""
     try:
-        rq, rw = mutate_qp(quiver, potential, k, cap)
+        rq, rw = mutate_qp(quiver, potential, k)
     except ReductionError:
         return None
     if rq.arrow_count_multiset() != mu_k_quiver(quiver, k).arrow_count_multiset():
@@ -370,18 +369,18 @@ def _k_mutation(quiver, potential, k, cap=None):
     return rq, rw
 
 
-def is_k_mutable(quiver, potential, k, cap=None):
+def is_k_mutable(quiver, potential, k):
     """Whether the reduced quiver of the tilde mutation equals mu_k(quiver)."""
-    return _k_mutation(quiver, potential, k, cap) is not None
+    return _k_mutation(quiver, potential, k) is not None
 
 
-def nondegenerate_to_depth(quiver, potential, depth, cap=None):
+def nondegenerate_to_depth(quiver, potential, depth):
     """Check k-mutability along every mutation sequence of length <= depth."""
     if depth == 0:
         return True
     for k in range(1, quiver.nvertices + 1):
-        mutated = _k_mutation(quiver, potential, k, cap)
-        if mutated is None or not nondegenerate_to_depth(*mutated, depth - 1, cap):
+        mutated = _k_mutation(quiver, potential, k)
+        if mutated is None or not nondegenerate_to_depth(*mutated, depth - 1):
             return False
     return True
 
@@ -418,9 +417,9 @@ class SeedWithPotential:
         return SeedWithPotential(seed, quiver, pot)
 
 
-def mutate_sp(sp, k, sign, cap=None):
+def mutate_sp(sp, k, sign):
     """Mutate the seed with the chosen sign and the potential by DWZ."""
-    mutated = _k_mutation(sp.quiver, sp.potential, k, cap)
+    mutated = _k_mutation(sp.quiver, sp.potential, k)
     if mutated is None:
         raise ReductionError("seed with potential is not mutable at %d" % k)
     new_seed, change = mutate_seed(sp.seed, k, sign)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 
 from .coeff import CoeffFn
-from .lattice import pair
+from .lattice import covector_to_new_basis, pair
 from .qp import (SeedWithPotential, ReductionError, composite_name,
                  cyclic_derivative, mutate_sp)
 from .torus import GROUP, QUANTUM, GradedElement
@@ -310,7 +310,7 @@ def is_stable(rep, m):
 # generalized reflection functors
 # ---------------------------------------------------------------------------
 
-def reflect(rep, k, sign, cap=None):
+def reflect(rep, k, sign):
     """F_k^+ (sign +) or F_k^- (sign -): transport to the mutated SP by the
     mutation of representations (Derksen-Weyman-Zelevinsky 2008).
 
@@ -332,7 +332,7 @@ def reflect(rep, k, sign, cap=None):
     """
     sp, p, dims = rep.sp, rep.p, rep.dims
     try:
-        sp2, change = mutate_sp(sp, k, sign, cap)
+        sp2, change = mutate_sp(sp, k, sign)
     except ReductionError as exc:
         raise UnsupportedReduction(str(exc)) from exc
     incoming = sp.quiver.arrows_into(k)
@@ -415,33 +415,24 @@ def _solve(a, b, n, r, p):
     return tuple(x)
 
 
-def rebase_rep(rep, sp_to, arrow_map=None):
+def rebase_rep(rep, sp_to):
     """Move a representation to another SP with the same adjacency, matching
-    arrows by (source, target) in sorted-name order unless a map is given."""
-    if arrow_map is None:
-        arrow_map = {}
-        groups_from = {}
-        for name, s, t in rep.sp.quiver.arrows:
-            groups_from.setdefault((s, t), []).append(name)
-        groups_to = {}
-        for name, s, t in sp_to.quiver.arrows:
-            groups_to.setdefault((s, t), []).append(name)
-        if {k: len(v) for k, v in groups_from.items()} != \
-                {k: len(v) for k, v in groups_to.items()}:
-            raise ValueError("quivers have different adjacency")
-        for key in groups_from:
-            for a, b in zip(sorted(groups_from[key]), sorted(groups_to[key])):
-                arrow_map[a] = b
+    arrows by (source, target) in sorted-name order."""
+    groups_from = {}
+    for name, s, t in rep.sp.quiver.arrows:
+        groups_from.setdefault((s, t), []).append(name)
+    groups_to = {}
+    for name, s, t in sp_to.quiver.arrows:
+        groups_to.setdefault((s, t), []).append(name)
+    if {k: len(v) for k, v in groups_from.items()} != \
+            {k: len(v) for k, v in groups_to.items()}:
+        raise ValueError("quivers have different adjacency")
+    arrow_map = {}
+    for key in groups_from:
+        for a, b in zip(sorted(groups_from[key]), sorted(groups_to[key])):
+            arrow_map[a] = b
     mats = {arrow_map[name]: m for name, m in rep.mats}
     return make_rep(sp_to, rep.p, rep.dims, mats)
-
-
-def dimension_lattice_vector(rep, change=None):
-    """[V] in the root lattice: sum d_i s_i, optionally through a change."""
-    if change is None:
-        return tuple(rep.dims)
-    n = len(rep.dims)
-    return tuple(sum(change[i][j] * rep.dims[j] for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +511,7 @@ class TransportReport:
     failures: list
 
 
-def semistable_transport_check(sp, k, m, max_total_dim=3, p=2, budget=300000):
+def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     """Semistability of V at m matches semistability of the reflected module.
 
     The functor F_k^+ kills copies of S_k (and F_k^- dually), so the
@@ -538,7 +529,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2, budget=300000):
     sk = simple_rep(sp, p, k)
     for dims in _dimension_vectors(n, max_total_dim):
         try:
-            reps, _ = enumerate_reps(sp, dims, p, budget)
+            reps, _ = enumerate_reps(sp, dims, p)
         except BudgetExceeded:
             continue
         for rep in reps:
@@ -547,10 +538,8 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2, budget=300000):
             if sign < 0 and hom_dimension(rep, sk) != 0:
                 continue
             refl, sp2, change = reflect(rep, k, sign)
-            m2 = tuple(sum(change[i][j] * Fraction(m[i]) for i in range(n))
-                       for j in range(n))
             s1 = is_semistable(rep, m)
-            s2 = is_semistable(refl, m2)
+            s2 = is_semistable(refl, covector_to_new_basis(change, m))
             checked += 1
             if s1 != s2:
                 failures.append((dims, rep.mats))
@@ -612,11 +601,11 @@ def iq_wall_series(sp, m, order, p):
     return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(z.coeffs, p))
 
 
-def iq_wall_series_brute(sp, m, dims_list, p, budget=300000):
+def iq_wall_series_brute(sp, m, dims_list, p):
     """Same series from raw enumeration of semistable points (small dims)."""
     coeffs = {}
     for dims in dims_list:
-        reps, _ = enumerate_reps(sp, dims, p, budget)
+        reps, _ = enumerate_reps(sp, dims, p)
         count = sum(1 for r in reps if is_semistable(r, m))
         if count == 0:
             continue

@@ -574,14 +574,6 @@ class ScatDiagram:
         return mc
 
 
-def minimal_complex(sd):
-    return sd.minimal_complex()
-
-
-def phi(sd, m):
-    return sd.phi(m)
-
-
 # ---------------------------------------------------------------------------
 # standard diagrams
 # ---------------------------------------------------------------------------

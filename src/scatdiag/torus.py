@@ -67,17 +67,14 @@ class GradedElement:
         return GradedElement(seed, order, convention, GROUP, {})
 
     @staticmethod
-    def monomial(seed, order, convention, d, coeff, flavor=LIE):
-        return GradedElement(seed, order, convention, flavor, {tuple(d): coeff})
+    def monomial(seed, order, convention, d, coeff):
+        return GradedElement(seed, order, convention, LIE, {tuple(d): coeff})
 
     # -- helpers ---------------------------------------------------------------
 
     def _require_same_context(self, other):
         if (self.seed, self.order, self.convention) != (other.seed, other.order, other.convention):
             raise ValueError("convention/seed/order mismatch")
-
-    def support(self):
-        return set(self.coeffs)
 
     # -- linear structure --------------------------------------------------------
 

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import scatdiag
+from scatdiag import cli
 from scatdiag.cli import main
 
 
@@ -154,6 +158,40 @@ def test_invalid_inputs(tmp_path, a2_file):
                  {"rank": 2}, 5, [[0, 1], [-1, 0]]):
         bad.write_text(json.dumps(data))
         assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
+
+
+def test_flags_a_command_does_not_read_exit_2(tmp_path, a2_file):
+    assert main(["scatter", "--seed", a2_file, "--depth", "5"]) == 2
+    assert main(["scatter", "--seed", a2_file, "--primes", "4"]) == 2
+    assert main(["mutate", "--seed", a2_file, "--vertex", "1", "--order", "0"]) == 2
+    assert main(["g2r", "--seed", a2_file, "--depth", "-1"]) == 2
+    assert main(["dt", "--seed", a2_file, "--order", "x"]) == 2
+
+
+def test_corrupt_needs_a_suite_with_a_negative_control(tmp_path, a2_file):
+    # only psi-roundtrip perturbs its input under --corrupt
+    for suite in ("mutation", "pentagon"):
+        code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite", suite,
+                            "--order", "2", "--depth", "4", "--corrupt")
+        assert code == 2 and payload is None
+
+
+def _args_read(func):
+    tree = ast.parse(inspect.getsource(func))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_flag_is_read_by_its_handler():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, parser in commands.items():
+        handlers = [parser.get_default("func")]
+        if name == "verify":
+            handlers += cli.SUITES.values()
+        flags = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert flags == set().union(*map(_args_read, handlers)), name
 
 
 def test_large_prime_is_accepted_quickly(tmp_path, a2_file):

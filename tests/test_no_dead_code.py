@@ -3,7 +3,8 @@ module-level function or class is referenced somewhere in src/ or tests/,
 and so is every public function and method, outside its own def.  A
 module-level function counts as used only where its name is read, imported
 or looked up on a module, so a method call of the same name does not keep
-it alive."""
+it alive; a method counts as used only where it is looked up as an
+attribute, so a variable of the same name does not keep it alive."""
 
 import ast
 from collections import Counter
@@ -37,6 +38,13 @@ def _name_uses(tree):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
+
+
+def _attribute_uses(tree):
+    """Every attribute lookup `x.name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def _module_names(tree):
@@ -99,7 +107,7 @@ def test_every_public_function_and_method_is_referenced():
     method_uses, function_uses = Counter(), Counter()
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        method_uses.update(_name_uses(tree))
+        method_uses.update(_attribute_uses(tree))
         function_uses.update(_function_uses(tree, _module_names(tree)))
     dead = []
     for path in MODULES:
@@ -107,7 +115,7 @@ def test_every_public_function_and_method_is_referenced():
         modules = _module_names(tree)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                defs, uses, own = node.body, method_uses, _name_uses
+                defs, uses, own = node.body, method_uses, _attribute_uses
             else:
                 defs, uses = [node], function_uses
                 own = lambda fn: _function_uses(fn, modules)

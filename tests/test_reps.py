@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from scatdiag.lattice import Seed, a2_seed, a3_seed, kronecker_seed
+from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
+                              kronecker_seed)
 from scatdiag.qp import SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
-from scatdiag.reps import (BudgetExceeded, dimension_lattice_vector,
-                           enumerate_reps, euler_form, gl_order,
-                           hom_dimension, iq_wall_series,
+from scatdiag.reps import (BudgetExceeded, enumerate_reps, euler_form,
+                           gl_order, hom_dimension, iq_wall_series,
                            iq_wall_series_brute, is_isomorphic,
                            is_semistable, is_stable, make_rep, rebase_rep,
                            reflect, semistable_transport_check, simple_rep)
@@ -78,11 +78,11 @@ def test_reflect_preserves_lattice_class():
     sp = a2sp()
     nz = make_rep(sp, 2, (1, 1), {"a1_2_1": ((1,),)})
     out, sp2, change = reflect(nz, 1, 1)
-    assert dimension_lattice_vector(out, change) == (1, 1)
+    assert apply_change_to_dimvec(change, out.dims) == (1, 1)
     # [S_i] for i != k is preserved
     s2 = simple_rep(sp, 2, 2)
     o2, _, ch2 = reflect(s2, 1, 1)
-    assert dimension_lattice_vector(o2, ch2) == (0, 1)
+    assert apply_change_to_dimvec(ch2, o2.dims) == (0, 1)
 
 
 def test_reflect_keeps_reversed_arrows_away_from_k():
