@@ -26,6 +26,11 @@ SCHEMA = "scatdiag/1"
 
 CONVENTIONS = {"quantum": QUANTUM, "classical": CLASSICAL, "dt": DT_TWIST}
 
+# the completed diagram of a seed's cluster initial data, by convention
+BUILDERS = {"quantum": scattering.quantum_cluster_sd,
+            "classical": scattering.cluster_sd,
+            "dt": scattering.dt_in_sd}
+
 
 def _load_seed(path):
     with open(path) as fh:
@@ -47,17 +52,9 @@ def _emit(payload, out):
         sys.stdout.write(text + "\n")
 
 
-def _series_json(elem):
-    return elem.serialize()
-
-
 def cmd_scatter(args):
     seed, _ = _load_seed(args.seed)
-    conv = CONVENTIONS[args.convention]
-    build = {QUANTUM: scattering.quantum_cluster_sd,
-             CLASSICAL: scattering.cluster_sd,
-             DT_TWIST: scattering.dt_in_sd}[conv]
-    sd = build(seed, args.order)
+    sd = BUILDERS[args.convention](seed, args.order)
     mc = sd.minimal_complex()
     walls = []
     for cell in sorted(mc.walls(), key=lambda c: (c.normal, c.rays)):
@@ -65,14 +62,14 @@ def cmd_scatter(args):
             "normal": list(cell.normal),
             "cone_generators": [list(r) for r in cell.rays],
             "cone_lineality": [list(r) for r in cell.lineality],
-            "function": _series_json(cell.function),
+            "function": cell.function.serialize(),
         })
     chambers = [{"generator_rays": [list(r) for r in cell.rays]}
                 for cell in sorted(mc.chambers(), key=lambda c: c.rays)]
     _emit({"schema": SCHEMA, "command": "scatter",
            "seed": seed.to_json(), "order": args.order,
            "convention": args.convention,
-           "group_element": _series_json(sd.group_element()),
+           "group_element": sd.group_element().serialize(),
            "walls": walls, "chambers": chambers}, args.out)
     return 0
 
@@ -120,7 +117,7 @@ def cmd_dt(args):
     _emit({"schema": SCHEMA, "command": "dt", "found": True,
            "sequence": list(seq), "order": args.order,
            "convention": args.convention,
-           "series": _series_json(series)}, args.out)
+           "series": series.serialize()}, args.out)
     return 0
 
 
@@ -135,7 +132,7 @@ def cmd_reps(args):
     rows = []
     for p in args.primes:
         series = reps_mod.iq_wall_series(sp, m, args.order, p)
-        rows.append({"p": p, "series": _series_json(series)})
+        rows.append({"p": p, "series": series.serialize()})
     payload = {"schema": SCHEMA, "command": "reps",
                "m": [str(x) for x in m], "order": args.order,
                "primes": list(args.primes), "series": rows}
@@ -190,10 +187,7 @@ def _suite_psi_roundtrip(args):
 
 def _suite_mutation(args):
     seed, _ = _load_seed(args.seed)
-    conv = CONVENTIONS[args.convention]
-    build = {QUANTUM: scattering.quantum_cluster_sd,
-             CLASSICAL: scattering.cluster_sd,
-             DT_TWIST: scattering.dt_in_sd}[conv]
+    build = BUILDERS[args.convention]
     sd = build(seed, args.order)
     failures = []
     for k in range(1, seed.rank + 1):
@@ -269,7 +263,7 @@ FLAGS = {
     "allow-missing": dict(action="store_true"),
     "suite": dict(required=True, choices=sorted(SUITES)),
     "random-seed": dict(type=int, default=2024),
-    "trials": dict(type=int, default=10),
+    "trials": dict(type=lambda text: _integer(text, 1), default=10),
     "corrupt": dict(action="store_true",
                     help="negative control: perturb before verifying"),
     "out": dict(default=None),

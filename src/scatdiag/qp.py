@@ -76,9 +76,13 @@ class Quiver:
     @staticmethod
     def from_json(data):
         data = json.loads(data) if isinstance(data, str) else data
-        return Quiver(data["vertices"],
-                      tuple((a["name"], a["source"], a["target"])
-                            for a in data["arrows"]))
+        try:
+            nvertices = data["vertices"]
+            arrows = tuple((a["name"], a["source"], a["target"])
+                           for a in data["arrows"])
+        except KeyError as exc:
+            raise ValueError("quiver JSON lacks the key %s" % exc) from None
+        return Quiver(nvertices, arrows)
 
 
 def quiver_from_seed(seed):
@@ -107,6 +111,11 @@ def normalize_cycle(word):
 
 
 def _check_cycle(quiver, word):
+    names = {a[0] for a in quiver.arrows}
+    for name in word:
+        if name not in names:
+            raise ValueError("potential word %r names no arrow of the quiver: %r"
+                             % (word, name))
     for i, name in enumerate(word):
         _, s, t = quiver.arrow(name)
         _, s2, _ = quiver.arrow(word[(i + 1) % len(word)])
@@ -153,9 +162,11 @@ class Potential:
 
     @staticmethod
     def from_json(quiver, data, cap=DEFAULT_CAP):
-        return Potential.make(quiver,
-                              [(tuple(e["word"]), Fraction(e["coeff"])) for e in data],
-                              cap)
+        try:
+            terms = [(tuple(e["word"]), Fraction(e["coeff"])) for e in data]
+        except KeyError as exc:
+            raise ValueError("potential JSON term lacks the key %s" % exc) from None
+        return Potential.make(quiver, terms, cap)
 
 
 def cyclic_derivative(quiver, potential, name):
@@ -190,25 +201,6 @@ def composite_name(alpha, beta):
 
 def reversed_name(alpha):
     return alpha + "*"
-
-
-def fz_mutate_matrix(b, k):
-    """Fomin-Zelevinsky matrix mutation (k 1-based)."""
-    n = len(b)
-    kk = k - 1
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                out[i][j] = -b[i][j]
-            else:
-                out[i][j] = b[i][j] + (abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
-    return tuple(tuple(row) for row in out)
-
-
-def mu_k_quiver(quiver, k):
-    """The 2-acyclic mutation of the quiver alone (steps 1-3)."""
-    return quiver_from_seed(Seed(fz_mutate_matrix(quiver.b_matrix(), k)))
 
 
 def tilde_mutate(quiver, potential, k):
@@ -364,7 +356,9 @@ def _k_mutation(quiver, potential, k):
         rq, rw = mutate_qp(quiver, potential, k)
     except ReductionError:
         return None
-    if rq.arrow_count_multiset() != mu_k_quiver(quiver, k).arrow_count_multiset():
+    # the 2-acyclic mutation of the quiver alone: the mutated exchange matrix
+    mu_k = quiver_from_seed(mutate_seed(Seed(quiver.b_matrix()), k, -1)[0])
+    if rq.arrow_count_multiset() != mu_k.arrow_count_multiset():
         return None
     return rq, rw
 
@@ -411,6 +405,9 @@ class SeedWithPotential:
     @staticmethod
     def from_json(data):
         data = json.loads(data) if isinstance(data, str) else data
+        missing = [key for key in ("seed", "quiver", "potential") if key not in data]
+        if missing:
+            raise ValueError("seed-with-potential JSON lacks %s" % ", ".join(missing))
         seed = Seed.from_json(data["seed"])
         quiver = Quiver.from_json(data["quiver"])
         pot = Potential.from_json(quiver, data["potential"], data.get("cap", DEFAULT_CAP))
@@ -423,7 +420,4 @@ def mutate_sp(sp, k, sign):
     if mutated is None:
         raise ReductionError("seed with potential is not mutable at %d" % k)
     new_seed, change = mutate_seed(sp.seed, k, sign)
-    rq, rw = mutated
-    if rq.b_matrix() != new_seed.b:
-        raise AssertionError("mutated quiver disagrees with mutated seed")
-    return SeedWithPotential(new_seed, rq, rw), change
+    return SeedWithPotential(new_seed, *mutated), change

@@ -21,7 +21,7 @@ from .lattice import covector_to_new_basis, pair
 from .qp import (SeedWithPotential, ReductionError, composite_name,
                  cyclic_derivative, mutate_sp)
 from .torus import GROUP, QUANTUM, GradedElement
-from .scattering import phi_element
+from .scattering import factorize
 
 
 class BudgetExceeded(RuntimeError):
@@ -597,7 +597,7 @@ def _reduce_at_sqrt(coeffs, p):
 def iq_wall_series(sp, m, order, p):
     """The integrated semistable series at the stability m, evaluated at
     q = p: the middle factor of the total counting element."""
-    z = phi_element(total_counting_element(sp, order, p), m)
+    z = factorize(total_counting_element(sp, order, p), m)[1]
     return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(z.coeffs, p))
 
 

@@ -159,20 +159,21 @@ class _FactorizationState:
             self.finish_layer(dict(layers.get(t, ())), t)
 
 
-def _factor(carrier, m):
+def _factor(carrier, m, order=None):
     """Factor a carrier group element at the covector m: the coefficient
-    dicts of minus, zero and plus (zero key stripped) and the log of the
-    zero part."""
+    dicts of minus, zero and plus (zero key stripped), through degree
+    order (the carrier's order by default)."""
     seed = carrier.seed
     if len(m) != seed.rank:
         raise ValueError("covector has %d entries, the seed rank is %d"
                          % (len(m), seed.rank))
-    state = _FactorizationState(seed, carrier.convention, carrier.order, m)
+    state = _FactorizationState(seed, carrier.convention,
+                                carrier.order if order is None else order, m)
     state.run(_full(carrier))
     zero = _zero_key(seed)
-    lo, z, p = ({d: c for d, c in part.items() if d != zero}
-                for part in (state.L, state.Z, state.P))
-    return lo, z, p, state.logZ
+    for part in (state.L, state.Z, state.P):
+        del part[zero]
+    return state.L, state.Z, state.P
 
 
 def _group(carrier, coeffs):
@@ -186,13 +187,7 @@ def factorize(g, m):
         raise ValueError("factorize needs a group element")
     carrier = to_carrier(g)
     return tuple(expose(_group(carrier, part), g.convention)
-                 for part in _factor(carrier, m)[:3])
-
-
-def phi_element(g, m):
-    """The wall/face-crossing value of the diagram of g at the covector m."""
-    carrier = to_carrier(g)
-    return expose(_group(carrier, _factor(carrier, m)[1]), g.convention)
+                 for part in _factor(carrier, m))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,6 @@ class Cell:
 
     dim: int
     faces: tuple            # member SignedFace sign vectors
-    witness: tuple
     function: object        # exposed GradedElement, or None for the identity
     rays: tuple
     lineality: tuple
@@ -436,9 +430,6 @@ class ScatDiagram:
         return expose(_group(self.carrier, _factor(self.carrier, m)[1]),
                       self.convention)
 
-    def minus_part(self, m):
-        return _group(self.carrier, _factor(self.carrier, m)[0])
-
     def support_normals(self):
         if self._support_normals is None:
             self._support_normals = dedupe_primitive(sorted(self.carrier.log().coeffs))
@@ -484,8 +475,10 @@ class ScatDiagram:
         Hence R_n agrees in degrees <= s on the whole face of m.  That face
         holds a tested witness (faces only split, and the last pass tested
         every face without one), where R_n was trivial: a contradiction.
-        In the classical convention the argument runs in the classical
-        group, to which classical_map carries the carrier's factorization.
+        The test needs no ray filter: every key of the middle factor at a
+        witness m lies in the support closure and pairs zero with m, and m
+        pairs nonzero with every candidate but n, so the whole middle factor
+        (through degree D_n, exposed) lies on the ray of n and is R_n(m).
         """
         if self._wall_normals is None:
             candidates = self.candidate_normals()
@@ -503,17 +496,10 @@ class ScatDiagram:
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
-        state = _FactorizationState(self.seed, self.carrier.convention,
-                                    _ray_top(self.order, n), m)
-        state.run(_full(self.carrier))
-        ray = {d: c for d, c in state.logZ.items() if primitive(d) == n}
-        if not ray:
-            return False
-        if self.convention == CLASSICAL:
-            lie = GradedElement(self.seed, self.order,
-                                self.carrier.convention, LIE, ray)
-            return bool(classical_map(lie).coeffs)
-        return True
+        z = _factor(self.carrier, m, _ray_top(self.order, n))[1]
+        # the identity exposes to the identity
+        return bool(z) and bool(expose(_group(self.carrier, z),
+                                       self.convention).coeffs)
 
     def minimal_complex(self):
         if self._complex is not None:
@@ -560,7 +546,7 @@ class ScatDiagram:
                 normal = primitive(zn[0]) if zn else None
             idx = len(cells)
             cells.append(Cell(max(dims), tuple(faces[i].signs for i in members),
-                              faces[top].witness, func, (), lineality, normal))
+                              func, (), lineality, normal))
             for i in members:
                 face_cell[faces[i].signs] = idx
         mc = MinimalComplex(rank, normals, faces, cells, face_cell)
@@ -641,8 +627,8 @@ def path_ordered_product(sd, a, b):
 
 def endpoint_product(sd, a, b):
     """The closed form minus(a)^{-1} * minus(b); depends only on endpoints."""
-    la = sd.minus_part(a)
-    lb = sd.minus_part(b)
+    la = _group(sd.carrier, _factor(sd.carrier, a)[0])
+    lb = _group(sd.carrier, _factor(sd.carrier, b)[0])
     return expose(la.group_inverse().mul(lb), sd.convention)
 
 

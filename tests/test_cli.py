@@ -152,12 +152,35 @@ def test_invalid_inputs(tmp_path, a2_file):
     for m in ("1", "1,0,5", "1/0,1"):
         assert main(["reps", "--seed", a2_file, "--m", m, "--order", "4",
                      "--primes", "2"]) == 2
+    for suite in ("mutation", "psi-roundtrip"):
+        for trials in ("-1", "0"):
+            assert main(["verify", "--seed", a2_file, "--suite", suite,
+                         "--order", "2", "--trials", trials]) == 2
+    # a 3-cycle with its potential, then the same with one key broken
+    qp = {"seed": {"rank": 3, "B": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]},
+          "quiver": {"vertices": 3,
+                     "arrows": [{"name": "a", "source": 1, "target": 2},
+                                {"name": "b", "source": 2, "target": 3},
+                                {"name": "c", "source": 3, "target": 1}]},
+          "potential": [{"word": ["a", "b", "c"], "coeff": "1"}]}
+    bad.write_text(json.dumps(qp))
+    assert main(["mutate", "--seed", str(bad), "--vertex", "1"]) == 0
+    for vertex in ("0", "4"):
+        assert main(["mutate", "--seed", str(bad), "--vertex", vertex]) == 2
+    no_target = json.loads(json.dumps(qp))
+    del no_target["quiver"]["arrows"][2]["target"]
+    unknown_arrow = json.loads(json.dumps(qp))
+    unknown_arrow["potential"][0]["word"] = ["a", "b", "z"]
+    no_coeff = json.loads(json.dumps(qp))
+    del no_coeff["potential"][0]["coeff"]
     for data in ({"rank": 2, "B": [[0, 1.5], [-1.5, 0]]},
                  {"rank": 2, "B": [[0, True], [-1, 0]]},
                  {"rank": 2, "B": [1, 2]},
-                 {"rank": 2}, 5, [[0, 1], [-1, 0]]):
+                 {"rank": 2}, 5, [[0, 1], [-1, 0]],
+                 {"potential": []}, no_target, unknown_arrow, no_coeff):
         bad.write_text(json.dumps(data))
         assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
+        assert main(["mutate", "--seed", str(bad), "--vertex", "1"]) == 2
 
 
 def test_flags_a_command_does_not_read_exit_2(tmp_path, a2_file):

@@ -71,6 +71,13 @@ def test_mutate_seed_roundtrip(rng):
         sp, cp = mutate_seed(s, k, 1)
         sm, cm = mutate_seed(sp, k, -1)
         assert sm == s
+        # Fomin-Zelevinsky matrix mutation, the same for both signs
+        kk = k - 1
+        b = s.b
+        fz = tuple(tuple(-b[i][j] if kk in (i, j) else b[i][j] + (
+            abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
+            for j in range(n)) for i in range(n))
+        assert sp.b == mutate_seed(s, k, -1)[0].b == fz
         comp = tuple(tuple(sum(cp[i][t] * cm[t][j] for t in range(n))
                            for j in range(n)) for i in range(n))
         assert comp == tuple(tuple(1 if i == j else 0 for j in range(n))

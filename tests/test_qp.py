@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from scatdiag.lattice import Seed, a2_seed, markov_seed
+from scatdiag.lattice import Seed, a2_seed, markov_seed, mutate_seed
 from scatdiag.qp import (Potential, Quiver, ReductionError, SeedWithPotential,
-                         cyclic_derivative, fz_mutate_matrix, is_k_mutable,
-                         jacobian_relations, mu_k_quiver, mutate_qp,
+                         cyclic_derivative, is_k_mutable,
+                         jacobian_relations, mutate_qp,
                          mutate_sp, nondegenerate_to_depth, normalize_cycle,
                          quiver_from_seed, reduce_qp, tilde_mutate)
 from conftest import random_skew_seed
@@ -200,7 +200,8 @@ def test_mutated_quiver_is_2_acyclic_when_mutable(rng):
         assert is_k_mutable(sp.quiver, sp.potential, k)
         rq, rw = mutate_qp(sp.quiver, sp.potential, k)
         assert rq.is_2_acyclic()
-        assert rq.arrow_count_multiset() == mu_k_quiver(sp.quiver, k).arrow_count_multiset()
+        mu_k = quiver_from_seed(mutate_seed(sp.seed, k, -1)[0])
+        assert rq.arrow_count_multiset() == mu_k.arrow_count_multiset()
 
 
 def test_tilde_never_consults_sign_and_sp_mutation():
@@ -223,7 +224,8 @@ def test_markov_sp_mutation_matches_seed():
     sp2, change = mutate_sp(sp, 1, -1)
     assert sp2.quiver.is_2_acyclic()
     assert sp2.quiver.b_matrix() == sp2.seed.b
-    assert sp2.seed.b == fz_mutate_matrix(markov_seed().b, 1)
+    # mu_k(B_Markov) = -B_Markov at every k
+    assert sp2.seed.b == tuple(tuple(-x for x in row) for row in markov_seed().b)
 
 
 def test_markov_nondegenerate_to_depth2():

@@ -11,7 +11,7 @@ from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
                                  complete_from_initial, dt_in_sd,
                                  endpoint_product, factorize, group_mul,
                                  mutate_sd_check, path_ordered_product,
-                                 phi_element, psi_extract,
+                                 psi_extract,
                                  quantum_cluster_sd)
 from conftest import random_lie, random_rational_point, random_skew_seed
 
@@ -266,11 +266,15 @@ def test_wall_normals_match_the_full_arrangement(case):
     assert sd.wall_normals() == tuple(n for n in candidates if n in walls)
 
 
-@pytest.mark.parametrize("seed", [A3, CYCLE3], ids=["a3", "3-cycle"])
-def test_wall_witnesses_avoid_every_other_candidate(seed, monkeypatch):
-    # each ray test sits inside one face of the full candidate arrangement
+@pytest.mark.parametrize("seed, conv", [(A3, QUANTUM), (CYCLE3, QUANTUM),
+                                        (A3, CLASSICAL)],
+                         ids=["a3", "3-cycle", "a3-classical"])
+def test_wall_witnesses_avoid_every_other_candidate(seed, conv, monkeypatch):
+    # each ray test sits inside one face of the full candidate arrangement,
+    # so the middle factor there lives on the ray of n: the wall test reads
+    # it whole, with no filter on the ray
     from scatdiag.lattice import pair
-    sd = quantum_cluster_sd(seed, 4)
+    sd = BUILDERS[conv](seed, 4)
     candidates = sd.candidate_normals()
     calls = []
     test = ScatDiagram._ray_part_nontrivial
@@ -284,6 +288,7 @@ def test_wall_witnesses_avoid_every_other_candidate(seed, monkeypatch):
     for m, n in calls:
         assert pair(m, n) == 0
         assert all(pair(m, d) != 0 for d in candidates if d != n)
+        assert all(primitive(d) == n for d in sd.phi(m).coeffs)
 
 
 def test_a_wall_confirmed_on_a_retest(monkeypatch):
@@ -365,7 +370,7 @@ def test_project_face_functor(rng):
     g = random_lie(rng, a2, QUANTUM, 5).exp()
     faces = face_enumerate([(1, 0), (0, 1), (1, 1)], 2)
     zero_face = next(f for f in faces if all(s == 0 for s in f.signs))
-    g0 = phi_element(g, zero_face.witness)
+    g0 = factorize(g, zero_face.witness)[1]
     count = 0
     for f1 in faces:
         if not zero_face.is_face_of(f1):
@@ -373,8 +378,8 @@ def test_project_face_functor(rng):
         for f2 in faces:
             if not f1.is_face_of(f2):
                 continue
-            via = phi_element(phi_element(g0, f1.witness), f2.witness)
-            assert via == phi_element(g0, f2.witness)
+            via = factorize(factorize(g0, f1.witness)[1], f2.witness)[1]
+            assert via == factorize(g0, f2.witness)[1]
             count += 1
     assert count > 5
 
