@@ -17,6 +17,17 @@ from .lattice import Seed, mutate_seed
 
 DEFAULT_CAP = 12
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, what, *types):
+    """value, checked at the JSON boundary to have one of the given types
+    (a bool is no integer), else a one-line ValueError naming what it is."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError("%s must be %s, got %r"
+                         % (what, " or ".join(_JSON_TYPES[t] for t in types), value))
+    return value
+
 
 class ReductionError(ValueError):
     """Trivial-part splitting failed (non-invertible quadratic part or the
@@ -75,14 +86,19 @@ class Quiver:
 
     @staticmethod
     def from_json(data):
-        data = json.loads(data) if isinstance(data, str) else data
+        data = _typed(json.loads(data) if isinstance(data, str) else data,
+                      "a quiver", dict)
         try:
-            nvertices = data["vertices"]
-            arrows = tuple((a["name"], a["source"], a["target"])
-                           for a in data["arrows"])
+            nvertices = _typed(data["vertices"], "quiver vertices", int)
+            arrows = []
+            for a in _typed(data["arrows"], "quiver arrows", list):
+                a = _typed(a, "an arrow", dict)
+                arrows.append((_typed(a["name"], "an arrow name", str),
+                               _typed(a["source"], "an arrow source", int),
+                               _typed(a["target"], "an arrow target", int)))
         except KeyError as exc:
             raise ValueError("quiver JSON lacks the key %s" % exc) from None
-        return Quiver(nvertices, arrows)
+        return Quiver(nvertices, tuple(arrows))
 
 
 def quiver_from_seed(seed):
@@ -162,10 +178,18 @@ class Potential:
 
     @staticmethod
     def from_json(quiver, data, cap=DEFAULT_CAP):
+        terms = []
         try:
-            terms = [(tuple(e["word"]), Fraction(e["coeff"])) for e in data]
+            for e in _typed(data, "a potential", list):
+                e = _typed(e, "a potential term", dict)
+                word = _typed(e["word"], "a potential word", list)
+                coeff = _typed(e["coeff"], "a potential coefficient", int, str)
+                terms.append((tuple(_typed(a, "a word letter", str) for a in word),
+                              Fraction(coeff)))
         except KeyError as exc:
             raise ValueError("potential JSON term lacks the key %s" % exc) from None
+        except ZeroDivisionError:
+            raise ValueError("potential coefficient %r divides by zero" % coeff) from None
         return Potential.make(quiver, terms, cap)
 
 
@@ -404,13 +428,15 @@ class SeedWithPotential:
 
     @staticmethod
     def from_json(data):
-        data = json.loads(data) if isinstance(data, str) else data
+        data = _typed(json.loads(data) if isinstance(data, str) else data,
+                      "a seed with potential", dict)
         missing = [key for key in ("seed", "quiver", "potential") if key not in data]
         if missing:
             raise ValueError("seed-with-potential JSON lacks %s" % ", ".join(missing))
-        seed = Seed.from_json(data["seed"])
+        seed = Seed.from_json(_typed(data["seed"], "the seed", dict))
         quiver = Quiver.from_json(data["quiver"])
-        pot = Potential.from_json(quiver, data["potential"], data.get("cap", DEFAULT_CAP))
+        cap = _typed(data.get("cap", DEFAULT_CAP), "cap", int)
+        pot = Potential.from_json(quiver, data["potential"], cap)
         return SeedWithPotential(seed, quiver, pot)
 
 

@@ -68,11 +68,12 @@ def group_mul(a, b):
 # ---------------------------------------------------------------------------
 
 class _FactorizationState:
-    """Degree-by-degree factorization of a group element at a covector m,
-    maintaining the log of the middle factor along the way."""
+    """Degree-by-degree factorization g = L * Z * P at a covector m, with L,
+    Z and P supported on m < 0, m = 0 and m > 0 and LZ caching L * Z.  Layer
+    t of g is L_t + Z_t + P_t plus `products(t)` of the settled layers.  It
+    keeps no log of Z: its two readers, completion and `psi_extract`, take it."""
 
-    __slots__ = ("seed", "twist", "order", "m", "L", "Z", "P",
-                 "LZ", "upow", "logZ", "pending", "done")
+    __slots__ = ("seed", "twist", "order", "m", "L", "Z", "P", "LZ")
 
     def __init__(self, seed, convention, order, m):
         self.seed = seed
@@ -84,51 +85,25 @@ class _FactorizationState:
         self.Z = {zero: ONE}
         self.P = {zero: ONE}
         self.LZ = {zero: ONE}
-        self.upow = []         # upow[p-1] = (Z - 1)^p, p >= 1
-        self.logZ = {}
-        self.pending = None    # (t, r_t, lz_t, corr_t)
-        self.done = 0
 
-    def _layer(self, a, b, t):
-        return _product(self.seed, self.order, a, b, self.twist, degree=t)
-
-    def compute_layer(self, t):
-        """Products and log corrections of layer t from the settled layers."""
-        if self.pending is not None and self.pending[0] == t:
-            return self.pending
-        assert self.done == t - 1 and (self.pending is None or self.pending[0] < t)
-        lz_t = self._layer(self.L, self.Z, t)
-        r_t = self._layer(self.LZ, self.P, t)
+    def products(self, t):
+        """Layer t of L * Z and of L * Z * P, formed from the settled layers."""
+        lz_t = _product(self.seed, self.order, self.L, self.Z, self.twist, degree=t)
+        r_t = _product(self.seed, self.order, self.LZ, self.P, self.twist, degree=t)
         for d, c in lz_t.items():
             _acc(r_t, d, c)
-        # (Z-1)^p layers for p >= 2 are complete without the layer-t entries
-        corr_t = {}
-        if self.upow:
-            u = self.upow[0]
-            while len(self.upow) < t:
-                self.upow.append({})
-            for p in range(2, t + 1):
-                newterms = self._layer(self.upow[p - 2], u, t)
-                if newterms:
-                    self.upow[p - 1].update(newterms)
-                    inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
-                    for d, c in newterms.items():
-                        _acc(corr_t, d, c * inv)
-        self.pending = (t, r_t, lz_t, corr_t)
-        return self.pending
+        return lz_t, r_t
 
-    def finish_layer(self, g_t, t):
-        """Assign the layer-t factor entries from the now-final layer-t
-        entries g_t of g."""
-        t_, r_t, lz_t, corr_t = self.compute_layer(t)
-        assert t_ == t
-        m = self.m
+    def finish_layer(self, g_t, products):
+        """Assign the layer-t factor entries from the final layer-t entries
+        g_t of g and the layer's `products`; return the new Z entries."""
+        lz_t, r_t = products
         new_l, new_z = {}, {}
         for d in set(g_t).union(r_t):
             delta = g_t.get(d, ZERO) - r_t.get(d, ZERO)
             if delta.is_zero():
                 continue
-            s = pair(m, d)
+            s = pair(self.m, d)
             if s > 0:
                 self.P[d] = delta
             elif s < 0:
@@ -141,22 +116,12 @@ class _FactorizationState:
         for part in (lz_t, new_l, new_z):
             for d, c in part.items():
                 _acc(self.LZ, d, c)
-        # log of the middle factor: layer t = new zero entries + corrections
-        if not self.upow:
-            self.upow.append({})
-        self.upow[0].update(new_z)
-        for d, c in new_z.items():
-            _acc(self.logZ, d, c)
-        for d, c in corr_t.items():
-            if pair(m, d) == 0:
-                _acc(self.logZ, d, c)
-        self.pending = None
-        self.done = t
+        return new_z
 
     def run(self, g):
         layers = _by_degree(g)
-        for t in range(self.done + 1, self.order + 1):
-            self.finish_layer(dict(layers.get(t, ())), t)
+        for t in range(1, self.order + 1):
+            self.finish_layer(dict(layers.get(t, ())), self.products(t))
 
 
 def _factor(carrier, m, order=None):
@@ -256,15 +221,31 @@ def psi_extract(g):
     rays = sorted({primitive(d) for d in support})
     ray_state = _ray_states(seed, carrier.convention, order, rays, support)
     full = _full(carrier)
+    logs = {}
     for state in dict.fromkeys(ray_state.values()):
         state.run(full)
+        logs[state] = _group(carrier, state.Z).log().coeffs
     out = {}
     for n, state in ray_state.items():
-        lie = {d: c for d, c in state.logZ.items() if primitive(d) == n}
+        lie = {d: c for d, c in logs[state].items() if primitive(d) == n}
         if lie:
             elem = GradedElement(seed, order, carrier.convention, LIE, lie).exp()
             out[n] = expose(elem, sd.convention)
     return out
+
+
+def _log_correction(seed, order, twist, upow, t):
+    """Layer t of log Z - (Z - 1): sum_{p >= 2} (-1)^(p-1)/p [(Z - 1)^p]_t,
+    from upow[p-1], the settled layers of (Z - 1)^p, which gain layer t."""
+    corr = {}
+    upow.append({})     # (Z - 1)^(t+1) starts in degree t + 1
+    for p in range(2, t + 1):
+        new = _product(seed, order, upow[p - 2], upow[0], twist, degree=t)
+        upow[p - 1].update(new)
+        inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
+        for d, c in new.items():
+            _acc(corr, d, c * inv)
+    return corr
 
 
 def complete_from_initial(eta, seed, order, convention):
@@ -272,33 +253,35 @@ def complete_from_initial(eta, seed, order, convention):
     degree by degree (each degree is a direct linear solve)."""
     carrier_conv = _carrier_convention(convention)
     targets = _ray_targets(eta, seed, order, convention)
-    rank = seed.rank
-    support = _semigroup_closure(set(targets), order, rank)
+    support = _semigroup_closure(set(targets), order, seed.rank)
     for n, tau in targets.items():
         support.update(tau)
     rays = sorted({primitive(d) for d in support})
     g = {}
     ray_state = _ray_states(seed, carrier_conv, order, rays, support)
-    states = list(dict.fromkeys(ray_state.values()))
+    # per state, the settled layers of (Z - 1)^p for p = 1, 2, ...
+    powers = {state: [{}] for state in ray_state.values()}
+    twist = _MUL_TWIST[carrier_conv]
     for t in range(1, order + 1):
+        products = {state: state.products(t) for state in powers}
+        corr = {state: _log_correction(seed, order, twist, upow, t)
+                for state, upow in powers.items()}
         g_t = {}
         for n in rays:
-            deg = total_degree(n)
-            if t % deg:
-                continue
-            k = t // deg
+            k, rest = divmod(t, total_degree(n))
             kn = tuple(k * x for x in n)
-            if kn not in support:
+            if rest or kn not in support:
                 continue
             state = ray_state[n]
-            _, r_t, _, corr_t = state.compute_layer(t)
-            tau = targets.get(n, {})
-            val = tau.get(kn, ZERO) - corr_t.get(kn, ZERO) + r_t.get(kn, ZERO)
+            # [log Z]_t = Z_t + corr_t must equal the target, and on the ray
+            # g_t = Z_t + [L * Z * P of settled layers]_t: solve for g_t
+            val = (targets.get(n, {}).get(kn, ZERO) - corr[state].get(kn, ZERO)
+                   + products[state][1].get(kn, ZERO))
             if not val.is_zero():
                 g_t[kn] = val
         g.update(g_t)
-        for state in states:
-            state.finish_layer(g_t, t)
+        for state, upow in powers.items():
+            upow[0].update(state.finish_layer(g_t, products[state]))
     carrier = GradedElement(seed, order, carrier_conv, GROUP, g)
     return ScatDiagram(seed, order, convention, carrier)
 
@@ -419,6 +402,8 @@ class ScatDiagram:
 
     @staticmethod
     def from_group_element(g):
+        if g.flavor != GROUP:
+            raise ValueError("a diagram needs a group element")
         return ScatDiagram(g.seed, g.order, g.convention, to_carrier(g))
 
     def group_element(self):

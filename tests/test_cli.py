@@ -173,11 +173,31 @@ def test_invalid_inputs(tmp_path, a2_file):
     unknown_arrow["potential"][0]["word"] = ["a", "b", "z"]
     no_coeff = json.loads(json.dumps(qp))
     del no_coeff["potential"][0]["coeff"]
+
+    def edited(change):
+        data = json.loads(json.dumps(qp))
+        change(data)
+        return data
+
+    # a value of the wrong JSON type, each of which was a TypeError traceback
+    wrong_types = [
+        edited(lambda d: d.update(seed=5)),
+        edited(lambda d: d.update(quiver=5)),
+        edited(lambda d: d.update(potential=5)),
+        edited(lambda d: d["quiver"]["arrows"].append(5)),
+        edited(lambda d: d["potential"].append(5)),
+        edited(lambda d: d["quiver"].update(vertices="3")),
+        edited(lambda d: d["potential"][0].update(coeff=[1])),
+        edited(lambda d: d.update(cap="x")),
+        edited(lambda d: d["potential"][0].update(coeff="1/0")),
+        edited(lambda d: d["quiver"]["arrows"][0].update(source=True)),
+    ]
     for data in ({"rank": 2, "B": [[0, 1.5], [-1.5, 0]]},
                  {"rank": 2, "B": [[0, True], [-1, 0]]},
                  {"rank": 2, "B": [1, 2]},
                  {"rank": 2}, 5, [[0, 1], [-1, 0]],
-                 {"potential": []}, no_target, unknown_arrow, no_coeff):
+                 {"potential": []}, no_target, unknown_arrow, no_coeff,
+                 *wrong_types):
         bad.write_text(json.dumps(data))
         assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
         assert main(["mutate", "--seed", str(bad), "--vertex", "1"]) == 2

@@ -4,9 +4,11 @@ The files under tests/golden/ hold the `scatter` and `dt` JSON written by
 an earlier build; any change to the algebra or the factorization that
 moves a single character of the output fails here.  To regenerate after
 an intended output change, run each case's argv with `--out` pointing at
-its golden file.
+its golden file.  A wider set of `scatter` runs is pinned by the first 16
+hex digits of the sha256 of its stdout instead of a file.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -44,3 +46,70 @@ def test_cli_output_matches_golden(tmp_path, name):
                  "--convention", convention, "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / ("%s.json" % name)).read_bytes()
+
+
+A2 = [[0, 1], [-1, 0]]
+A3 = SEEDS["a3"]["B"]
+A4 = SEEDS["a4"]["B"]
+MARKOV = SEEDS["markov"]["B"]
+THREE_CYCLE = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+ACYCLIC3 = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+A2_A1 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+A2_A2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+D4 = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
+
+
+def kronecker(m):
+    return [[0, m], [-m, 0]]
+
+
+def zero(n):
+    return [[0] * n for _ in range(n)]
+
+
+# (B, order, convention, sha256 prefix of `scatter` stdout)
+SCATTER_HASHES = {
+    "a2-6-quantum": (A2, 6, "quantum", "dbc111faf7d64249"),
+    "a2-6-classical": (A2, 6, "classical", "fe62268e10cbef69"),
+    "a2-6-dt": (A2, 6, "dt", "eae9e2d9613f53e3"),
+    "kronecker2-5-quantum": (kronecker(2), 5, "quantum", "3cd9a4991505478d"),
+    "kronecker2-5-classical": (kronecker(2), 5, "classical", "d1f8e6d0934b80ca"),
+    "kronecker3-4-quantum": (kronecker(3), 4, "quantum", "f368e58c65302444"),
+    "a3-5-quantum": (A3, 5, "quantum", "76fb6717e7a2c50f"),
+    "a3-5-classical": (A3, 5, "classical", "db06bb12ec3cee31"),
+    "a3-4-classical": (A3, 4, "classical", "432ad2d377a6bdc3"),
+    "a3-4-dt": (A3, 4, "dt", "4ac33c6f23416864"),
+    "markov-3-quantum": (MARKOV, 3, "quantum", "46db7e299254ed19"),
+    "markov-3-classical": (MARKOV, 3, "classical", "c1b38b960079b8f1"),
+    "markov-3-dt": (MARKOV, 3, "dt", "d7e657d9642f6557"),
+    "markov-4-quantum": (MARKOV, 4, "quantum", "9640245f63636758"),
+    "3-cycle-3-quantum": (THREE_CYCLE, 3, "quantum", "28e33af100ba714c"),
+    "3-cycle-3-classical": (THREE_CYCLE, 3, "classical", "dea3659018d9b508"),
+    "3-cycle-3-dt": (THREE_CYCLE, 3, "dt", "bd3a3cdce405b1dc"),
+    "acyclic3-4-quantum": (ACYCLIC3, 4, "quantum", "d327670e3befa2d6"),
+    "zero3-3-quantum": (zero(3), 3, "quantum", "f9cb9fbad8794f9a"),
+    "a2+a1-4-quantum": (A2_A1, 4, "quantum", "25dcefcaf78c8344"),
+    "a2+a1-4-classical": (A2_A1, 4, "classical", "f5a9a51380069027"),
+    "rank1-4-quantum": (zero(1), 4, "quantum", "822a6f769a4a4da6"),
+    "a4-2-quantum": (A4, 2, "quantum", "11d8fd2b3bdc7c5c"),
+    "a4-2-classical": (A4, 2, "classical", "c151e9c2ed6588e2"),
+    "a4-2-dt": (A4, 2, "dt", "f1a55f646413e2f4"),
+    "a4-3-quantum": (A4, 3, "quantum", "9e73f5b9db544af7"),
+    "a2+a2-2-quantum": (A2_A2, 2, "quantum", "60eee713238289a8"),
+    "a2+a2-3-quantum": (A2_A2, 3, "quantum", "48f3862e2574f2c3"),
+    "d4-2-quantum": (D4, 2, "quantum", "9095761140958f66"),
+    "d4-2-classical": (D4, 2, "classical", "f6102d7e664375b4"),
+    "zero4-2-quantum": (zero(4), 2, "quantum", "1ed8573c8465949d"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCATTER_HASHES))
+def test_scatter_stdout_hash(tmp_path, capsys, name):
+    b, order, convention, prefix = SCATTER_HASHES[name]
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({"rank": len(b), "B": b}))
+    code = main(["scatter", "--seed", str(seed_file), "--order", str(order),
+                 "--convention", convention])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix

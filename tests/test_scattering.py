@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from scatdiag.coeff import CoeffFn, ONE, q_power
-from scatdiag.lattice import Seed, a2_seed, markov_seed, mutate_seed, primitive
+from scatdiag import scattering
+from scatdiag.lattice import (Seed, a2_seed, a3_seed, kronecker_seed, markov_seed,
+                              mutate_seed, primitive)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
-                                 central_difference, cluster_sd,
+                                 _factor, central_difference, cluster_sd,
                                  complete_from_initial, dt_in_sd,
                                  endpoint_product, factorize, group_mul,
                                  mutate_sd_check, path_ordered_product,
@@ -68,6 +70,21 @@ def test_factorize_remultiplies_and_signs(rng):
             assert all(pair(m, d) < 0 for d in lo.coeffs)
             assert all(pair(m, d) == 0 for d in z.coeffs)
             assert all(pair(m, d) > 0 for d in p.coeffs)
+
+
+def test_factor_forms_two_products_per_degree(monkeypatch):
+    # each degree t of the split needs layer t of L*Z and of L*Z*P, nothing
+    # more: the splitter keeps no log of the middle factor
+    carrier = quantum_cluster_sd(a3_seed(), 5).carrier
+    real, degrees = scattering._product, []
+
+    def spy(*args, **kwargs):
+        degrees.append(kwargs.get("degree"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_product", spy)
+    _factor(carrier, (3, -2, 1))
+    assert degrees == [t for t in range(1, 6) for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +157,17 @@ def test_psi_extract_cluster_data():
                    (0, 1): dilog_group_element(a2, (0, 1), 6, QUANTUM)}
 
 
+@pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
+@pytest.mark.parametrize("seed,order", [(a3_seed(), 5), (markov_seed(), 4),
+                                        (kronecker_seed(3), 5)],
+                         ids=["a3", "markov", "kronecker3"])
+def test_psi_extract_cluster_diagrams(seed, order, conv):
+    # psi inverts completion on the cluster diagrams, B with a kernel included
+    eta = {n: dilog_group_element(seed, n, order, conv)
+           for n in scattering._unit_rays(seed)}
+    assert psi_extract(BUILDERS[conv](seed, order)) == eta
+
+
 def test_psi_extract_identity_and_central():
     a2 = a2_seed()
     assert psi_extract(GradedElement.one(a2, 6, QUANTUM)) == {}
@@ -147,6 +175,9 @@ def test_psi_extract_identity_and_central():
     g = GradedElement(a2, 6, QUANTUM, LIE, {(1, 1): ONE}).exp()
     eta = psi_extract(g)
     assert eta == {(1, 1): g}
+    # a Lie element is no diagram: 0 + x must not be read as 1 + x
+    with pytest.raises(ValueError):
+        psi_extract(GradedElement(a2, 4, QUANTUM, LIE, {(1, 0): ONE}))
 
 
 def test_single_ray_completion_is_itself():
