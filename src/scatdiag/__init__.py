@@ -7,11 +7,12 @@ from .scattering import (ScatDiagram, central_difference, cluster_sd,
                          complete_from_initial, dt_in_sd, endpoint_product,
                          factorize, mutate_sd_check, path_ordered_product,
                          psi_extract, quantum_cluster_sd)
-from .qp import Potential, Quiver, SeedWithPotential, mutate_qp, mutate_sp
+from .qp import (Potential, Quiver, SeedWithPotential, is_k_mutable, mutate_qp,
+                 mutate_sp, nondegenerate_to_depth)
 from .chambers import (chamber_from_sequence, dt_series, enumerate_chambers,
                        enumerate_green_to_red, find_green_to_red)
-from .reps import (Rep, enumerate_reps, iq_wall_series, is_semistable,
-                   is_stable, reflect, semistable_transport_check)
+from .reps import (Rep, enumerate_reps, iq_wall_series, iq_wall_series_brute,
+                   is_semistable, is_stable, reflect, semistable_transport_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -165,7 +165,8 @@ def _pgcd(a, b):
 
 
 def _pval(a, x):
-    """Integer value a(x) (Horner)."""
+    """The value a(x) by Horner's rule: an int at an int point, a Fraction at
+    a Fraction point."""
     acc = 0
     for c in reversed(a):
         acc = acc * x + c
@@ -203,13 +204,6 @@ def _pgcd_prs(a, b):
     if g and g[-1] < 0:
         g = _pneg(g)
     return g
-
-
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +333,14 @@ class CoeffFn:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_at_q(self, q0):
-        """Exact value at q = q0, i.e. v^2 = q0.
-
-        Fails if the element genuinely involves odd powers of v (a half
-        power of q) or has a pole at the point.
-        """
-        if not self.num:
-            return Fraction(0)
-        pn = {i % 2 for i, c in enumerate(self.num) if c}
-        pd = {i % 2 for i, c in enumerate(self.den) if c}
-        if len(pn) > 1 or len(pd) > 1:
-            raise PoleError("coefficient is not a function of q alone")
-        a, b = pn.pop(), pd.pop()
-        if (self.shift + a - b) % 2 != 0:
-            raise PoleError("odd half-integer power of q at evaluation")
-        q0 = Fraction(q0)
-        nv = _peval(self.num[a::2], q0)
-        dv = _peval(self.den[b::2], q0)
-        if dv == 0:
-            raise PoleError("pole at q = %s" % q0)
-        return q0 ** ((self.shift + a - b) // 2) * nv / dv
-
     def eval_at_v1(self):
         """Exact value at v = 1 (the classical limit); PoleError at a pole."""
         if not self.num:
             return Fraction(0)
-        dv = _peval(self.den, Fraction(1))
+        dv = _pval(self.den, Fraction(1))
         if dv == 0:
             raise PoleError("pole at v = 1")
-        return _peval(self.num, Fraction(1)) / dv
+        return _pval(self.num, Fraction(1)) / dv
 
     def eval_at_sqrt(self, q0):
         """Value at v = sqrt(q0) as a pair (a, b) meaning a + b*sqrt(q0)."""
@@ -378,7 +350,7 @@ class CoeffFn:
 
         def _pair(poly):
             # value of poly(v) mod v^2 - q0, split as (even part, odd part)
-            return _peval(poly[0::2], q0), _peval(poly[1::2], q0)
+            return _pval(poly[0::2], q0), _pval(poly[1::2], q0)
 
         num, den = self.num, self.den
         if self.shift >= 0:
@@ -391,16 +363,6 @@ class CoeffFn:
         if d2 == 0:
             raise PoleError("pole at v = sqrt(%s)" % q0)
         return ((na * da - nb * db * q0) / d2, (nb * da - na * db) / d2)
-
-    def subst_neg_v(self):
-        """The coefficient with v replaced by -v."""
-        if not self.num:
-            return self
-        num = tuple(-c if i % 2 else c for i, c in enumerate(self.num))
-        den = tuple(-c if i % 2 else c for i, c in enumerate(self.den))
-        if self.shift % 2:
-            num = _pneg(num)
-        return CoeffFn(self.shift, num, den)
 
     # -- formatting ---------------------------------------------------------
 

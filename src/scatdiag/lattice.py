@@ -6,7 +6,10 @@ vectors are integer tuples in the seed basis; covectors are rational
 tuples in the dual basis, so m(d) = sum(m_i d_i).  All geometry is exact:
 wall membership is decided by sign tests, and cones and the faces of a
 hyperplane arrangement are built by double description, as integer extreme
-rays modulo a lineality basis, with no linear programming.
+rays modulo a lineality basis, with no linear programming and no Gaussian
+elimination: a face's dimension is carried through the cuts that build the
+face, and the integer basis of a hyperplane is the lineality that cutting
+all space by its normal leaves.
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ class Seed:
         if "B" not in data:
             raise ValueError("seed JSON has no \"B\" matrix")
         seed = Seed(data["B"])
-        if seed.rank != data.get("rank", seed.rank):
+        rank = data.get("rank", seed.rank)
+        if type(rank) is not int:
+            raise ValueError("seed rank must be an integer, got %r" % (rank,))
+        if rank != seed.rank:
             raise ValueError("rank field disagrees with B")
         return seed
 
@@ -197,61 +203,6 @@ def t_k(seed, k, sign, m):
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra
-# ---------------------------------------------------------------------------
-
-def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : rows * x = 0} over the rationals."""
-    if not rows:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(ncols))
-                for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def mat_rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
-# ---------------------------------------------------------------------------
 # cones and arrangement faces by double description
 # ---------------------------------------------------------------------------
 #
@@ -305,19 +256,6 @@ def _cut(rays, lin, n, cut):
     return lin, {1: tuple(pos + zero), 0: tuple(zero), -1: tuple(neg + zero)}, live
 
 
-def _follow(constraints, dim, closed):
-    """Rays and lineality of the cone cut out by (normal, sign) constraints,
-    closed (sign 1 means n >= 0) or open (n > 0); None when the open cone is
-    empty."""
-    rays, lin = (), _unit_basis(dim)
-    for k, (n, s) in enumerate(constraints):
-        lin, pieces, live = _cut(rays, lin, n, [c for c, _ in constraints[:k]])
-        if not closed and s not in live:
-            return None
-        rays = pieces[s]
-    return rays, lin
-
-
 def _ray_sum(rays, dim):
     """A point of the relative interior of cone(rays) + span(lineality)."""
     return tuple(sum(r[i] for r in rays) for i in range(dim))
@@ -326,22 +264,15 @@ def _ray_sum(rays, dim):
 @dataclass(frozen=True)
 class SignedFace:
     """A face of a central arrangement: its sign vector over the normals, an
-    interior witness, and its extreme rays modulo the arrangement's
-    lineality basis."""
+    interior witness, its dimension, and its extreme rays modulo the
+    arrangement's lineality basis."""
 
     normals: tuple
     signs: tuple
     witness: tuple
-    ambient: int
+    dim: int
     rays: tuple
     lineality: tuple
-
-    @property
-    def dim(self):
-        zeros = [n for n, s in zip(self.normals, self.signs) if s == 0]
-        if not zeros:
-            return self.ambient
-        return self.ambient - mat_rank(zeros)
 
     def is_face_of(self, other):
         """The refinement order: self lies in the closure of other."""
@@ -369,32 +300,21 @@ def face_enumerate(support, dim):
     Normals are deduplicated to primitive vectors first.  The arrangement is
     built one hyperplane at a time: a normal that cuts the lineality splits
     every face in three; otherwise a face splits in three when its rays take
-    both signs on the normal and keeps its rays when they do not.  An empty
-    support yields the single all-space face.
+    both signs on the normal and keeps its rays when they do not.  Only the
+    zero piece of a face split in three loses a dimension.  An empty support
+    yields the single all-space face.
     """
     normals = dedupe_primitive(support)
     lin = _unit_basis(dim)
-    faces = [((), ())]
+    faces = [((), (), dim)]
     for k, n in enumerate(normals):
         split = []
-        for signs, rays in faces:
+        for signs, rays, d in faces:
             new_lin, pieces, live = _cut(rays, lin, n, normals[:k])
-            split.extend((signs + (s,), pieces[s]) for s in live)
+            split.extend((signs + (s,), pieces[s], d - (s == 0 and len(live) == 3))
+                         for s in live)
         lin, faces = new_lin, split
     lin = tuple(sorted(lin))
-    return [SignedFace(normals, signs, _ray_sum(rays, dim), dim, rays, lin)
-            for signs, rays in faces]
+    return [SignedFace(normals, signs, _ray_sum(rays, dim), d, rays, lin)
+            for signs, rays, d in faces]
 
-
-def cone_interior_point(signs, normals, dim):
-    """Exact witness for the open sign region, or None when it is empty."""
-    cone = _follow(list(zip(normals, signs)), dim, closed=False)
-    return None if cone is None else _ray_sum(cone[0], dim)
-
-
-def cone_generators(zeros, weaks, dim):
-    """Generators of {m : m.z = 0, m.w >= 0}: (extreme rays, lineality basis),
-    primitive integer tuples in sorted order."""
-    rays, lin = _follow([(z, 0) for z in zeros] + [(w, 1) for w in weaks], dim,
-                        closed=True)
-    return tuple(sorted(rays)), tuple(sorted(lin))

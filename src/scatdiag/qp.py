@@ -167,9 +167,6 @@ class Potential:
     def zero():
         return Potential(())
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -207,12 +204,6 @@ def cyclic_derivative(quiver, potential, name):
                 else:
                     out.pop(path, None)
     return out
-
-
-def jacobian_relations(sp):
-    """One noncommutative relation per arrow, as (arrow, path->coeff)."""
-    return [(a[0], cyclic_derivative(sp.quiver, sp.potential, a[0]))
-            for a in sp.quiver.arrows]
 
 
 # ---------------------------------------------------------------------------

@@ -415,28 +415,8 @@ def _solve(a, b, n, r, p):
     return tuple(x)
 
 
-def rebase_rep(rep, sp_to):
-    """Move a representation to another SP with the same adjacency, matching
-    arrows by (source, target) in sorted-name order."""
-    groups_from = {}
-    for name, s, t in rep.sp.quiver.arrows:
-        groups_from.setdefault((s, t), []).append(name)
-    groups_to = {}
-    for name, s, t in sp_to.quiver.arrows:
-        groups_to.setdefault((s, t), []).append(name)
-    if {k: len(v) for k, v in groups_from.items()} != \
-            {k: len(v) for k, v in groups_to.items()}:
-        raise ValueError("quivers have different adjacency")
-    arrow_map = {}
-    for key in groups_from:
-        for a, b in zip(sorted(groups_from[key]), sorted(groups_to[key])):
-            arrow_map[a] = b
-    mats = {arrow_map[name]: m for name, m in rep.mats}
-    return make_rep(sp_to, rep.p, rep.dims, mats)
-
-
 # ---------------------------------------------------------------------------
-# hom spaces and isomorphism
+# hom spaces
 # ---------------------------------------------------------------------------
 
 def hom_dimension(rep1, rep2):
@@ -468,36 +448,6 @@ def hom_dimension(rep1, rep2):
                 if any(row):
                     rows.append(tuple(row))
     return len(kernel_basis(rows, nvars, p)) if nvars else 0
-
-
-def is_isomorphic(rep1, rep2):
-    """Brute isomorphism test at desk scale."""
-    if rep1.dims != rep2.dims:
-        return False
-    p = rep1.p
-    quiver = rep1.sp.quiver
-    per_vertex = [list(itertools.product(range(p), repeat=d * d)) for d in rep1.dims]
-    for combo in itertools.product(*per_vertex):
-        fs = []
-        ok = True
-        for d, flat in zip(rep1.dims, combo):
-            f = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
-            if len(rref_p(f, p)[1]) < d:
-                ok = False
-                break
-            fs.append(f)
-        if not ok:
-            continue
-        good = True
-        for name, s, t in quiver.arrows:
-            lhs = mat_mul(fs[t - 1], rep1.matrix(name), p)
-            rhs = mat_mul(rep2.matrix(name), fs[s - 1], p)
-            if lhs != rhs:
-                good = False
-                break
-        if good:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

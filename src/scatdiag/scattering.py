@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (dedupe_primitive, face_enumerate, mutate_seed, nullspace,
-                      p_star, pair, primitive, rational_primitive, t_k, total_degree,
-                      apply_change_to_dimvec, covector_to_new_basis)
+from .lattice import (dedupe_primitive, face_enumerate, mutate_seed, p_star, pair,
+                      primitive, rational_primitive, t_k, total_degree,
+                      apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
                     _MUL_TWIST, _acc, _by_degree, _full, _product,
@@ -53,14 +53,6 @@ def expose(elem, convention):
     if convention == CLASSICAL:
         return classical_map(elem)
     return elem
-
-
-def group_mul(a, b):
-    """The group law of the wall-crossing group (BCH in the classical case)."""
-    if a.convention != b.convention:
-        raise ValueError("convention mismatch")
-    out = to_carrier(a).mul(to_carrier(b))
-    return expose(out, a.convention)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +294,8 @@ class _WallPlane:
     def __init__(self, n, candidates):
         self.n = n
         self.rank = len(n)
-        self.basis = [rational_primitive(b) for b in nullspace([n], self.rank)]
+        # cutting all space by n leaves an integer basis of n-perp as lineality
+        self.basis = _cut((), _unit_basis(self.rank), n, ())[0]
         self.lines = {}         # other candidate -> its line in the basis
         for d in candidates:
             if d != n:

@@ -145,11 +145,6 @@ class GradedElement:
                       self.coeffs, lambda k: CoeffFn.from_int((-1) ** k))
         return GradedElement(self.seed, self.order, self.convention, GROUP, out)
 
-    def project(self, keep):
-        """Zero all coefficients whose dimension vector fails the predicate."""
-        return GradedElement(self.seed, self.order, self.convention, self.flavor,
-                             {d: c for d, c in self.coeffs.items() if keep(d)})
-
     # -- equality / serialization --------------------------------------------------------
 
     def __eq__(self, other):

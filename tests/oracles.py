@@ -1,0 +1,196 @@
+"""Independent references that the tests check the package against.
+
+Each one is slow and direct: Gaussian elimination over Fraction, cone
+membership by Caratheodory's theorem, cones cut out one constraint at a
+time, brute-force isomorphism of representations, and the substitution
+v -> -v.  None of them runs in the package.  tests/test_no_dead_code.py
+checks that every function here is called by some test.
+"""
+
+import itertools
+from fractions import Fraction
+
+from scatdiag.coeff import CoeffFn
+from scatdiag.lattice import _cut, _ray_sum, _unit_basis
+from scatdiag.reps import make_rep, mat_mul, rref_p
+
+
+# ---------------------------------------------------------------------------
+# exact rational linear algebra
+# ---------------------------------------------------------------------------
+
+def rref(rows):
+    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : rows * x = 0} over the rationals."""
+    if not rows:
+        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(ncols))
+                for j in range(ncols)]
+    red, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def mat_rank(rows):
+    if not rows:
+        return 0
+    return len(rref(rows)[0])
+
+
+# ---------------------------------------------------------------------------
+# cones: membership by Caratheodory, generators one constraint at a time
+# ---------------------------------------------------------------------------
+
+def in_cone(vec, rays, lineality):
+    """Whether vec lies in cone(rays) + span(lineality), exactly.
+
+    By Caratheodory's theorem vec is then a nonnegative combination of a
+    linearly independent subset of the generators (lineality vectors taken
+    with both signs); each subset's system is solved exactly.
+    """
+    gens = [tuple(r) for r in rays]
+    gens += [tuple(s * x for x in l) for l in lineality for s in (1, -1)]
+    for k in range(len(vec) + 1):
+        for sub in itertools.combinations(gens, k):
+            if k and mat_rank(sub) < k:
+                continue
+            red, pivots = rref([[g[i] for g in sub] + [vec[i]] for i in range(len(vec))])
+            if k not in pivots and all(row[k] >= 0 for row in red):
+                return True
+    return False
+
+
+def reduce_ray_generators(rays, lineality):
+    """Drop rays lying in the cone of the remaining generators."""
+    rays = sorted(set(rays))
+    return tuple(r for i, r in enumerate(rays)
+                 if not in_cone(r, rays[:i] + rays[i + 1:], lineality))
+
+
+def _follow(constraints, dim, closed):
+    """Rays and lineality of the cone cut out by (normal, sign) constraints,
+    closed (sign 1 means n >= 0) or open (n > 0); None when the open cone is
+    empty."""
+    rays, lin = (), _unit_basis(dim)
+    for k, (n, s) in enumerate(constraints):
+        lin, pieces, live = _cut(rays, lin, n, [c for c, _ in constraints[:k]])
+        if not closed and s not in live:
+            return None
+        rays = pieces[s]
+    return rays, lin
+
+
+def cone_interior_point(signs, normals, dim):
+    """Exact witness for the open sign region, or None when it is empty."""
+    cone = _follow(list(zip(normals, signs)), dim, closed=False)
+    return None if cone is None else _ray_sum(cone[0], dim)
+
+
+def cone_generators(zeros, weaks, dim):
+    """Generators of {m : m.z = 0, m.w >= 0}: (extreme rays, lineality basis),
+    primitive integer tuples in sorted order."""
+    rays, lin = _follow([(z, 0) for z in zeros] + [(w, 1) for w in weaks], dim,
+                        closed=True)
+    return tuple(sorted(rays)), tuple(sorted(lin))
+
+
+# ---------------------------------------------------------------------------
+# representations
+# ---------------------------------------------------------------------------
+
+def rebase_rep(rep, sp_to):
+    """Move a representation to another SP with the same adjacency, matching
+    arrows by (source, target) in sorted-name order."""
+    groups_from = {}
+    for name, s, t in rep.sp.quiver.arrows:
+        groups_from.setdefault((s, t), []).append(name)
+    groups_to = {}
+    for name, s, t in sp_to.quiver.arrows:
+        groups_to.setdefault((s, t), []).append(name)
+    if {k: len(v) for k, v in groups_from.items()} != \
+            {k: len(v) for k, v in groups_to.items()}:
+        raise ValueError("quivers have different adjacency")
+    arrow_map = {}
+    for key in groups_from:
+        for a, b in zip(sorted(groups_from[key]), sorted(groups_to[key])):
+            arrow_map[a] = b
+    mats = {arrow_map[name]: m for name, m in rep.mats}
+    return make_rep(sp_to, rep.p, rep.dims, mats)
+
+
+def is_isomorphic(rep1, rep2):
+    """Brute isomorphism test at desk scale."""
+    if rep1.dims != rep2.dims:
+        return False
+    p = rep1.p
+    quiver = rep1.sp.quiver
+    per_vertex = [list(itertools.product(range(p), repeat=d * d)) for d in rep1.dims]
+    for combo in itertools.product(*per_vertex):
+        fs = []
+        ok = True
+        for d, flat in zip(rep1.dims, combo):
+            f = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
+            if len(rref_p(f, p)[1]) < d:
+                ok = False
+                break
+            fs.append(f)
+        if not ok:
+            continue
+        good = True
+        for name, s, t in quiver.arrows:
+            lhs = mat_mul(fs[t - 1], rep1.matrix(name), p)
+            rhs = mat_mul(rep2.matrix(name), fs[s - 1], p)
+            if lhs != rhs:
+                good = False
+                break
+        if good:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+# ---------------------------------------------------------------------------
+
+def subst_neg_v(c):
+    """The coefficient c with v replaced by -v."""
+    if c.is_zero():
+        return c
+    num = tuple(-x if i % 2 else x for i, x in enumerate(c.num))
+    den = tuple(-x if i % 2 else x for i, x in enumerate(c.den))
+    if c.shift % 2:
+        num = tuple(-x for x in num)
+    return CoeffFn(c.shift, num, den)

@@ -26,8 +26,8 @@ from scatdiag.qp import Potential, SeedWithPotential, is_k_mutable, mutate_qp, q
 from scatdiag.chambers import (dt_series, enumerate_chambers,
                                enumerate_green_to_red, find_green_to_red)
 from scatdiag.reps import (enumerate_reps, hom_dimension, iq_wall_series,
-                           is_isomorphic, rebase_rep, reflect,
-                           semistable_transport_check, simple_rep)
+                           reflect, semistable_transport_check, simple_rep)
+from oracles import is_isomorphic, rebase_rep
 
 F = Fraction
 

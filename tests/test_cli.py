@@ -196,6 +196,7 @@ def test_invalid_inputs(tmp_path, a2_file):
                  {"rank": 2, "B": [[0, True], [-1, 0]]},
                  {"rank": 2, "B": [1, 2]},
                  {"rank": 2}, 5, [[0, 1], [-1, 0]],
+                 {"rank": True, "B": [[0]]}, {"rank": 2.0, "B": [[0, 1], [-1, 0]]},
                  {"potential": []}, no_target, unknown_arrow, no_coeff,
                  *wrong_types):
         bad.write_text(json.dumps(data))

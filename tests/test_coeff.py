@@ -7,6 +7,7 @@ import scatdiag.coeff as coeff
 from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_int,
                             q_power)
 from conftest import random_coeff
+from oracles import subst_neg_v
 
 v = CoeffFn.v_power
 
@@ -27,18 +28,28 @@ def test_gl_counts():
     assert gl_count(1) == q_power(1) - ONE
     assert gl_count(2) == (q_power(2) - ONE) * (q_power(2) - q_power(1))
     # integer point count at q = 2
-    assert gl_count(2).eval_at_q(2) == Fraction(6)
+    assert gl_count(2).eval_at_sqrt(2) == (Fraction(6), 0)
 
 
 def test_eval_at_q():
     f = q_power(2) / gl_count(2)
-    assert f.eval_at_q(2) == Fraction(2, 3)
-    assert ONE.eval_at_q(7) == 1
+    assert f.eval_at_sqrt(2) == (Fraction(2, 3), 0)
+    assert ONE.eval_at_sqrt(7) == (1, 0)
     with pytest.raises(PoleError):
-        (ONE / (q_power(1) - ONE)).eval_at_q(1)
-    # odd half power of q requested at an integer point
-    with pytest.raises(PoleError):
-        v(1).eval_at_q(2)
+        (ONE / (q_power(1) - ONE)).eval_at_sqrt(1)
+    # an odd power of v is the irrational part at q = 2
+    assert v(3).eval_at_sqrt(2) == (0, 2)
+
+
+def test_evaluators_stay_exact():
+    # one Horner loop serves the integer gcd and the evaluators: at a
+    # Fraction point it must return Fractions, never ints or floats
+    assert coeff._pval((1, 2, 3), 10) == 321
+    assert type(coeff._pval((1, 2, 3), 10)) is int
+    for f in (ONE, v(1), v(-3), CoeffFn(1, (3, 0, 1), (2, 1)), CoeffFn(0, (1,), (1, 1))):
+        assert type(f.eval_at_v1()) is Fraction
+        assert all(type(x) is Fraction for x in f.eval_at_sqrt(2))
+        assert all(type(x) is Fraction for x in f.eval_at_sqrt(Fraction(1, 3)))
 
 
 def test_classical_limit():
@@ -72,9 +83,10 @@ def test_eval_is_ring_homomorphism(rng):
         a, b = random_coeff(rng), random_coeff(rng)
         aa = a * a
         try:
-            va, vb = a.eval_at_q(4), b.eval_at_q(4)
-            assert (a + b).eval_at_q(4) == va + vb
-            assert (a * b).eval_at_q(4) == va * vb
+            va, vb = a.eval_at_sqrt(4), b.eval_at_sqrt(4)
+            assert (a + b).eval_at_sqrt(4) == (va[0] + vb[0], va[1] + vb[1])
+            assert (a * b).eval_at_sqrt(4) == (va[0] * vb[0] + 4 * va[1] * vb[1],
+                                               va[0] * vb[1] + va[1] * vb[0])
         except PoleError:
             continue
 
@@ -97,14 +109,14 @@ def test_division_by_zero():
 def test_subst_neg_v(rng):
     for _ in range(100):
         a = random_coeff(rng)
-        assert a.subst_neg_v().subst_neg_v() == a
+        assert subst_neg_v(subst_neg_v(a)) == a
 
 
 def test_string_form():
     # q^2/[GL_2]_q = q/((q-1)(q^2-1)) after cancelling the common q
     f = q_power(2) / gl_count(2)
     assert f.to_string() == "(v^2)/(v^6 - v^4 - v^2 + 1)"
-    assert f.eval_at_q(2) == Fraction(2, 3)
+    assert f.eval_at_sqrt(2) == (Fraction(2, 3), 0)
     assert ZERO.to_string() == "0"
     assert v(-2).to_string() == "1/(v^2)"
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from scatdiag.lattice import (Seed, a2_seed, cone_generators,
-                              cone_interior_point, covector_to_new_basis,
-                              dedupe_primitive, face_enumerate, mat_rank,
-                              markov_seed, mutate_seed, nullspace,
-                              p_star, pair, primitive, rational_primitive,
-                              rref, skew, t_k)
+from scatdiag.lattice import (Seed, a2_seed, covector_to_new_basis,
+                              dedupe_primitive, face_enumerate, markov_seed,
+                              mutate_seed, p_star, pair, primitive,
+                              rational_primitive, skew, t_k)
 from conftest import random_skew_seed, random_rational_point
+from oracles import (cone_generators, cone_interior_point, in_cone, mat_rank,
+                     nullspace, reduce_ray_generators)
 
 F = Fraction
 
@@ -183,36 +183,6 @@ def test_cone_generators():
     assert rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0)) and lin == ()
 
 
-# ---------------------------------------------------------------------------
-# reference oracle: cone membership by Caratheodory, no linear programming
-# ---------------------------------------------------------------------------
-
-def in_cone(vec, rays, lineality):
-    """Whether vec lies in cone(rays) + span(lineality), exactly.
-
-    By Caratheodory's theorem vec is then a nonnegative combination of a
-    linearly independent subset of the generators (lineality vectors taken
-    with both signs); each subset's system is solved exactly.
-    """
-    gens = [tuple(r) for r in rays]
-    gens += [tuple(s * x for x in l) for l in lineality for s in (1, -1)]
-    for k in range(len(vec) + 1):
-        for sub in itertools.combinations(gens, k):
-            if k and mat_rank(sub) < k:
-                continue
-            red, pivots = rref([[g[i] for g in sub] + [vec[i]] for i in range(len(vec))])
-            if k not in pivots and all(row[k] >= 0 for row in red):
-                return True
-    return False
-
-
-def reduce_ray_generators(rays, lineality):
-    """Drop rays lying in the cone of the remaining generators."""
-    rays = sorted(set(rays))
-    return tuple(r for i, r in enumerate(rays)
-                 if not in_cone(r, rays[:i] + rays[i + 1:], lineality))
-
-
 def test_reduce_ray_generators():
     rays = [(1, 0), (1, 1), (0, 1), (2, 1)]
     assert reduce_ray_generators(rays, ()) == ((0, 1), (1, 0))
@@ -273,9 +243,10 @@ def test_arrangement_against_reference(rng, dim):
         for f in faces:
             assert _signs(f.witness, normals) == f.signs
             assert f.lineality == faces[0].lineality
+            zeros = [n for n, s in zip(normals, f.signs) if s == 0]
+            assert f.dim == dim - mat_rank(zeros)
             assert cone_interior_point(f.signs, normals, dim) is not None
             # the face's rays span the closed face, as cone_generators finds it
-            zeros = [n for n, s in zip(normals, f.signs) if s == 0]
             weaks = [tuple(s * x for x in n) for n, s in zip(normals, f.signs) if s]
             rays, lin = _check_cone(zeros, weaks, dim)
             assert len(f.rays) == len(rays)

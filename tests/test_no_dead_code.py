@@ -1,10 +1,13 @@
-"""No dead code in the package: every import is used, every private
+"""No dead code in the package: every import is used, and every private
 module-level function or class is referenced somewhere in src/ or tests/,
-and so is every public function and method, outside its own def.  A
-module-level function counts as used only where its name is read, imported
-or looked up on a module, so a method call of the same name does not keep
-it alive; a method counts as used only where it is looked up as an
-attribute, so a variable of the same name does not keep it alive."""
+outside its own def.  The package holds what it runs: a public module-level
+function is used in src/ or exported from `__init__`, and a public method is
+used in src/ unless its class is exported, when a use in tests/ will do.
+Every function of the test oracles is called by some test.  A module-level
+function counts as used only where its name is read, imported or looked up
+on a module, so a method call of the same name does not keep it alive; a
+method counts as used only where it is looked up as an attribute, so a
+variable of the same name does not keep it alive."""
 
 import ast
 from collections import Counter
@@ -13,7 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "scatdiag").glob("*.py")
                  if p.name != "__init__.py")
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+INIT = ROOT / "src" / "scatdiag" / "__init__.py"
+SRC = sorted((ROOT / "src").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").rglob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 PACKAGE = {p.stem for p in MODULES}
 
 
@@ -91,7 +97,7 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_referenced():
     referenced = set()
-    for path in SOURCES:
+    for path in SRC + TESTS:
         referenced.update(_name_uses(ast.parse(path.read_text())))
     dead = []
     for path in MODULES:
@@ -103,24 +109,53 @@ def test_every_private_definition_is_referenced():
     assert not dead
 
 
-def test_every_public_function_and_method_is_referenced():
+def _uses(paths):
+    """Attribute lookups, and uses that can reach a module-level function."""
     method_uses, function_uses = Counter(), Counter()
-    for path in SOURCES:
+    for path in paths:
         tree = ast.parse(path.read_text())
         method_uses.update(_attribute_uses(tree))
         function_uses.update(_function_uses(tree, _module_names(tree)))
+    return method_uses, function_uses
+
+
+def test_every_public_function_and_method_is_referenced():
+    exported = {alias.name for node in ast.parse(INIT.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    src_methods, src_functions = _uses(p for p in SRC if p != INIT)
+    all_methods, _ = _uses(SRC + TESTS)
     dead = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
         modules = _module_names(tree)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                defs, uses, own = node.body, method_uses, _attribute_uses
-            else:
-                defs, uses = [node], function_uses
+                defs, own = node.body, _attribute_uses
+                uses = all_methods if node.name in exported else src_methods
+            elif isinstance(node, ast.FunctionDef) and node.name not in exported:
+                defs, uses = [node], src_functions
                 own = lambda fn: _function_uses(fn, modules)
+            else:
+                continue
             for fn in defs:
                 if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
                         and uses[fn.name] == list(own(fn)).count(fn.name)):
                     dead.append("%s: %s" % (path.name, fn.name))
     assert not dead
+
+
+def test_every_oracle_is_called_by_a_test():
+    """Functions of tests/oracles.py reached from the test modules, directly
+    or through other oracle functions."""
+    oracles = {node.name: node for node in ast.parse(ORACLES.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), []
+    for path in TESTS:
+        if path != ORACLES:
+            todo.extend(_name_uses(ast.parse(path.read_text())))
+    while todo:
+        name = todo.pop()
+        if name in oracles and name not in seen:
+            seen.add(name)
+            todo.extend(_name_uses(oracles[name]))
+    assert sorted(set(oracles) - seen) == []

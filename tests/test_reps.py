@@ -12,9 +12,10 @@ from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
 from scatdiag.reps import (BudgetExceeded, enumerate_reps, euler_form,
                            gl_order, hom_dimension, iq_wall_series,
-                           iq_wall_series_brute, is_isomorphic,
-                           is_semistable, is_stable, make_rep, rebase_rep,
-                           reflect, semistable_transport_check, simple_rep)
+                           iq_wall_series_brute, is_semistable, is_stable,
+                           make_rep, reflect, semistable_transport_check,
+                           simple_rep)
+from oracles import is_isomorphic, rebase_rep
 
 F = Fraction
 REFLECT_GOLDEN = Path(__file__).parent / "golden" / "reflect_f2.json"

@@ -5,17 +5,18 @@ import pytest
 from scatdiag.coeff import CoeffFn, ONE, q_power
 from scatdiag import scattering
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, kronecker_seed, markov_seed,
-                              mutate_seed, primitive)
+                              mutate_seed, primitive, rational_primitive)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
                                  _factor, central_difference, cluster_sd,
                                  complete_from_initial, dt_in_sd,
-                                 endpoint_product, factorize, group_mul,
+                                 endpoint_product, expose, factorize,
                                  mutate_sd_check, path_ordered_product,
                                  psi_extract,
-                                 quantum_cluster_sd)
+                                 quantum_cluster_sd, to_carrier)
 from conftest import random_lie, random_rational_point, random_skew_seed
+from oracles import nullspace, subst_neg_v
 
 F = Fraction
 v = CoeffFn.v_power
@@ -64,8 +65,8 @@ def test_factorize_remultiplies_and_signs(rng):
             g = random_lie(rng, seed, conv, 5).exp()
             m = random_rational_point(rng, n, span=5, den=3)
             lo, z, p = factorize(g, m)
-            back = group_mul(group_mul(lo, z), p)
-            assert back == g
+            back = to_carrier(lo).mul(to_carrier(z)).mul(to_carrier(p))
+            assert expose(back, conv) == g
             from scatdiag.lattice import pair
             assert all(pair(m, d) < 0 for d in lo.coeffs)
             assert all(pair(m, d) == 0 for d in z.coeffs)
@@ -133,7 +134,7 @@ def test_dt_equals_quantum_at_minus_v():
     a2 = a2_seed()
     gq = quantum_cluster_sd(a2, 6).group_element()
     gd = dt_in_sd(a2, 6).group_element()
-    assert {d: c.subst_neg_v() for d, c in gq.coeffs.items()} == gd.coeffs
+    assert {d: subst_neg_v(c) for d, c in gq.coeffs.items()} == gd.coeffs
 
 
 def test_rank1_single_wall():
@@ -229,6 +230,17 @@ def test_a2_minimal_complex():
     ray_dirs = sorted(w.rays[0] for w in walls)
     assert ray_dirs == [(-1, 0), (0, -1), (0, 1), (1, -1), (1, 0)]
     assert all(len(w.rays) == 1 and not w.lineality for w in walls)
+
+
+def test_wall_plane_basis_is_the_rational_kernel(rng):
+    # the integer basis of n-perp, read off the lineality of one cut, is the
+    # one Gaussian elimination finds, made primitive: the same witnesses
+    for _ in range(500):
+        r = rng.randint(2, 5)
+        n = primitive(tuple(rng.randint(-4, 4) for _ in range(r)))
+        if any(n):
+            assert list(scattering._WallPlane(n, ()).basis) == \
+                [rational_primitive(b) for b in nullspace([n], r)]
 
 
 def test_walls_when_the_other_candidates_cut_one_line():
