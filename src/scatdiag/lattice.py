@@ -108,6 +108,12 @@ def pair(m, d):
     return sum(mi * di for mi, di in zip(m, d))
 
 
+def check_covector(m, rank):
+    """Reject a covector whose length is not the seed rank."""
+    if len(m) != rank:
+        raise ValueError("covector has %d entries, the seed rank is %d" % (len(m), rank))
+
+
 def total_degree(d):
     return sum(d)
 

@@ -2,22 +2,24 @@
 
 Representations of the Jacobian algebra over a prime field are enumerated
 as raw matrix tuples; groupoid counts divide by the automorphisms of the
-underlying graded vector space.  King semistability is brute-forced over
-subrepresentations, reflection functors follow the kernel/cokernel
-construction, and the wall-function counting series is produced by the
-Harder-Narasimhan factorization of the total counting element inside the
-quantum torus (so no point enumeration is needed at large dimensions).
+underlying graded vector space.  King semistability is decided by searching
+only the subspaces of destabilizing dimension vectors, reflection functors
+follow the kernel/cokernel construction, and the wall-function counting
+series is produced by the Harder-Narasimhan factorization of the total
+counting element inside the quantum torus (so no point enumeration is
+needed at large dimensions).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .coeff import CoeffFn
-from .lattice import covector_to_new_basis, pair
+from .lattice import check_covector, covector_to_new_basis, pair
 from .qp import (SeedWithPotential, ReductionError, composite_name,
                  cyclic_derivative, mutate_sp)
 from .torus import GROUP, QUANTUM, GradedElement
@@ -118,10 +120,14 @@ def gl_order(n, p):
     return out
 
 
+@functools.cache
 def all_subspaces(p, n):
-    """Every subspace of F_p^n, as (echelon basis rows, frozenset of points)."""
+    """Every subspace of F_p^n, as (echelon basis rows, frozenset of points),
+    grouped by dimension: entry k holds the k-dimensional ones.  The value
+    is built once per (p, n) and is immutable."""
     out = []
     for k in range(n + 1):
+        group = []
         for pivots in itertools.combinations(range(n), k):
             slots = []
             for r in range(k):
@@ -140,8 +146,9 @@ def all_subspaces(p, n):
                     v = tuple(sum(coefs[i] * basis[i][j] for i in range(k)) % p
                               for j in range(n))
                     pts.add(v)
-                out.append((basis, frozenset(pts)))
-    return out
+                group.append((basis, frozenset(pts)))
+        out.append(tuple(group))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +214,11 @@ def check_relations(rep, strict=True):
                     big[offs[t - 1] + i][offs[s - 1] + j] = m[i][j]
         power = identity_mat(n)
         big = tuple(tuple(r) for r in big)
-        for _ in range(n):
+        for _ in range(n):    # A^k = 0 gives A^n = 0 for every n >= k
             power = mat_mul(big, power, rep.p)
-        if any(any(row) for row in power):
+            if not any(any(row) for row in power):
+                break
+        else:
             if strict:
                 raise ValueError("path ideal does not act nilpotently")
             return False
@@ -260,46 +269,36 @@ def enumerate_reps(sp, dims, p, budget=300000):
 
 
 # ---------------------------------------------------------------------------
-# subrepresentations and King stability
+# King stability
 # ---------------------------------------------------------------------------
 
-def _subreps(rep):
-    sp, p = rep.sp, rep.p
-    per_vertex = [all_subspaces(p, d) for d in rep.dims]
-    quiver = sp.quiver
-    out = []
-    for combo in itertools.product(*per_vertex):
-        ok = True
-        for name, s, t in quiver.arrows:
-            m = rep.matrix(name)
-            basis = combo[s - 1][0]
-            target = combo[t - 1][1]
-            for v in basis:
-                if mat_vec(m, v, p) not in target:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((tuple(len(c[0]) for c in combo), combo))
-    return out
+@functools.lru_cache(maxsize=1024)
+def _destabilizing(dims, m, strict):
+    """The proper nonzero dimension vectors e <= dims with m(e) > 0 (>= 0
+    when strict): those of the subrepresentations that break (semi)stability."""
+    return tuple(e for e in itertools.product(*(range(d + 1) for d in dims))
+                 if any(e) and e != dims and (pair(m, e) >= 0 if strict else pair(m, e) > 0))
+
+
+def _has_subrep(rep, e):
+    """Whether rep has a subrepresentation of dimension vector e: a subspace
+    of dimension e_i at each vertex i that every arrow maps into itself."""
+    p = rep.p
+    arrows = [(rep.matrix(name), s - 1, t - 1) for name, s, t in rep.sp.quiver.arrows]
+    for combo in itertools.product(*(all_subspaces(p, d)[k] for d, k in zip(rep.dims, e))):
+        if all(mat_vec(mat, v, p) in combo[t][1] for mat, s, t in arrows for v in combo[s][0]):
+            return True
+    return False
 
 
 def is_semistable(rep, m, strict=False):
     """King (semi)stability: m(V) = 0 and m(W) <= 0 (< 0) for proper
-    nonzero subrepresentations W."""
-    mv = pair(m, rep.dims)
-    if mv != 0:
+    nonzero subrepresentations W.  Only the subspaces of the dimension
+    vectors with m(W) > 0 (>= 0) are searched."""
+    check_covector(m, rep.sp.seed.rank)
+    if pair(m, rep.dims) != 0:
         return False
-    for dims, _ in _subreps(rep):
-        if not any(dims) or dims == rep.dims:
-            continue
-        w = pair(m, dims)
-        if strict and w >= 0:
-            return False
-        if not strict and w > 0:
-            return False
-    return True
+    return not any(_has_subrep(rep, e) for e in _destabilizing(rep.dims, tuple(m), strict))
 
 
 def is_stable(rep, m):
@@ -421,7 +420,10 @@ def _solve(a, b, n, r, p):
 
 def hom_dimension(rep1, rep2):
     """dim Hom(V, W) by solving the intertwiner system over F_p."""
-    assert rep1.p == rep2.p
+    if rep1.p != rep2.p:
+        raise ValueError("representations over F_%d and F_%d" % (rep1.p, rep2.p))
+    if rep1.sp.quiver != rep2.sp.quiver:
+        raise ValueError("representations of different quivers")
     p = rep1.p
     quiver = rep1.sp.quiver
     nvars = sum(a * b for a, b in zip(rep1.dims, rep2.dims))
@@ -469,6 +471,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     Hom(S_k, V) = 0 when m(s_k) > 0, Hom(V, S_k) = 0 when m(s_k) < 0.  A
     semistable V lies there automatically.
     """
+    check_covector(m, sp.seed.rank)
     ek = tuple(1 if j == k - 1 else 0 for j in range(sp.seed.rank))
     if pair(m, ek) == 0:
         raise ValueError("m must not vanish on s_k")
@@ -553,6 +556,7 @@ def iq_wall_series(sp, m, order, p):
 
 def iq_wall_series_brute(sp, m, dims_list, p):
     """Same series from raw enumeration of semistable points (small dims)."""
+    check_covector(m, sp.seed.rank)
     coeffs = {}
     for dims in dims_list:
         reps, _ = enumerate_reps(sp, dims, p)

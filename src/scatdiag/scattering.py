@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (dedupe_primitive, face_enumerate, mutate_seed, p_star, pair,
-                      primitive, rational_primitive, t_k, total_degree,
+from .lattice import (check_covector, dedupe_primitive, face_enumerate, mutate_seed,
+                      p_star, pair, primitive, rational_primitive, t_k, total_degree,
                       apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical,
@@ -121,9 +121,7 @@ def _factor(carrier, m, order=None):
     dicts of minus, zero and plus (zero key stripped), through degree
     order (the carrier's order by default)."""
     seed = carrier.seed
-    if len(m) != seed.rank:
-        raise ValueError("covector has %d entries, the seed rank is %d"
-                         % (len(m), seed.rank))
+    check_covector(m, seed.rank)
     state = _FactorizationState(seed, carrier.convention,
                                 carrier.order if order is None else order, m)
     state.run(_full(carrier))

@@ -2,17 +2,18 @@
 
 Each one is slow and direct: Gaussian elimination over Fraction, cone
 membership by Caratheodory's theorem, cones cut out one constraint at a
-time, brute-force isomorphism of representations, and the substitution
-v -> -v.  None of them runs in the package.  tests/test_no_dead_code.py
-checks that every function here is called by some test.
+time, brute-force isomorphism of representations, King semistability by
+enumerating every subrepresentation, and the substitution v -> -v.  None
+of them runs in the package.  tests/test_no_dead_code.py checks that every
+function here is called by some test.
 """
 
 import itertools
 from fractions import Fraction
 
 from scatdiag.coeff import CoeffFn
-from scatdiag.lattice import _cut, _ray_sum, _unit_basis
-from scatdiag.reps import make_rep, mat_mul, rref_p
+from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair
+from scatdiag.reps import all_subspaces, make_rep, mat_mul, mat_vec, rref_p
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,46 @@ def is_isomorphic(rep1, rep2):
         if good:
             return True
     return False
+
+
+def _subreps(rep):
+    """Every subrepresentation of rep, as (dimension vector, one subspace
+    (basis, points) per vertex)."""
+    p = rep.p
+    per_vertex = [list(itertools.chain.from_iterable(all_subspaces(p, d)))
+                  for d in rep.dims]
+    out = []
+    for combo in itertools.product(*per_vertex):
+        ok = True
+        for name, s, t in rep.sp.quiver.arrows:
+            m = rep.matrix(name)
+            basis = combo[s - 1][0]
+            target = combo[t - 1][1]
+            for v in basis:
+                if mat_vec(m, v, p) not in target:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append((tuple(len(c[0]) for c in combo), combo))
+    return out
+
+
+def is_semistable_by_subreps(rep, m, strict=False):
+    """King (semi)stability by enumerating every subrepresentation and then
+    comparing m on its dimension vector."""
+    if pair(m, rep.dims) != 0:
+        return False
+    for dims, _ in _subreps(rep):
+        if not any(dims) or dims == rep.dims:
+            continue
+        w = pair(m, dims)
+        if strict and w >= 0:
+            return False
+        if not strict and w > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +11,12 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
 from scatdiag.qp import SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
-from scatdiag.reps import (BudgetExceeded, enumerate_reps, euler_form,
-                           gl_order, hom_dimension, iq_wall_series,
-                           iq_wall_series_brute, is_semistable, is_stable,
-                           make_rep, reflect, semistable_transport_check,
-                           simple_rep)
-from oracles import is_isomorphic, rebase_rep
+from scatdiag.reps import (BudgetExceeded, all_subspaces, check_relations,
+                           enumerate_reps, euler_form, gl_order, hom_dimension,
+                           iq_wall_series, iq_wall_series_brute, is_semistable,
+                           is_stable, make_rep, path_matrix, reflect,
+                           semistable_transport_check, simple_rep)
+from oracles import is_isomorphic, is_semistable_by_subreps, rebase_rep
 
 F = Fraction
 REFLECT_GOLDEN = Path(__file__).parent / "golden" / "reflect_f2.json"
@@ -57,6 +58,15 @@ def test_nilpotency_enforced():
                  {"a1_2_1": ((1,),), "a2_3_1": ((1,),), "a3_1_1": ((1,),)})
 
 
+def test_nilpotency_index_n_accepted():
+    # linear A3 with every arrow 1: the operator A on F_2^3 has A^2 != 0 and
+    # A^3 = 0, so the early stop must not reject it before the n-th power
+    sp = SeedWithPotential.make(a3_seed())
+    rep = make_rep(sp, 2, (1, 1, 1), {"a1_2_1": ((1,),), "a2_3_1": ((1,),)})
+    assert path_matrix(rep, ("a1_2_1", "a2_3_1")) == ((1,),)
+    assert check_relations(rep, strict=False)
+
+
 def test_semistability_examples():
     sp = a2sp()
     s1 = simple_rep(sp, 2, 1)
@@ -68,6 +78,69 @@ def test_semistability_examples():
     assert not is_semistable(zz, m)
     # m(V) != 0 is never semistable
     assert not is_semistable(s1, m)
+
+
+def test_semistability_matches_subrep_enumeration(rng):
+    # the destabilizing-dimension search against enumerating every
+    # subrepresentation, on random m with m(dims) = 0
+    cases = [(SeedWithPotential.make(kronecker_seed()), d, p)
+             for d in [(1, 1), (2, 1), (1, 2), (2, 2)] for p in (2, 3)]
+    cases += [(sp, d, 2) for sp in (SeedWithPotential.make(a3_seed()), cycsp())
+              for d in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]]
+    verdicts = Counter()
+    for sp, dims, p in cases:
+        reps, _ = enumerate_reps(sp, dims, p)
+        for rep in rng.sample(reps, min(len(reps), 80)):
+            for _ in range(4):
+                r = [rng.randint(-3, 3) for _ in dims]
+                w = sum(x * d for x, d in zip(r, dims))
+                m = tuple(x * sum(dims) - w for x in r)
+                for strict in (False, True):
+                    got = is_semistable(rep, m, strict)
+                    assert got == is_semistable_by_subreps(rep, m, strict), (rep, m, strict)
+                    verdicts[strict, got] += 1
+    assert sum(verdicts.values()) > 3000 and min(verdicts.values()) > 200
+
+
+def test_all_subspaces_lattice():
+    # sum over k of the Gaussian binomials [n choose k]_p
+    for (p, n), total in {(2, 2): 5, (2, 4): 67, (3, 2): 6, (2, 0): 1}.items():
+        groups = all_subspaces(p, n)
+        assert len(groups) == n + 1 and sum(len(g) for g in groups) == total
+        for k, group in enumerate(groups):
+            for basis, pts in group:
+                assert len(basis) == k and len(pts) == p ** k and set(basis) <= pts
+                assert all(tuple((x + y) % p for x, y in zip(u, v)) in pts
+                           for u in pts for v in pts)
+    groups = all_subspaces(2, 2)
+    assert all_subspaces(2, 2) is groups
+    with pytest.raises(TypeError):
+        groups[1] = ()
+    with pytest.raises(AttributeError):
+        groups[1][0][1].add((1, 1))
+    assert sum(len(g) for g in all_subspaces(2, 2)) == 5
+
+
+def test_covector_length_checked():
+    k2 = SeedWithPotential.make(kronecker_seed())
+    rep = make_rep(k2, 2, (1, 1), {"a1_2_1": ((1,),), "a1_2_2": ((0,),)})
+    message = "covector has 1 entries, the seed rank is 2"
+    for call in (lambda: is_semistable(rep, (1,)), lambda: is_stable(rep, (1,)),
+                 lambda: iq_wall_series_brute(k2, (1,), [(1, 1)], 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="covector has 3 entries, the seed rank is 2"):
+        iq_wall_series_brute(k2, (1, -1, 5), [(1, 1)], 2)
+    with pytest.raises(ValueError, match="covector has 2 entries, the seed rank is 3"):
+        semistable_transport_check(SeedWithPotential.make(a3_seed()), 1, (3, -1))
+
+
+def test_hom_dimension_rejects_mismatched_reps():
+    with pytest.raises(ValueError, match="F_2 and F_3"):
+        hom_dimension(simple_rep(a2sp(), 2, 1), simple_rep(a2sp(), 3, 1))
+    with pytest.raises(ValueError, match="different quivers"):
+        hom_dimension(simple_rep(a2sp(), 2, 1),
+                      simple_rep(SeedWithPotential.make(kronecker_seed()), 2, 1))
 
 
 def test_reflect_kills_simple():
