@@ -11,7 +11,7 @@ from .qp import (Potential, Quiver, SeedWithPotential, is_k_mutable, mutate_qp,
                  mutate_sp, nondegenerate_to_depth)
 from .chambers import (chamber_from_sequence, dt_series, enumerate_chambers,
                        enumerate_green_to_red, find_green_to_red)
-from .reps import (Rep, enumerate_reps, iq_wall_series, iq_wall_series_brute,
+from .reps import (Rep, at_prime, enumerate_reps, iq_wall_series, iq_wall_series_brute,
                    is_semistable, is_stable, reflect, semistable_transport_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

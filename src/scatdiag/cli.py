@@ -129,10 +129,9 @@ def cmd_reps(args):
         m = tuple(Fraction(x) for x in args.m.split(","))
     except ZeroDivisionError:
         raise ValueError("--m has a zero denominator: %r" % args.m) from None
-    rows = []
-    for p in args.primes:
-        series = reps_mod.iq_wall_series(sp, m, args.order, p)
-        rows.append({"p": p, "series": series.serialize()})
+    series = reps_mod.iq_wall_series(sp, m, args.order)
+    rows = [{"p": p, "series": reps_mod.at_prime(series, p).serialize()}
+            for p in args.primes]
     payload = {"schema": SCHEMA, "command": "reps",
                "m": [str(x) for x in m], "order": args.order,
                "primes": list(args.primes), "series": rows}

@@ -9,6 +9,7 @@ that does not stabilize below the cap is reported, not silently truncated.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,13 @@ class Quiver:
     def is_2_acyclic(self):
         pairs = {(s, t) for _, s, t in self.arrows}
         return not any((t, s) in pairs for s, t in pairs)
+
+    def has_oriented_cycle(self):
+        """Peel off the vertices no arrow from the rest enters; a cycle never peels."""
+        left = set(range(1, self.nvertices + 1))
+        while left - (entered := {t for _, s, t in self.arrows if s in left}):
+            left = entered
+        return bool(left)
 
     def b_matrix(self):
         n = self.nvertices
@@ -431,6 +439,8 @@ class SeedWithPotential:
         return SeedWithPotential(seed, quiver, pot)
 
 
+# reps.reflect mutates once per representation; a ReductionError is not cached
+@functools.lru_cache(maxsize=256)
 def mutate_sp(sp, k, sign):
     """Mutate the seed with the chosen sign and the potential by DWZ."""
     mutated = _k_mutation(sp.quiver, sp.potential, k)

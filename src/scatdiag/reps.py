@@ -1,13 +1,13 @@
 """Finite-field representation oracle for the stability side.
 
 Representations of the Jacobian algebra over a prime field are enumerated
-as raw matrix tuples; groupoid counts divide by the automorphisms of the
-underlying graded vector space.  King semistability is decided by searching
-only the subspaces of destabilizing dimension vectors, reflection functors
-follow the kernel/cokernel construction, and the wall-function counting
-series is produced by the Harder-Narasimhan factorization of the total
-counting element inside the quantum torus (so no point enumeration is
-needed at large dimensions).
+as raw matrix tuples.  King semistability is decided by searching only the
+subspaces of destabilizing dimension vectors, and reflection functors
+follow the kernel/cokernel construction.  The wall-function counting series
+is the Harder-Narasimhan factor of the total counting element, built over
+Q(v) with q = v^2 like the rest of the package (so no point enumeration is
+needed at large dimensions); a prime enters only in `at_prime`, which
+evaluates a series at v = sqrt(p).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .coeff import CoeffFn
+from .coeff import ONE, CoeffFn, gl_count, q_power
 from .lattice import check_covector, covector_to_new_basis, pair
 from .qp import (SeedWithPotential, ReductionError, composite_name,
                  cyclic_derivative, mutate_sp)
@@ -110,13 +110,6 @@ def kernel_basis(mat, ncols, p):
         for r, c in enumerate(pivots):
             v[c] = (-red[r][f]) % p
         out.append(tuple(v))
-    return out
-
-
-def gl_order(n, p):
-    out = 1
-    for i in range(n):
-        out *= p ** n - p ** i
     return out
 
 
@@ -212,12 +205,11 @@ def check_relations(rep, strict=True):
             for i in range(rep.dims[t - 1]):
                 for j in range(rep.dims[s - 1]):
                     big[offs[t - 1] + i][offs[s - 1] + j] = m[i][j]
-        power = identity_mat(n)
-        big = tuple(tuple(r) for r in big)
+        power = big = tuple(tuple(r) for r in big)
         for _ in range(n):    # A^k = 0 gives A^n = 0 for every n >= k
-            power = mat_mul(big, power, rep.p)
             if not any(any(row) for row in power):
                 break
+            power = mat_mul(big, power, rep.p)
         else:
             if strict:
                 raise ValueError("path ideal does not act nilpotently")
@@ -246,8 +238,8 @@ def simple_rep(sp, p, i):
 
 
 def enumerate_reps(sp, dims, p, budget=300000):
-    """All matrix tuples satisfying the relations, plus the exact groupoid
-    count  #points / |prod GL_{d_i}(F_p)|."""
+    """All matrix tuples of dimension vector dims over F_p that satisfy the
+    relations."""
     dims = tuple(dims)
     quiver = sp.quiver
     shapes = [(a[0], dims[a[2] - 1], dims[a[1] - 1]) for a in quiver.arrows]
@@ -265,7 +257,7 @@ def enumerate_reps(sp, dims, p, budget=300000):
         rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
         if check_relations(rep, strict=False):
             out.append(rep)
-    return out, Fraction(len(out), prod(gl_order(d, p) for d in dims))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +474,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     sk = simple_rep(sp, p, k)
     for dims in _dimension_vectors(n, max_total_dim):
         try:
-            reps, _ = enumerate_reps(sp, dims, p)
+            reps = enumerate_reps(sp, dims, p)
         except BudgetExceeded:
             continue
         for rep in reps:
@@ -518,51 +510,50 @@ def euler_form(quiver, d, e):
     return out
 
 
-def _groupoid_coefficient(quiver, dims, count, p):
-    """q^{<d,d>/2} count / |GL_d(F_p)|: the groupoid weight of count points
-    of Rep_d."""
-    c = CoeffFn.from_fraction(count, prod(gl_order(d, p) for d in dims))
-    return c.mul_vpow(euler_form(quiver, dims, dims))
+def _groupoid_coefficient(quiver, dims, count):
+    """v^{<d,d>} count / |GL_d(F_q)|: the groupoid weight of `count` (a
+    CoeffFn) points of Rep_d."""
+    gl = prod(map(gl_count, dims), start=ONE)
+    return (count / gl).mul_vpow(euler_form(quiver, dims, dims))
 
 
-def total_counting_element(sp, order, p):
-    """sum_d q^{<d,d>/2} (#Rep_d / |GL_d|) x^d for the zero potential."""
-    if not sp.potential.is_zero():
-        raise ValueError("counting series needs a zero potential")
+def total_counting_element(sp, order):
+    """sum_d v^{<d,d>} q^{a(d)} / |GL_d(F_q)| x^d over Q(v), a(d) = sum over
+    arrows of d_s d_t.  With no oriented cycle (so a zero potential) the
+    q^{a(d)} points of Rep_d are all representations."""
     quiver = sp.quiver
-    n = sp.seed.rank
+    if quiver.has_oriented_cycle():
+        raise ValueError("counting series needs a quiver without oriented cycles")
     coeffs = {}
-    for dims in _dimension_vectors(n, order):
-        npoints = p ** sum(dims[s - 1] * dims[t - 1] for _, s, t in quiver.arrows)
-        coeffs[dims] = _groupoid_coefficient(quiver, dims, npoints, p)
+    for dims in _dimension_vectors(sp.seed.rank, order):
+        a = sum(dims[s - 1] * dims[t - 1] for _, s, t in quiver.arrows)
+        coeffs[dims] = _groupoid_coefficient(quiver, dims, q_power(a))
     return GradedElement(sp.seed, order, QUANTUM, GROUP, coeffs)
 
 
-def _reduce_at_sqrt(coeffs, p):
-    """Normalize coefficients mod v^2 - p to the canonical a + b v form."""
+def at_prime(series, p):
+    """The series at q = p: each coefficient in its canonical a + b v form
+    at v = sqrt(p)."""
     out = {}
-    for d, c in coeffs.items():
+    for d, c in series.coeffs.items():
         a, b = c.eval_at_sqrt(p)
         out[d] = CoeffFn.from_fraction(a) + CoeffFn.from_fraction(b).mul_vpow(1)
-    return out
+    return GradedElement(series.seed, series.order, series.convention, series.flavor, out)
 
 
-def iq_wall_series(sp, m, order, p):
-    """The integrated semistable series at the stability m, evaluated at
-    q = p: the middle factor of the total counting element."""
-    z = factorize(total_counting_element(sp, order, p), m)[1]
-    return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(z.coeffs, p))
+def iq_wall_series(sp, m, order):
+    """The integrated semistable series at the stability m over Q(v): the
+    middle factor of the total counting element."""
+    return factorize(total_counting_element(sp, order), m)[1]
 
 
 def iq_wall_series_brute(sp, m, dims_list, p):
-    """Same series from raw enumeration of semistable points (small dims)."""
+    """Same series at q = p from raw enumeration of semistable points (small dims)."""
     check_covector(m, sp.seed.rank)
     coeffs = {}
     for dims in dims_list:
-        reps, _ = enumerate_reps(sp, dims, p)
-        count = sum(1 for r in reps if is_semistable(r, m))
-        if count == 0:
-            continue
-        coeffs[tuple(dims)] = _groupoid_coefficient(sp.quiver, dims, count, p)
+        count = sum(1 for r in enumerate_reps(sp, dims, p) if is_semistable(r, m))
+        if count:
+            coeffs[tuple(dims)] = _groupoid_coefficient(sp.quiver, dims, CoeffFn.from_int(count))
     order = max(sum(d) for d in dims_list)
-    return GradedElement(sp.seed, order, QUANTUM, GROUP, _reduce_at_sqrt(coeffs, p))
+    return at_prime(GradedElement(sp.seed, order, QUANTUM, GROUP, coeffs), p)

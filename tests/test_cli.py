@@ -149,8 +149,13 @@ def test_invalid_inputs(tmp_path, a2_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rank": 2, "B": [[0, 1], [1, 0]]}))
     assert main(["scatter", "--seed", str(bad), "--order", "2"]) == 2
-    for m in ("1", "1,0,5", "1/0,1"):
-        assert main(["reps", "--seed", a2_file, "--m", m, "--order", "4",
+    # the counting element of a quiver with an oriented cycle would count
+    # matrix tuples that are not nilpotent
+    cyc = tmp_path / "cyc.json"
+    cyc.write_text(json.dumps({"rank": 3, "B": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]}))
+    for seed, m in ((a2_file, "1"), (a2_file, "1,0,5"), (a2_file, "1/0,1"),
+                    (str(cyc), "1,0,-1")):
+        assert main(["reps", "--seed", seed, "--m", m, "--order", "4",
                      "--primes", "2"]) == 2
     for suite in ("mutation", "psi-roundtrip"):
         for trials in ("-1", "0"):

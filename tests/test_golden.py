@@ -113,3 +113,31 @@ def test_scatter_stdout_hash(tmp_path, capsys, name):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+# (B, covector, order, primes, sha256 prefix of `reps` stdout)
+REPS_HASHES = {
+    "kronecker2-1,-1-10": (kronecker(2), "1,-1", 10, "2 3 5 7", "1af34abb5a1ca732"),
+    "kronecker2-1,-1-10-p235": (kronecker(2), "1,-1", 10, "2 3 5", "623ee8b624894afc"),
+    "kronecker2-2,-1-8": (kronecker(2), "2,-1", 8, "2 3 5 7", "e0f495264d5568fe"),
+    "kronecker2-1,0-8": (kronecker(2), "1,0", 8, "2 3 5 7", "87954d97e506301f"),
+    "kronecker2--1,2-6": (kronecker(2), "-1,2", 6, "2 3 5 7", "90cd9392612054dc"),
+    "kronecker3-1,-1-6": (kronecker(3), "1,-1", 6, "2 3 5 7", "097034c8a728c792"),
+    "a2-0,1-6": (A2, "0,1", 6, "2 3 5 7", "c567adcb8163e411"),
+    "a2-2,1-5": (A2, "2,1", 5, "2 3 5 7", "e67f6966c68bea10"),
+    "a3-1,-1,1-5": (A3, "1,-1,1", 5, "2 3 5 7", "63d61d7013967793"),
+    "a3-1,0,-1-5": (A3, "1,0,-1", 5, "2 3 5 7", "322bc5f0747b243c"),
+    "a3-1/2,-1,3-4": (A3, "1/2,-1,3", 4, "2 3 5 7", "44719fc1a4f08dee"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPS_HASHES))
+def test_reps_stdout_hash(tmp_path, capsys, name):
+    b, m, order, primes, prefix = REPS_HASHES[name]
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({"rank": len(b), "B": b}))
+    code = main(["reps", "--seed", str(seed_file), "--m=" + m, "--order", str(order),
+                 "--primes", *primes.split()])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix

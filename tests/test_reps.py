@@ -6,16 +6,19 @@ from pathlib import Path
 
 import pytest
 
+from scatdiag import qp
+from scatdiag.coeff import CoeffFn, gl_count
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
                               kronecker_seed)
-from scatdiag.qp import SeedWithPotential
+from scatdiag.qp import ReductionError, SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
-from scatdiag.reps import (BudgetExceeded, all_subspaces, check_relations,
-                           enumerate_reps, euler_form, gl_order, hom_dimension,
+from scatdiag.reps import (BudgetExceeded, all_subspaces, at_prime, check_relations,
+                           enumerate_reps, euler_form, hom_dimension,
                            iq_wall_series, iq_wall_series_brute, is_semistable,
                            is_stable, make_rep, path_matrix, reflect,
-                           semistable_transport_check, simple_rep)
+                           semistable_transport_check, simple_rep,
+                           total_counting_element)
 from oracles import is_isomorphic, is_semistable_by_subreps, rebase_rep
 
 F = Fraction
@@ -32,12 +35,9 @@ def cycsp():
 
 
 def test_enumerate_counts():
-    reps, count = enumerate_reps(a2sp(), (1, 1), 2)
-    assert len(reps) == 2 and count == 2
-    reps, count = enumerate_reps(a2sp(), (0, 0), 2)
-    assert len(reps) == 1 and count == 1
-    reps, count = enumerate_reps(cycsp(), (1, 1, 1), 2)
-    assert len(reps) == 4
+    assert len(enumerate_reps(a2sp(), (1, 1), 2)) == 2
+    assert len(enumerate_reps(a2sp(), (0, 0), 2)) == 1
+    assert len(enumerate_reps(cycsp(), (1, 1, 1), 2)) == 4
     with pytest.raises(BudgetExceeded):
         enumerate_reps(a2sp(), (3, 3), 5, budget=10)
 
@@ -89,7 +89,7 @@ def test_semistability_matches_subrep_enumeration(rng):
               for d in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]]
     verdicts = Counter()
     for sp, dims, p in cases:
-        reps, _ = enumerate_reps(sp, dims, p)
+        reps = enumerate_reps(sp, dims, p)
         for rep in rng.sample(reps, min(len(reps), 80)):
             for _ in range(4):
                 r = [rng.randint(-3, 3) for _ in dims]
@@ -173,8 +173,7 @@ def test_reflect_keeps_reversed_arrows_away_from_k():
 
 def test_reflect_output_satisfies_relations():
     sp = cycsp()
-    reps, _ = enumerate_reps(sp, (1, 1, 1), 2)
-    for r in reps:
+    for r in enumerate_reps(sp, (1, 1, 1), 2):
         for k in (1, 2, 3):
             for sign in (1, -1):
                 out, _, _ = reflect(r, k, sign)   # make_rep re-checks
@@ -191,7 +190,7 @@ def reflect_golden_text():
         for dims in itertools.product(range(4), repeat=3):
             if not 1 <= sum(dims) <= 3:
                 continue
-            for rep in enumerate_reps(sp, dims, 2)[0]:
+            for rep in enumerate_reps(sp, dims, 2):
                 images = {}
                 for k in (1, 2, 3):
                     for sign in (1, -1):
@@ -213,8 +212,7 @@ def test_inverse_equivalences(rng):
     sk = simple_rep(sp, 2, 1)
     checked = 0
     for dims in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 0), (0, 2)]:
-        reps, _ = enumerate_reps(sp, dims, 2)
-        for r in reps:
+        for r in enumerate_reps(sp, dims, 2):
             if hom_dimension(sk, r) != 0:      # outside A_{k,+}
                 continue
             fwd, spp, _ = reflect(r, 1, 1)
@@ -227,12 +225,12 @@ def test_inverse_equivalences(rng):
 
 def test_adjointness_on_small_pairs():
     sp = a2sp()
-    reps11, _ = enumerate_reps(sp, (1, 1), 2)
-    reps10, _ = enumerate_reps(sp, (1, 0), 2)
+    reps11 = enumerate_reps(sp, (1, 1), 2)
+    reps10 = enumerate_reps(sp, (1, 0), 2)
     for V in reps11 + reps10:
         Vp, sp2, _ = reflect(V, 1, 1)
         for wd in [(1, 1), (1, 0), (0, 1)]:
-            for W in enumerate_reps(sp2, wd, 2)[0]:
+            for W in enumerate_reps(sp2, wd, 2):
                 Wm, _, _ = reflect(W, 1, -1)
                 assert hom_dimension(V, rebase_rep(Wm, sp)) == \
                     hom_dimension(Vp, W)
@@ -256,15 +254,15 @@ def test_euler_form_and_gl_order():
     sp = kroneckersp = SeedWithPotential.make(kronecker_seed())
     assert euler_form(sp.quiver, (1, 1), (1, 1)) == 0
     assert euler_form(a2sp().quiver, (1, 0), (0, 1)) == -1
-    assert gl_order(2, 2) == 6
-    assert gl_order(0, 3) == 1
+    assert gl_count(2).eval_at_sqrt(2) == (6, 0)
+    assert gl_count(0).eval_at_sqrt(3) == (1, 0)
 
 
 def test_si_wall_reproduces_dilog_series():
     sp = a2sp()
     want = dilog_group_element(a2_seed(), (1, 0), 4, QUANTUM)
     for p in (2, 3, 5):
-        got = iq_wall_series(sp, (F(0), F(1)), 4, p)
+        got = at_prime(iq_wall_series(sp, (F(0), F(1)), 4), p)
         assert all(d[1] == 0 for d in got.coeffs)
         for k in range(1, 5):
             assert got.coeffs[(k, 0)].eval_at_sqrt(p) == \
@@ -274,14 +272,14 @@ def test_si_wall_reproduces_dilog_series():
 def test_no_semistables_off_walls():
     # m in an open chamber adjacent to C+: series = 1
     sp = a2sp()
-    got = iq_wall_series(sp, (F(2), F(1)), 4, 2)
+    got = at_prime(iq_wall_series(sp, (F(2), F(1)), 4), 2)
     assert got.coeffs == {}
 
 
 def test_brute_matches_factorization():
     sp = SeedWithPotential.make(kronecker_seed())
     m = (F(1), F(-1))
-    got = iq_wall_series(sp, m, 4, 2)
+    got = at_prime(iq_wall_series(sp, m, 4), 2)
     brute = iq_wall_series_brute(sp, m, [(1, 1), (2, 2)], 2)
     for d in [(1, 1), (2, 2)]:
         assert got.coeffs.get(d) == brute.coeffs.get(d)
@@ -293,8 +291,9 @@ def test_kronecker_wall_oracle():
     sp = SeedWithPotential.make(seed)
     m = (F(1), F(-1))
     wall = quantum_cluster_sd(seed, 6).phi(m)
+    assert iq_wall_series(sp, m, 6) == wall
     for p in (2, 3, 5):
-        got = iq_wall_series(sp, m, 6, p)
+        got = at_prime(iq_wall_series(sp, m, 6), p)
         for k in range(1, 4):
             d = (k, k)
             gv = got.coeffs.get(d)
@@ -305,4 +304,52 @@ def test_kronecker_wall_oracle():
 
 def test_counting_requires_zero_potential():
     with pytest.raises(ValueError):
-        iq_wall_series(cycsp(), (F(1), F(0), F(-1)), 3, 2)
+        iq_wall_series(cycsp(), (F(1), F(0), F(-1)), 3)
+
+
+def test_counting_element_is_the_cluster_group_element():
+    # the stability side's total element equals the cluster one over Q(v)
+    for seed, order in ((a2_seed(), 5), (a3_seed(), 5), (kronecker_seed(), 8),
+                        (Seed(((0, 3), (-3, 0))), 6)):
+        sp = SeedWithPotential.make(seed)
+        assert total_counting_element(sp, order) == \
+            quantum_cluster_sd(seed, order).group_element()
+
+
+def test_counting_refuses_oriented_cycles():
+    # q^{a(d)} counts every matrix tuple, but only nilpotent ones are
+    # representations: on the 3-cycle the counting element would give 2 at
+    # x^(1,1,1), m = (1, 0, -1), where the semistable points give 1
+    sp = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))
+    assert sp.quiver.has_oriented_cycle()
+    with pytest.raises(ValueError, match="oriented cycle"):
+        total_counting_element(sp, 3)
+    with pytest.raises(ValueError, match="oriented cycle"):
+        iq_wall_series(sp, (F(1), F(0), F(-1)), 3)
+    brute = iq_wall_series_brute(sp, (F(1), F(0), F(-1)), [(1, 1, 1)], 2)
+    assert brute.coeffs[(1, 1, 1)] == CoeffFn.from_int(1)
+    for b in (a2_seed().b, a3_seed().b, kronecker_seed().b, ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))):
+        assert not SeedWithPotential.make(Seed(b)).quiver.has_oriented_cycle()
+
+
+def test_mutate_sp_is_cached(monkeypatch):
+    # one DWZ mutation per (sp, k, sign), however many reps are reflected
+    calls = []
+    real = qp._k_mutation
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qp, "_k_mutation", spy)
+    qp.mutate_sp.cache_clear()
+    sp = a2sp()
+    for rep in enumerate_reps(sp, (0, 1), 2) + enumerate_reps(sp, (1, 1), 2)[:1]:
+        reflect(rep, 1, 1)
+    assert len(calls) == 1
+    # a non-mutable input is tried, and refused, on every call
+    bad = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))
+    for _ in range(2):
+        with pytest.raises(ReductionError):
+            qp.mutate_sp(bad, 2, -1)
+    assert len(calls) == 3
