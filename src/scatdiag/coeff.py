@@ -446,6 +446,34 @@ ZERO = CoeffFn(0, (), (1,), _canonical=True)
 ONE = CoeffFn(0, (1,), (1,), _canonical=True)
 
 
+def sum_terms(terms):
+    """The sum of raw terms (shift, num, den), each meaning v^shift num/den
+    in no particular form (den nonzero), canonicalised once.
+
+    Numerators over the same denominator add with no gcd; the distinct
+    denominators then join pairwise over their gcd, as `CoeffFn.__add__`
+    does, but with no canonical form in between.
+    """
+    by_den = {}
+    for shift, num, den in terms:
+        if num:
+            acc = by_den.get(den)
+            if acc is None:
+                by_den[den] = shift, num
+            else:
+                s = min(acc[0], shift)
+                by_den[den] = s, _padd(_pshift(acc[1], acc[0] - s), _pshift(num, shift - s))
+    if not by_den:
+        return ZERO
+    (den, (shift, num)), *rest = by_den.items()
+    for d, (s, n) in rest:
+        t = min(shift, s)
+        _, c1, c2 = _pgcd(den, d)
+        num = _padd(_pmul(_pshift(num, shift - t), c2), _pmul(_pshift(n, s - t), c1))
+        den, shift = _pmul(den, c2), t
+    return CoeffFn(shift, num, den) if num else ZERO
+
+
 # ---------------------------------------------------------------------------
 # q-combinatorics
 # ---------------------------------------------------------------------------
@@ -457,13 +485,15 @@ def q_power(k):
 
 def q_int(k):
     """The balanced quantum integer [k]_q = v^(k-1) + v^(k-3) + ... + v^(1-k)."""
-    assert k >= 1
+    if k < 1:
+        raise ValueError("quantum integer needs k >= 1: %r" % (k,))
     return CoeffFn(-(k - 1), (1, 0) * (k - 1) + (1,), (1,))
 
 
 def gl_count(k):
     """Number of points of GL_k over F_q: prod_{i<k} (q^k - q^i); 1 for k = 0."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError("GL count needs k >= 0: %r" % (k,))
     out = ONE
     for i in range(k):
         out = out * (q_power(k) - q_power(i))

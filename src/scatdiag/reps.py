@@ -185,17 +185,25 @@ def path_matrix(rep, path):
 
 def check_relations(rep, strict=True):
     """Jacobian relations and nilpotency of the path ideal."""
+    failure = _relation_failure(rep, rep.sp.quiver.has_oriented_cycle())
+    if failure and strict:
+        raise ValueError(failure)
+    return not failure
+
+
+def _relation_failure(rep, cyclic):
+    """Why rep breaks the relations, or None.  Nilpotency is tested only
+    when `cyclic`: every representation of a quiver without an oriented
+    cycle is nilpotent."""
     sp = rep.sp
     for name, s, t in sp.quiver.arrows:
         deriv = cyclic_derivative(sp.quiver, sp.potential, name)
         if deriv and any(any(row) for row in
                          _path_sum(rep, deriv, rep.dims[s - 1], rep.dims[t - 1])):
-            if strict:
-                raise ValueError("Jacobian relation fails at %s" % name)
-            return False
+            return "Jacobian relation fails at %s" % name
     # nilpotency of the total arrow operator
     n = rep.total_dim()
-    if n:
+    if cyclic and n:
         offs = [0]
         for d in rep.dims:
             offs.append(offs[-1] + d)
@@ -211,10 +219,8 @@ def check_relations(rep, strict=True):
                 break
             power = mat_mul(big, power, rep.p)
         else:
-            if strict:
-                raise ValueError("path ideal does not act nilpotently")
-            return False
-    return True
+            return "path ideal does not act nilpotently"
+    return None
 
 
 def _path_sum(rep, deriv, rows, cols):
@@ -249,13 +255,14 @@ def enumerate_reps(sp, dims, p, budget=300000):
     if total > budget:
         raise BudgetExceeded("%d matrix tuples exceed the budget" % total)
     out = []
+    cyclic = quiver.has_oriented_cycle()
     spaces = [list(itertools.product(range(p), repeat=r * c)) for _, r, c in shapes]
     for combo in itertools.product(*spaces):
         mats = {}
         for (name, r, c), flat in zip(shapes, combo):
             mats[name] = tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
         rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
-        if check_relations(rep, strict=False):
+        if _relation_failure(rep, cyclic) is None:
             out.append(rep)
     return out
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .coeff import CoeffFn, ONE, ZERO, gl_count, q_int
+from .coeff import CoeffFn, ONE, ZERO, gl_count, q_int, sum_terms, _pmul, _pneg, _pscale
 from .lattice import skew, total_degree
 
 QUANTUM = "quantum"
@@ -41,8 +41,10 @@ class GradedElement:
     __slots__ = ("seed", "order", "convention", "flavor", "coeffs")
 
     def __init__(self, seed, order, convention, flavor, coeffs):
-        assert convention in CONVENTIONS
-        assert flavor in (LIE, GROUP)
+        if convention not in CONVENTIONS:
+            raise ValueError("unknown convention: %r" % (convention,))
+        if flavor not in (LIE, GROUP):
+            raise ValueError("unknown flavor: %r" % (flavor,))
         self.seed = seed
         self.order = order
         self.convention = convention
@@ -198,30 +200,46 @@ def _full(elem):
     return out
 
 
-# Twists (c1, c2, w) -> the coefficient of x^(d1+d2) contributed by
-# c1 x^d1 and c2 x^d2, where w = {d1, d2}; None when the term vanishes.
-# A twist of None is the commutative product, which needs no pairing.
+# Twists (c1, c2, w) -> the raw term (shift, num, den) of x^(d1+d2)
+# contributed by c1 x^d1 and c2 x^d2, where w = {d1, d2}; None when the term
+# vanishes.  Numerators and denominators are multiplied with no gcd, and
+# `sum_terms` canonicalises each output coefficient once.  A twist of None
+# is the commutative product, which needs no pairing.
+
+def _raw(c1, c2, k=0):
+    return c1.shift + c2.shift + k, _pmul(c1.num, c2.num), _pmul(c1.den, c2.den)
+
 
 def _quantum_mul(c1, c2, w):
-    return (c1 * c2).mul_vpow(w)
+    return _raw(c1, c2, w)
 
 
 def _dt_mul(c1, c2, w):
-    c = (c1 * c2).mul_vpow(w)
-    return -c if w % 2 else c
+    s, num, den = _raw(c1, c2, w)
+    return s, _pneg(num) if w % 2 else num, den
 
 
 def _poisson(c1, c2, w):
-    return (c1 * c2).scale(w) if w else None
+    if not w:
+        return None
+    s, num, den = _raw(c1, c2)
+    return s, _pscale(num, w), den
 
 
 def _commutator(c1, c2, w):
-    return c1 * c2 * (CoeffFn.v_power(w) - CoeffFn.v_power(-w)) if w else None
+    # v^w - v^-w = v^-|w| (v^2|w| - 1), negated when w < 0
+    if not w:
+        return None
+    k, sign = abs(w), 1 if w > 0 else -1
+    s, num, den = _raw(c1, c2, -k)
+    return s, _pmul((-sign,) + (0,) * (2 * k - 1) + (sign,), num), den
 
 
 def _dt_commutator(c1, c2, w):
-    c = _commutator(c1, c2, w)
-    return -c if w % 2 else c
+    if not w % 2:
+        return _commutator(c1, c2, w)
+    s, num, den = _commutator(c1, c2, w)
+    return s, _pneg(num), den
 
 
 _MUL_TWIST = {QUANTUM: _quantum_mul, DT_TWIST: _dt_mul, CLASSICAL: None}
@@ -239,20 +257,26 @@ def _product(seed, order, a, b, twist, degree=None):
     """The truncated product of two coefficient dicts (the zero key is
     allowed): the sum of twist(c1, c2, {d1, d2}) x^(d1+d2).  Terms are
     paired by total degree, so with degree=t only the layer of total
-    degree t is formed."""
-    out = {}
+    degree t is formed.  The raw terms of each output key are summed and
+    canonicalised once."""
+    terms = {}
     right = _by_degree(b)
     for i, left in _by_degree(a).items():
         for j in (degree - i,) if degree is not None else range(order - i + 1):
             for d2, c2 in right.get(j, ()):
                 for d1, c1 in left:
                     if twist is None:
-                        c = c1 * c2
+                        t = _raw(c1, c2)
                     else:
-                        c = twist(c1, c2, skew(seed, d1, d2))
-                        if c is None:
+                        t = twist(c1, c2, skew(seed, d1, d2))
+                        if t is None:
                             continue
-                    _acc(out, _add_key(d1, d2), c)
+                    terms.setdefault(_add_key(d1, d2), []).append(t)
+    out = {}
+    for d, ts in terms.items():
+        c = sum_terms(ts)
+        if not c.is_zero():
+            out[d] = c
     return out
 
 
@@ -290,7 +314,8 @@ def dilog_group_element(seed, n, order, convention):
     """
     n = tuple(n)
     deg = total_degree(n)
-    assert deg >= 1
+    if deg < 1:
+        raise ValueError("dilogarithm needs total degree >= 1: %r" % (n,))
     coeffs = {}
     kmax = order // deg
     if convention == CLASSICAL:

@@ -3,16 +3,18 @@
 Each one is slow and direct: Gaussian elimination over Fraction, cone
 membership by Caratheodory's theorem, cones cut out one constraint at a
 time, brute-force isomorphism of representations, King semistability by
-enumerating every subrepresentation, and the substitution v -> -v.  None
-of them runs in the package.  tests/test_no_dead_code.py checks that every
+enumerating every subrepresentation, the substitution v -> -v, and the
+truncated product that canonicalises after every term.  None of them runs
+in the package.  tests/test_no_dead_code.py checks that every
 function here is called by some test.
 """
 
 import itertools
 from fractions import Fraction
 
+from scatdiag import torus
 from scatdiag.coeff import CoeffFn
-from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair
+from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair, skew
 from scatdiag.reps import all_subspaces, make_rep, mat_mul, mat_vec, rref_p
 
 
@@ -235,3 +237,53 @@ def subst_neg_v(c):
     if c.shift % 2:
         num = tuple(-x for x in num)
     return CoeffFn(c.shift, num, den)
+
+
+# ---------------------------------------------------------------------------
+# the truncated product, one canonical coefficient per term
+# ---------------------------------------------------------------------------
+
+def _quantum_mul(c1, c2, w):
+    return (c1 * c2).mul_vpow(w)
+
+
+def _dt_mul(c1, c2, w):
+    c = _quantum_mul(c1, c2, w)
+    return -c if w % 2 else c
+
+
+def _poisson(c1, c2, w):
+    return (c1 * c2).scale(w) if w else None
+
+
+def _commutator(c1, c2, w):
+    return c1 * c2 * (CoeffFn.v_power(w) - CoeffFn.v_power(-w)) if w else None
+
+
+def _dt_commutator(c1, c2, w):
+    c = _commutator(c1, c2, w)
+    return -c if w % 2 else c
+
+
+def product_per_term(seed, order, a, b, twist, degree=None):
+    """`torus._product` term by term: each pair of terms gives a canonical
+    coefficient (a cross-cancelled multiply) that is added into its output
+    key at once.  `twist` is one of the package's twists, and the same twist
+    on canonical coefficients stands in for it."""
+    twist = {None: None, torus._quantum_mul: _quantum_mul, torus._dt_mul: _dt_mul,
+             torus._poisson: _poisson, torus._commutator: _commutator,
+             torus._dt_commutator: _dt_commutator}[twist]
+    out = {}
+    right = torus._by_degree(b)
+    for i, left in torus._by_degree(a).items():
+        for j in (degree - i,) if degree is not None else range(order - i + 1):
+            for d2, c2 in right.get(j, ()):
+                for d1, c1 in left:
+                    if twist is None:
+                        c = c1 * c2
+                    else:
+                        c = twist(c1, c2, skew(seed, d1, d2))
+                        if c is None:
+                            continue
+                    torus._acc(out, torus._add_key(d1, d2), c)
+    return out

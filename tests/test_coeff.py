@@ -1,3 +1,5 @@
+import functools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +7,7 @@ import pytest
 
 import scatdiag.coeff as coeff
 from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_int,
-                            q_power)
+                            q_power, sum_terms)
 from conftest import random_coeff
 from oracles import subst_neg_v
 
@@ -168,3 +170,42 @@ def test_heuristic_gcd_matches_prs(rng, monkeypatch):
         assert coeff._pgcd(a, b) == (g, coeff._pdiv_exact(a, g),
                                      coeff._pdiv_exact(b, g)), (a, b)
         assert coeff._pgcd_prs(a, b) == g, (a, b)
+
+
+def test_sum_terms_is_a_fold_of_add(rng):
+    """`sum_terms` on raw terms, each a random coefficient with a common
+    factor and a power of v left in, equals the left fold of `+`."""
+    def raw(c):
+        f = coeff._ptrim(tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3))))
+        k = rng.randint(0, 2)
+        f = f or (1,)
+        return (c.shift - k, coeff._pmul(f, coeff._pshift(c.num, k)),
+                coeff._pmul(f, c.den))
+
+    pool = [random_coeff(rng) for _ in range(4)]
+    assert sum_terms([]) == ZERO
+    assert sum_terms([(0, (), (1,)), (3, (), (2, 1))]) == ZERO
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        # shared denominators from a small pool, and sums that cancel
+        cs = [rng.choice(pool) if rng.random() < 0.5 else random_coeff(rng)
+              for _ in range(n)]
+        if rng.random() < 0.3:
+            cs += [-c for c in cs]
+        rng.shuffle(cs)
+        expected = functools.reduce(operator.add, cs, ZERO)
+        assert sum_terms([raw(c) for c in cs]) == expected
+        assert sum_terms([(c.shift, c.num, c.den) for c in cs]) == expected
+    for c in pool:
+        assert sum_terms([raw(c)]) == c
+
+
+def test_q_int_rejects_k_below_one():
+    for k in (0, -2):
+        with pytest.raises(ValueError):
+            q_int(k)
+
+
+def test_gl_count_rejects_negative_k():
+    with pytest.raises(ValueError):
+        gl_count(-1)

@@ -5,7 +5,8 @@ an earlier build; any change to the algebra or the factorization that
 moves a single character of the output fails here.  To regenerate after
 an intended output change, run each case's argv with `--out` pointing at
 its golden file.  A wider set of `scatter` runs is pinned by the first 16
-hex digits of the sha256 of its stdout instead of a file.
+hex digits of the sha256 of its stdout instead of a file, and so are the
+classical DT series along every maximal green sequence of A3 and A2.
 """
 
 import hashlib
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from scatdiag.chambers import dt_series, enumerate_green_to_red
 from scatdiag.cli import main
+from scatdiag.lattice import a2_seed, a3_seed
+from scatdiag.torus import CLASSICAL
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -141,3 +145,34 @@ def test_reps_stdout_hash(tmp_path, capsys, name):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+# (seed, sequence) -> sha256 prefix of the JSON of the classical DT series
+# along that maximal green sequence: A3 at order 5, A2 at order 8.  The
+# series does not depend on the sequence, so each seed has one hash.
+DT_SERIES_HASHES = {
+    ("a3", (1, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (1, 3, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (2, 1, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (2, 1, 3, 2)): "3b8c9d39837f407e",
+    ("a3", (3, 1, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (2, 3, 1, 3, 2)): "3b8c9d39837f407e",
+    ("a3", (3, 2, 1, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (3, 2, 1, 3, 2, 3)): "3b8c9d39837f407e",
+    ("a3", (3, 2, 3, 1, 2, 3)): "3b8c9d39837f407e",
+    ("a2", (1, 2)): "17fd0ad3c2c1dac6",
+    ("a2", (2, 1, 2)): "17fd0ad3c2c1dac6",
+}
+DT_SERIES_SEEDS = {"a3": (a3_seed, 5, 7), "a2": (a2_seed, 8, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(DT_SERIES_SEEDS))
+def test_classical_dt_series_hash(name):
+    make, order, depth = DT_SERIES_SEEDS[name]
+    seed = make()
+    sequences = enumerate_green_to_red(seed, depth)
+    assert sorted(sequences) == sorted(s for n, s in DT_SERIES_HASHES if n == name)
+    for s in sequences:
+        text = json.dumps(dt_series(seed, s, order, CLASSICAL).serialize())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            DT_SERIES_HASHES[name, s], s

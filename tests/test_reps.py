@@ -58,6 +58,29 @@ def test_nilpotency_enforced():
                  {"a1_2_1": ((1,),), "a2_3_1": ((1,),), "a3_1_1": ((1,),)})
 
 
+def test_acyclic_enumeration_skips_nilpotency(monkeypatch):
+    # on a quiver without an oriented cycle every representation is
+    # nilpotent: the enumeration is the same when every quiver is taken for
+    # cyclic and the nilpotency powers run for every tuple
+    cases = [(SeedWithPotential.make(kronecker_seed()), ((1, 1), (2, 1), (1, 2), (2, 2))),
+             (SeedWithPotential.make(a3_seed()), ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)))]
+    skipped = {(i, dims, p): enumerate_reps(sp, dims, p)
+               for i, (sp, dim_list) in enumerate(cases) for dims in dim_list for p in (2, 3)}
+    monkeypatch.setattr(qp.Quiver, "has_oriented_cycle", lambda self: True)
+    for i, (sp, dim_list) in enumerate(cases):
+        for dims in dim_list:
+            for p in (2, 3):
+                assert enumerate_reps(sp, dims, p) == skipped[i, dims, p]
+    monkeypatch.undo()
+    # negative control: the 3-cycle with zero potential still rejects the
+    # tuple whose cycle acts invertibly
+    sp = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))
+    ones = {"a1_2_1": ((1,),), "a2_3_1": ((1,),), "a3_1_1": ((1,),)}
+    reps = enumerate_reps(sp, (1, 1, 1), 2)
+    assert len(reps) == 7
+    assert tuple(sorted(ones.items())) not in [r.mats for r in reps]
+
+
 def test_nilpotency_index_n_accepted():
     # linear A3 with every arrow 1: the operator A on F_2^3 has A^2 != 0 and
     # A^3 = 0, so the early stop must not reject it before the n-th power

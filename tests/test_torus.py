@@ -1,12 +1,15 @@
 import pytest
 
+import scatdiag.coeff as coeff
+from scatdiag import torus
+from scatdiag.chambers import dt_series
 from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power
 from scatdiag.lattice import a2_seed, a3_seed, markov_seed
-from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
-                            classical_map, dilog_group_element,
+from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
+                            GradedElement, classical_map, dilog_group_element,
                             dilog_lie_element, lift_classical)
-from conftest import random_lie
-from oracles import subst_neg_v
+from conftest import random_coeff, random_lie
+from oracles import product_per_term, subst_neg_v
 
 v = CoeffFn.v_power
 
@@ -173,3 +176,86 @@ def test_serialization_deterministic():
     s2 = dilog_group_element(a2_seed(), (1, 0), 4, QUANTUM).serialize()
     assert s1 == s2
     assert s1[0] == {"dimvec": [1, 0], "coeff": "(v)/(v^2 - 1)"}
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against the per-term product
+# ---------------------------------------------------------------------------
+
+def random_element(rng, seed, conv, order, flavor, nterms=3):
+    """Coefficients from `random_coeff`: non-cyclotomic denominators and
+    mixed shifts."""
+    coeffs = {}
+    for _ in range(nterms):
+        d = tuple(rng.randint(0, 2) for _ in range(seed.rank))
+        if any(d) and sum(d) <= order:
+            coeffs[d] = random_coeff(rng, size=rng.randint(1, 3))
+    return GradedElement(seed, order, conv, flavor, coeffs)
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_product_kernel_matches_per_term_oracle(rng, monkeypatch, conv):
+    for seed, order in ((a2_seed(), 5), (a3_seed(), 4)):
+        for _ in range(4):
+            a, b = (random_element(rng, seed, conv, order, LIE) for _ in range(2))
+            g, h = (random_element(rng, seed, conv, order, GROUP) for _ in range(2))
+            # a bracket with itself and a product with the inverse cancel
+            # every output key but the constant one
+            g_inv = g.group_inverse()
+            assert a.bracket(a).coeffs == {}
+            assert g.mul(g_inv) == GradedElement.one(seed, order, conv)
+            pairs = ((a, b), (g, h), (g, a), (a, a), (g, g_inv))
+            for twist in (torus._MUL_TWIST[conv], torus._BRACKET_TWIST[conv]):
+                for x, y in pairs:
+                    fx, fy = torus._full(x), torus._full(y)
+                    for degree in (None,) + tuple(range(order + 1)):
+                        assert torus._product(seed, order, fx, fy, twist, degree) == \
+                            product_per_term(seed, order, fx, fy, twist, degree)
+
+            def results():
+                return [a.mul(b), a.bracket(b), g.mul(h), g.mul(a), a.exp(), g.log(),
+                        g.group_inverse(), a.bracket(a), g.mul(g_inv)]
+
+            fast = results()
+            monkeypatch.setattr(torus, "_product", product_per_term)
+            assert results() == fast
+            monkeypatch.undo()
+
+
+def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
+    real, calls = coeff._canonicalize, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coeff, "_canonicalize", spy)
+    seed, order = a3_seed(), 4
+    for conv in CONVENTIONS:
+        for _ in range(3):
+            a, b = (torus._full(random_element(rng, seed, conv, order, GROUP, nterms=5))
+                    for _ in range(2))
+            for twist in (torus._MUL_TWIST[conv], torus._BRACKET_TWIST[conv]):
+                del calls[:]
+                out = torus._product(seed, order, a, b, twist)
+                assert len(calls) <= len(out)
+    # the whole classical DT series of A3 along one maximal green sequence:
+    # 1,574 canonicalisations when every term was canonicalised, 863 now
+    del calls[:]
+    dt_series(a3_seed(), (1, 2, 3), 5, CLASSICAL)
+    assert len(calls) <= 863
+
+
+def test_malformed_inputs_raise_value_error():
+    # ValueError, not an assert that `python -O` strips
+    a2 = a2_seed()
+    with pytest.raises(ValueError):
+        GradedElement(a2, 4, "foo", LIE, {})
+    with pytest.raises(ValueError):
+        GradedElement(a2, 4, QUANTUM, "foo", {})
+
+
+def test_dilog_of_the_zero_vector_raises_value_error():
+    for conv in CONVENTIONS:
+        with pytest.raises(ValueError):
+            dilog_group_element(a2_seed(), (0, 0), 4, conv)
