@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeff import CoeffFn
+from .coeff import CoeffFn, ONE
 from .lattice import Seed, mutate_seed, primitive
 from .qp import SeedWithPotential, mutate_sp
 from .torus import CLASSICAL, DT_TWIST, QUANTUM, GROUP, LIE, GradedElement
@@ -166,13 +166,11 @@ def _suite_psi_roundtrip(args):
         trials += 1
         sd = scattering.complete_from_initial(eta, seed, args.order, conv)
         if args.corrupt:
-            g = sd.carrier
-            bad = dict(g.coeffs)
+            bad = dict(sd.carrier.coeffs)
             key = sorted(bad)[0]
             bad[key] = bad[key] + CoeffFn.from_int(1)
             sd = scattering.ScatDiagram(seed, args.order, conv,
-                                        GradedElement(seed, args.order,
-                                                      g.convention, GROUP, bad))
+                                        GradedElement(seed, args.order, QUANTUM, GROUP, bad))
         back = scattering.psi_extract(sd)
         if back != eta:
             witness = sorted(set(back) ^ set(eta)) or sorted(
@@ -203,11 +201,17 @@ def _suite_mutation(args):
 def _suite_pentagon(args):
     seed, _ = _load_seed(args.seed)
     conv = CONVENTIONS[args.convention]
+    if args.corrupt and args.order < seed.rank:
+        raise ValueError("--corrupt needs --order >= %d, the seed rank" % seed.rank)
     seqs = chambers_mod.enumerate_green_to_red(seed, args.depth)
     if len(seqs) < 2:
         return {"suite": "pentagon", "passed": False,
                 "failures": ["fewer than two green-to-red sequences"]}
     series = [chambers_mod.dt_series(seed, s, args.order, conv) for s in seqs]
+    if args.corrupt:
+        # negative control: the last series times exp(x^(1,...,1))
+        bump = GradedElement.monomial(seed, args.order, conv, (1,) * seed.rank, ONE)
+        series[-1] = series[-1].mul(bump.exp())
     ok = all(s == series[0] for s in series)
     return {"suite": "pentagon", "passed": ok,
             "sequences": [list(s) for s in seqs],
@@ -220,9 +224,8 @@ SUITES = {"psi-roundtrip": _suite_psi_roundtrip,
 
 
 def cmd_verify(args):
-    if args.corrupt and args.suite != "psi-roundtrip":
-        sys.stderr.write("--corrupt has a negative control only in the "
-                         "psi-roundtrip suite\n")
+    if args.corrupt and args.suite == "mutation":
+        sys.stderr.write("--corrupt has no negative control in the mutation suite\n")
         return 2
     report = SUITES[args.suite](args)
     payload = {"schema": SCHEMA, "command": "verify"}

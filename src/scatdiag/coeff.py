@@ -44,6 +44,11 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
+def _palt(a, k):
+    """(-1)^k a(-v)."""
+    return tuple(-x if (i + k) % 2 else x for i, x in enumerate(a))
+
+
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -474,6 +479,18 @@ def sum_terms(terms):
     return CoeffFn(shift, num, den) if num else ZERO
 
 
+def subst_neg_v(c):
+    """sigma: the coefficient c with v replaced by -v.
+
+    A field automorphism, so num(-v) and den(-v) stay coprime with the same
+    contents and nonzero constant terms.  Only the sign of the leading
+    coefficient of den can flip, by (-1)^deg(den); both are multiplied by
+    it, and the canonical form needs no gcd.
+    """
+    k = len(c.den) - 1
+    return CoeffFn(c.shift, _palt(c.num, k + c.shift), _palt(c.den, k), _canonical=True)
+
+
 # ---------------------------------------------------------------------------
 # q-combinatorics
 # ---------------------------------------------------------------------------
@@ -481,13 +498,6 @@ def sum_terms(terms):
 def q_power(k):
     """q^k as a CoeffFn (q = v^2)."""
     return CoeffFn.v_power(2 * k)
-
-
-def q_int(k):
-    """The balanced quantum integer [k]_q = v^(k-1) + v^(k-3) + ... + v^(1-k)."""
-    if k < 1:
-        raise ValueError("quantum integer needs k >= 1: %r" % (k,))
-    return CoeffFn(-(k - 1), (1, 0) * (k - 1) + (1,), (1,))
 
 
 def gl_count(k):

@@ -300,10 +300,6 @@ def is_semistable(rep, m, strict=False):
     return not any(_has_subrep(rep, e) for e in _destabilizing(rep.dims, tuple(m), strict))
 
 
-def is_stable(rep, m):
-    return is_semistable(rep, m, strict=True)
-
-
 # ---------------------------------------------------------------------------
 # generalized reflection functors
 # ---------------------------------------------------------------------------

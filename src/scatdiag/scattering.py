@@ -1,11 +1,13 @@
 """Consistent scattering diagrams as single group elements.
 
 A diagram is stored as the group element g it corresponds to; walls and
-chambers are derived views.  Everything runs in an associative twisted
-torus carrier: quantum and dt elements are their own carriers, classical
-elements are carried by their canonical quantum lift and exposed through
-the classical limit, so the noncommutative group structure (and hence the
-scattering corrections) is computed exactly in every convention.
+chambers are derived views.  Everything runs in one carrier, the quantum
+torus: quantum elements are their own carriers, dt elements are carried by
+sigma (v -> -v) and exposed by it again, and classical elements are carried
+by their canonical quantum lift and exposed through the classical limit.
+Factorization keeps supports and sigma is a field automorphism, so the
+noncommutative group structure (and hence the scattering corrections) is
+computed exactly in every convention.
 
 Sign conventions.  Factorization splits g = g_minus * g_zero * g_plus
 with supports on m < 0, m = 0, m > 0; the wall function phi(m) is the
@@ -26,9 +28,8 @@ from .lattice import (check_covector, dedupe_primitive, face_enumerate, mutate_s
                       p_star, pair, primitive, rational_primitive, t_k, total_degree,
                       apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
-                    classical_map, dilog_group_element, lift_classical,
-                    _MUL_TWIST, _acc, _by_degree, _full, _product,
-                    _zero_key)
+                    classical_map, dilog_group_element, lift_classical, sigma,
+                    _acc, _by_degree, _full, _product, _quantum_mul, _zero_key)
 
 
 class DegenerateSegmentError(ValueError):
@@ -36,23 +37,19 @@ class DegenerateSegmentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# carrier plumbing: classical elements compute in their quantum lift
+# carrier plumbing: every convention computes in the quantum torus
 # ---------------------------------------------------------------------------
-
-def _carrier_convention(convention):
-    return QUANTUM if convention == CLASSICAL else convention
-
 
 def to_carrier(elem):
     if elem.convention == CLASSICAL:
         return lift_classical(elem)
-    return elem
+    return sigma(elem) if elem.convention == DT_TWIST else elem
 
 
 def expose(elem, convention):
     if convention == CLASSICAL:
         return classical_map(elem)
-    return elem
+    return sigma(elem) if convention == DT_TWIST else elem
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +62,10 @@ class _FactorizationState:
     t of g is L_t + Z_t + P_t plus `products(t)` of the settled layers.  It
     keeps no log of Z: its two readers, completion and `psi_extract`, take it."""
 
-    __slots__ = ("seed", "twist", "order", "m", "L", "Z", "P", "LZ")
+    __slots__ = ("seed", "order", "m", "L", "Z", "P", "LZ")
 
-    def __init__(self, seed, convention, order, m):
+    def __init__(self, seed, order, m):
         self.seed = seed
-        self.twist = _MUL_TWIST[convention]
         self.order = order
         self.m = rational_primitive(m)   # a positive multiple: same signs
         zero = _zero_key(seed)
@@ -80,8 +76,8 @@ class _FactorizationState:
 
     def products(self, t):
         """Layer t of L * Z and of L * Z * P, formed from the settled layers."""
-        lz_t = _product(self.seed, self.order, self.L, self.Z, self.twist, degree=t)
-        r_t = _product(self.seed, self.order, self.LZ, self.P, self.twist, degree=t)
+        lz_t = _product(self.seed, self.order, self.L, self.Z, _quantum_mul, degree=t)
+        r_t = _product(self.seed, self.order, self.LZ, self.P, _quantum_mul, degree=t)
         for d, c in lz_t.items():
             _acc(r_t, d, c)
         return lz_t, r_t
@@ -122,8 +118,7 @@ def _factor(carrier, m, order=None):
     order (the carrier's order by default)."""
     seed = carrier.seed
     check_covector(m, seed.rank)
-    state = _FactorizationState(seed, carrier.convention,
-                                carrier.order if order is None else order, m)
+    state = _FactorizationState(seed, carrier.order if order is None else order, m)
     state.run(_full(carrier))
     zero = _zero_key(seed)
     for part in (state.L, state.Z, state.P):
@@ -132,8 +127,7 @@ def _factor(carrier, m, order=None):
 
 
 def _group(carrier, coeffs):
-    return GradedElement(carrier.seed, carrier.order, carrier.convention,
-                         GROUP, coeffs)
+    return GradedElement(carrier.seed, carrier.order, QUANTUM, GROUP, coeffs)
 
 
 def factorize(g, m):
@@ -187,7 +181,7 @@ def _ray_targets(eta, seed, order, convention):
     return targets
 
 
-def _ray_states(seed, convention, order, rays, support):
+def _ray_states(seed, order, rays, support):
     """The factorization state at p*(n) for each ray n; rays whose p*(n)
     takes the same signs on the support share one state."""
     support = sorted(support)
@@ -196,7 +190,7 @@ def _ray_states(seed, convention, order, rays, support):
         m = p_star(seed, n)
         sig = tuple((pair(m, d) > 0) - (pair(m, d) < 0) for d in support)
         if sig not in by_sign:
-            by_sign[sig] = _FactorizationState(seed, convention, order, m)
+            by_sign[sig] = _FactorizationState(seed, order, m)
         out[n] = by_sign[sig]
     return out
 
@@ -209,7 +203,7 @@ def psi_extract(g):
     seed, order = carrier.seed, carrier.order
     support = _semigroup_closure(set(carrier.coeffs), order, seed.rank)
     rays = sorted({primitive(d) for d in support})
-    ray_state = _ray_states(seed, carrier.convention, order, rays, support)
+    ray_state = _ray_states(seed, order, rays, support)
     full = _full(carrier)
     logs = {}
     for state in dict.fromkeys(ray_state.values()):
@@ -219,18 +213,18 @@ def psi_extract(g):
     for n, state in ray_state.items():
         lie = {d: c for d, c in logs[state].items() if primitive(d) == n}
         if lie:
-            elem = GradedElement(seed, order, carrier.convention, LIE, lie).exp()
+            elem = GradedElement(seed, order, QUANTUM, LIE, lie).exp()
             out[n] = expose(elem, sd.convention)
     return out
 
 
-def _log_correction(seed, order, twist, upow, t):
+def _log_correction(seed, order, upow, t):
     """Layer t of log Z - (Z - 1): sum_{p >= 2} (-1)^(p-1)/p [(Z - 1)^p]_t,
     from upow[p-1], the settled layers of (Z - 1)^p, which gain layer t."""
     corr = {}
     upow.append({})     # (Z - 1)^(t+1) starts in degree t + 1
     for p in range(2, t + 1):
-        new = _product(seed, order, upow[p - 2], upow[0], twist, degree=t)
+        new = _product(seed, order, upow[p - 2], upow[0], _quantum_mul, degree=t)
         upow[p - 1].update(new)
         inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
         for d, c in new.items():
@@ -241,20 +235,18 @@ def _log_correction(seed, order, twist, upow, t):
 def complete_from_initial(eta, seed, order, convention):
     """The unique consistent diagram with the given initial data, solved
     degree by degree (each degree is a direct linear solve)."""
-    carrier_conv = _carrier_convention(convention)
     targets = _ray_targets(eta, seed, order, convention)
     support = _semigroup_closure(set(targets), order, seed.rank)
     for n, tau in targets.items():
         support.update(tau)
     rays = sorted({primitive(d) for d in support})
     g = {}
-    ray_state = _ray_states(seed, carrier_conv, order, rays, support)
+    ray_state = _ray_states(seed, order, rays, support)
     # per state, the settled layers of (Z - 1)^p for p = 1, 2, ...
     powers = {state: [{}] for state in ray_state.values()}
-    twist = _MUL_TWIST[carrier_conv]
     for t in range(1, order + 1):
         products = {state: state.products(t) for state in powers}
-        corr = {state: _log_correction(seed, order, twist, upow, t)
+        corr = {state: _log_correction(seed, order, upow, t)
                 for state, upow in powers.items()}
         g_t = {}
         for n in rays:
@@ -272,8 +264,7 @@ def complete_from_initial(eta, seed, order, convention):
         g.update(g_t)
         for state, upow in powers.items():
             upow[0].update(state.finish_layer(g_t, products[state]))
-    carrier = GradedElement(seed, order, carrier_conv, GROUP, g)
-    return ScatDiagram(seed, order, convention, carrier)
+    return ScatDiagram(seed, order, convention, GradedElement(seed, order, QUANTUM, GROUP, g))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +372,8 @@ class ScatDiagram:
     """A consistent scattering diagram, stored as its group element."""
 
     def __init__(self, seed, order, convention, carrier):
-        assert carrier.convention == _carrier_convention(convention)
+        if carrier.convention != QUANTUM:
+            raise ValueError("a diagram is carried in the quantum torus")
         self.seed = seed
         self.order = order
         self.convention = convention
@@ -590,7 +582,7 @@ def path_ordered_product(sd, a, b):
                     "segment passes through a codimension >= 2 cell")
             crossings[t] = (n, sa > 0)
     conv = sd.convention
-    result = GradedElement.one(sd.seed, sd.order, sd.carrier.convention)
+    result = GradedElement.one(sd.seed, sd.order, QUANTUM)
     for t in sorted(crossings):
         n, downward = crossings[t]
         point = tuple(x + t * (y - x) for x, y in zip(a, b))

@@ -1,4 +1,4 @@
-"""Truncated graded (quantum) torus algebras in three conventions.
+"""The truncated graded quantum torus, with its DT-twisted and classical forms.
 
 An element is a finite map from dimension vectors d with 0 <= |d| <= D to
 coefficients in Q(v).  The product twists by the skew form:
@@ -6,6 +6,11 @@ coefficients in Q(v).  The product twists by the skew form:
     quantum    x^d1 * x^d2 = v^{d1,d2} x^{d1+d2}
     dt         x^d1 * x^d2 = (-v)^{d1,d2} x^{d1+d2}
     classical  commutative product
+
+The kernel forms only the quantum product and the commutative one.  The
+DT-twisted torus is the quantum torus under the field automorphism
+sigma: v -> -v, which sends v^w to (-v)^w, so a dt product, exp, log or
+inverse is sigma of the quantum one taken on sigma of its arguments.
 
 Lie elements have no constant term; group elements have constant term 1
 and live in the completed algebra truncated at total degree D.  In the
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .coeff import CoeffFn, ONE, ZERO, gl_count, q_int, sum_terms, _pmul, _pneg, _pscale
+from .coeff import CoeffFn, ONE, ZERO, gl_count, subst_neg_v, sum_terms, _pmul
 from .lattice import skew, total_degree
 
 QUANTUM = "quantum"
@@ -102,6 +107,8 @@ class GradedElement:
     def mul(self, other):
         """Truncated twisted product (commutative in the classical convention)."""
         self._require_same_context(other)
+        if self.convention == DT_TWIST:
+            return sigma(sigma(self).mul(sigma(other)))
         out = _product(self.seed, self.order, _full(self), _full(other),
                        _MUL_TWIST[self.convention])
         c0 = out.pop(_zero_key(self.seed), ZERO)
@@ -113,39 +120,32 @@ class GradedElement:
             raise ValueError("product has constant term %r" % c0)
         return GradedElement(self.seed, self.order, self.convention, flavor, out)
 
-    def bracket(self, other):
-        """Lie bracket: Poisson rule classically, commutator otherwise."""
-        self._require_same_context(other)
-        if self.flavor != LIE or other.flavor != LIE:
-            raise ValueError("bracket needs lie elements")
-        out = _product(self.seed, self.order, self.coeffs, other.coeffs,
-                       _BRACKET_TWIST[self.convention])
-        return GradedElement(self.seed, self.order, self.convention, LIE, out)
-
     # -- series ----------------------------------------------------------------------
+
+    def _power_series(self, flavor, coef):
+        """The `flavor` element sum_{k >= 1} coef(k) u^k, u the stored terms."""
+        if self.convention == DT_TWIST:
+            return sigma(sigma(self)._power_series(flavor, coef))
+        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
+                      self.coeffs, coef)
+        return GradedElement(self.seed, self.order, self.convention, flavor, out)
 
     def exp(self):
         """Group element exp(a), computed in the ambient associative algebra
         (the commutative algebra in the classical convention)."""
         if self.flavor != LIE:
             raise ValueError("exp needs a lie element")
-        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
-                      self.coeffs, _exp_coef)
-        return GradedElement(self.seed, self.order, self.convention, GROUP, out)
+        return self._power_series(GROUP, _exp_coef)
 
     def log(self):
         if self.flavor != GROUP:
             raise ValueError("log needs a group element")
-        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
-                      self.coeffs, lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k))
-        return GradedElement(self.seed, self.order, self.convention, LIE, out)
+        return self._power_series(LIE, lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k))
 
     def group_inverse(self):
         if self.flavor != GROUP:
             raise ValueError("inverse needs a group element")
-        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
-                      self.coeffs, lambda k: CoeffFn.from_int((-1) ** k))
-        return GradedElement(self.seed, self.order, self.convention, GROUP, out)
+        return self._power_series(GROUP, lambda k: CoeffFn.from_int((-1) ** k))
 
     # -- equality / serialization --------------------------------------------------------
 
@@ -200,11 +200,11 @@ def _full(elem):
     return out
 
 
-# Twists (c1, c2, w) -> the raw term (shift, num, den) of x^(d1+d2)
-# contributed by c1 x^d1 and c2 x^d2, where w = {d1, d2}; None when the term
-# vanishes.  Numerators and denominators are multiplied with no gcd, and
-# `sum_terms` canonicalises each output coefficient once.  A twist of None
-# is the commutative product, which needs no pairing.
+# The raw term (shift, num, den) of x^(d1+d2) contributed by c1 x^d1 and
+# c2 x^d2: numerators and denominators multiplied with no gcd, and
+# `sum_terms` canonicalises each output coefficient once.  The quantum twist
+# multiplies by v^w, w = {d1, d2}; a twist of None is the commutative
+# product, which needs no pairing.
 
 def _raw(c1, c2, k=0):
     return c1.shift + c2.shift + k, _pmul(c1.num, c2.num), _pmul(c1.den, c2.den)
@@ -214,36 +214,7 @@ def _quantum_mul(c1, c2, w):
     return _raw(c1, c2, w)
 
 
-def _dt_mul(c1, c2, w):
-    s, num, den = _raw(c1, c2, w)
-    return s, _pneg(num) if w % 2 else num, den
-
-
-def _poisson(c1, c2, w):
-    if not w:
-        return None
-    s, num, den = _raw(c1, c2)
-    return s, _pscale(num, w), den
-
-
-def _commutator(c1, c2, w):
-    # v^w - v^-w = v^-|w| (v^2|w| - 1), negated when w < 0
-    if not w:
-        return None
-    k, sign = abs(w), 1 if w > 0 else -1
-    s, num, den = _raw(c1, c2, -k)
-    return s, _pmul((-sign,) + (0,) * (2 * k - 1) + (sign,), num), den
-
-
-def _dt_commutator(c1, c2, w):
-    if not w % 2:
-        return _commutator(c1, c2, w)
-    s, num, den = _commutator(c1, c2, w)
-    return s, _pneg(num), den
-
-
-_MUL_TWIST = {QUANTUM: _quantum_mul, DT_TWIST: _dt_mul, CLASSICAL: None}
-_BRACKET_TWIST = {QUANTUM: _commutator, DT_TWIST: _dt_commutator, CLASSICAL: _poisson}
+_MUL_TWIST = {QUANTUM: _quantum_mul, CLASSICAL: None}
 
 
 def _by_degree(a):
@@ -265,12 +236,7 @@ def _product(seed, order, a, b, twist, degree=None):
         for j in (degree - i,) if degree is not None else range(order - i + 1):
             for d2, c2 in right.get(j, ()):
                 for d1, c1 in left:
-                    if twist is None:
-                        t = _raw(c1, c2)
-                    else:
-                        t = twist(c1, c2, skew(seed, d1, d2))
-                        if t is None:
-                            continue
+                    t = _raw(c1, c2) if twist is None else twist(c1, c2, skew(seed, d1, d2))
                     terms.setdefault(_add_key(d1, d2), []).append(t)
     out = {}
     for d, ts in terms.items():
@@ -306,58 +272,41 @@ def dilog_group_element(seed, n, order, convention):
     """The wall-crossing group element attached to the primitive vector n.
 
     quantum:    sum_k q^{k^2/2} x^{kn} / [GL_k]_q
-    dt:         sum_k (-q^{1/2})^{k^2} x^{kn} / [GL_k]_q
+    dt:         sum_k (-q^{1/2})^{k^2} x^{kn} / [GL_k]_q, sigma of the quantum one
     classical:  exp(-Li_2(-x^n))
 
     For a vertex i pass n = e_i.  Supported on multiples of n up to the
     truncation order.
     """
+    if convention == DT_TWIST:
+        return sigma(dilog_group_element(seed, n, order, QUANTUM))
     n = tuple(n)
     deg = total_degree(n)
     if deg < 1:
         raise ValueError("dilogarithm needs total degree >= 1: %r" % (n,))
-    coeffs = {}
-    kmax = order // deg
+    kn = {k: tuple(k * x for x in n) for k in range(1, order // deg + 1)}
     if convention == CLASSICAL:
-        lie = {}
-        for k in range(1, kmax + 1):
-            lie[tuple(k * x for x in n)] = CoeffFn.from_fraction((-1) ** (k - 1), k * k)
+        lie = {d: CoeffFn.from_fraction((-1) ** (k - 1), k * k) for k, d in kn.items()}
         coeffs = _series(seed, order, None, lie, _exp_coef)
     else:
-        for k in range(1, kmax + 1):
-            c = CoeffFn.v_power(k * k) / gl_count(k)
-            if convention == DT_TWIST and k % 2:
-                c = -c
-            coeffs[tuple(k * x for x in n)] = c
+        coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k) for k, d in kn.items()}
     return GradedElement(seed, order, convention, GROUP, coeffs)
 
 
-def dilog_lie_element(seed, n, order, convention):
-    """log of the dilogarithm group element, written down directly."""
-    n = tuple(n)
-    deg = total_degree(n)
-    coeffs = {}
-    for k in range(1, order // deg + 1):
-        key = tuple(k * x for x in n)
-        if convention == CLASSICAL:
-            coeffs[key] = CoeffFn.from_fraction((-1) ** (k - 1), k * k)
-        elif convention == QUANTUM:
-            # (-1)^(k-1) xhat^{kn} / (k [k]_q)
-            coeffs[key] = (CoeffFn.from_fraction((-1) ** (k - 1), k) / q_int(k)) * _xhat_factor()
-        else:
-            # the quantum series at v -> -v: -x^{kn} / (k (q^{k/2} - q^{-k/2}))
-            coeffs[key] = CoeffFn.from_fraction(-1, k) / (CoeffFn.v_power(k) - CoeffFn.v_power(-k))
-    return GradedElement(seed, order, convention, LIE, coeffs)
-
-
-def _xhat_factor():
-    # 1/(v - 1/v) = v/(v^2 - 1)
-    return CoeffFn(1, (1,), (-1, 0, 1))
-
-
 # ---------------------------------------------------------------------------
-# classical limit and the classical <-> quantum lift
+# sigma, the classical limit and the classical <-> quantum lift
 # ---------------------------------------------------------------------------
+
+_SIGMA = {QUANTUM: DT_TWIST, DT_TWIST: QUANTUM}
+
+
+def sigma(elem):
+    """The field automorphism v -> -v on every coefficient.  It sends the
+    quantum twist v^w to the DT twist (-v)^w, so it carries the quantum
+    torus onto the DT-twisted one and back: it swaps the two labels."""
+    return GradedElement(elem.seed, elem.order, _SIGMA[elem.convention], elem.flavor,
+                         {d: subst_neg_v(c) for d, c in elem.coeffs.items()})
+
 
 def classical_map(elem):
     """Evaluate a quantum element at q^(1/2) = 1 (x-hat^d -> x^d).
@@ -384,6 +333,6 @@ def lift_classical(elem):
         raise ValueError("lift expects a classical element")
     if elem.flavor == GROUP:
         return lift_classical(elem.log()).exp()
-    fac = _xhat_factor()
+    fac = CoeffFn(1, (1,), (-1, 0, 1))    # 1/(v - 1/v) = v/(v^2 - 1)
     out = {d: c * fac for d, c in elem.coeffs.items()}
     return GradedElement(elem.seed, elem.order, QUANTUM, LIE, out)

@@ -3,10 +3,12 @@
 Each one is slow and direct: Gaussian elimination over Fraction, cone
 membership by Caratheodory's theorem, cones cut out one constraint at a
 time, brute-force isomorphism of representations, King semistability by
-enumerating every subrepresentation, the substitution v -> -v, and the
-truncated product that canonicalises after every term.  None of them runs
-in the package.  tests/test_no_dead_code.py checks that every
-function here is called by some test.
+enumerating every subrepresentation, the truncated product that
+canonicalises after every term (with the DT twist (-v)^w and the Lie
+brackets written out per term), and the log of the dilogarithm written
+down directly.  None of them runs in the package.
+tests/test_no_dead_code.py checks that every function here is called by
+some test.
 """
 
 import itertools
@@ -14,8 +16,9 @@ from fractions import Fraction
 
 from scatdiag import torus
 from scatdiag.coeff import CoeffFn
-from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair, skew
-from scatdiag.reps import all_subspaces, make_rep, mat_mul, mat_vec, rref_p
+from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair, skew, total_degree
+from scatdiag.reps import all_subspaces, is_semistable, make_rep, mat_mul, mat_vec, rref_p
+from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,10 @@ def _subreps(rep):
     return out
 
 
+def is_stable(rep, m):
+    return is_semistable(rep, m, strict=True)
+
+
 def is_semistable_by_subreps(rep, m, strict=False):
     """King (semi)stability by enumerating every subrepresentation and then
     comparing m on its dimension vector."""
@@ -225,18 +232,32 @@ def is_semistable_by_subreps(rep, m, strict=False):
 
 
 # ---------------------------------------------------------------------------
-# coefficients
+# the dilogarithm's log, written down directly
 # ---------------------------------------------------------------------------
 
-def subst_neg_v(c):
-    """The coefficient c with v replaced by -v."""
-    if c.is_zero():
-        return c
-    num = tuple(-x if i % 2 else x for i, x in enumerate(c.num))
-    den = tuple(-x if i % 2 else x for i, x in enumerate(c.den))
-    if c.shift % 2:
-        num = tuple(-x for x in num)
-    return CoeffFn(c.shift, num, den)
+def q_int(k):
+    """The balanced quantum integer [k]_q = v^(k-1) + v^(k-3) + ... + v^(1-k)."""
+    if k < 1:
+        raise ValueError("quantum integer needs k >= 1: %r" % (k,))
+    return CoeffFn(-(k - 1), (1, 0) * (k - 1) + (1,), (1,))
+
+
+def dilog_lie_element(seed, n, order, convention):
+    """log of the dilogarithm group element, term by term."""
+    n = tuple(n)
+    coeffs = {}
+    for k in range(1, order // total_degree(n) + 1):
+        key = tuple(k * x for x in n)
+        if convention == CLASSICAL:
+            coeffs[key] = CoeffFn.from_fraction((-1) ** (k - 1), k * k)
+        elif convention == QUANTUM:
+            # (-1)^(k-1) xhat^{kn} / (k [k]_q), xhat = x / (v - 1/v)
+            coeffs[key] = (CoeffFn.from_fraction((-1) ** (k - 1), k) / q_int(k)) \
+                / (CoeffFn.v_power(1) - CoeffFn.v_power(-1))
+        else:
+            # the quantum series at v -> -v: -x^{kn} / (k (q^{k/2} - q^{-k/2}))
+            coeffs[key] = CoeffFn.from_fraction(-1, k) / (CoeffFn.v_power(k) - CoeffFn.v_power(-k))
+    return GradedElement(seed, order, convention, LIE, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +286,11 @@ def _dt_commutator(c1, c2, w):
     return -c if w % 2 else c
 
 
-def product_per_term(seed, order, a, b, twist, degree=None):
-    """`torus._product` term by term: each pair of terms gives a canonical
-    coefficient (a cross-cancelled multiply) that is added into its output
-    key at once.  `twist` is one of the package's twists, and the same twist
-    on canonical coefficients stands in for it."""
-    twist = {None: None, torus._quantum_mul: _quantum_mul, torus._dt_mul: _dt_mul,
-             torus._poisson: _poisson, torus._commutator: _commutator,
-             torus._dt_commutator: _dt_commutator}[twist]
+def _per_term(seed, order, a, b, twist, degree=None):
+    """The truncated product of two coefficient dicts: each pair of terms
+    gives the canonical coefficient twist(c1, c2, {d1, d2}) (None for a
+    vanishing term; a twist of None multiplies), added into its output key
+    at once."""
     out = {}
     right = torus._by_degree(b)
     for i, left in torus._by_degree(a).items():
@@ -287,3 +305,37 @@ def product_per_term(seed, order, a, b, twist, degree=None):
                             continue
                     torus._acc(out, torus._add_key(d1, d2), c)
     return out
+
+
+def product_per_term(seed, order, a, b, twist, degree=None):
+    """`torus._product` term by term.  `twist` is the package's quantum
+    twist or None, and the same twist on canonical coefficients stands in
+    for it."""
+    return _per_term(seed, order, a, b, {None: None, torus._quantum_mul: _quantum_mul}[twist],
+                     degree)
+
+
+def dt_product(seed, order, a, b):
+    """The DT-twisted truncated product of two coefficient dicts, (-v)^w
+    on each pair of terms."""
+    return _per_term(seed, order, a, b, _dt_mul)
+
+
+def dt_power_series(seed, order, u, coef):
+    """sum_{k >= 1} coef(k) u^k in the DT-twisted product, term by term."""
+    out, term, k = {}, u, 1
+    while term:
+        for d, x in term.items():
+            torus._acc(out, d, x * coef(k))
+        term = dt_product(seed, order, term, u)
+        k += 1
+    return out
+
+
+def bracket(a, b):
+    """The Lie bracket of two lie elements, term by term: the Poisson rule
+    {d1, d2} x^(d1+d2) classically, and t^w - t^-w times x^(d1+d2), w =
+    {d1, d2}, with t = v (quantum) or t = -v (dt)."""
+    twist = {CLASSICAL: _poisson, QUANTUM: _commutator, DT_TWIST: _dt_commutator}
+    return GradedElement(a.seed, a.order, a.convention, LIE,
+                         _per_term(a.seed, a.order, a.coeffs, b.coeffs, twist[a.convention]))

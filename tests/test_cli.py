@@ -138,6 +138,25 @@ def test_verify_pentagon_suite(tmp_path, a2_file):
     assert sorted(len(s) for s in payload["sequences"]) == [2, 3]
 
 
+def test_verify_pentagon_corrupt_fails(tmp_path, a2_file):
+    # negative control: the last series times exp(x^(1,...,1)) in its
+    # convention no longer equals the others
+    a3_file = tmp_path / "a3.json"
+    a3_file.write_text(json.dumps({"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
+    for seed, order, depth in ((a2_file, 6, 4), (str(a3_file), 4, 5)):
+        for conv in ("quantum", "classical", "dt"):
+            argv = ["verify", "--seed", seed, "--suite", "pentagon", "--order",
+                    str(order), "--depth", str(depth), "--convention", conv]
+            code, payload = run(tmp_path, *argv)
+            assert code == 0 and payload["passed"], (seed, conv)
+            code, payload = run(tmp_path, *argv, "--corrupt")
+            assert code == 1 and not payload["passed"], (seed, conv)
+            assert payload["failures"] == ["series differ between sequences"]
+    # below the seed rank x^(1,...,1) is truncated away: refused
+    assert main(["verify", "--seed", str(a3_file), "--suite", "pentagon",
+                 "--order", "2", "--corrupt"]) == 2
+
+
 def test_verify_unknown_suite(tmp_path, a2_file):
     code = main(["verify", "--seed", a2_file, "--suite", "nope"])
     assert code == 2
@@ -218,11 +237,11 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, a2_file):
 
 
 def test_corrupt_needs_a_suite_with_a_negative_control(tmp_path, a2_file):
-    # only psi-roundtrip perturbs its input under --corrupt
-    for suite in ("mutation", "pentagon"):
-        code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite", suite,
-                            "--order", "2", "--depth", "4", "--corrupt")
-        assert code == 2 and payload is None
+    # psi-roundtrip and pentagon perturb their input under --corrupt;
+    # mutation has no negative control
+    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite", "mutation",
+                        "--order", "2", "--corrupt")
+    assert code == 2 and payload is None
 
 
 def _args_read(func):

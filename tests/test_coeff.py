@@ -6,10 +6,10 @@ from math import gcd
 import pytest
 
 import scatdiag.coeff as coeff
-from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_int,
-                            q_power, sum_terms)
+from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_power,
+                            subst_neg_v, sum_terms)
 from conftest import random_coeff
-from oracles import subst_neg_v
+from oracles import q_int
 
 v = CoeffFn.v_power
 
@@ -110,8 +110,16 @@ def test_division_by_zero():
 
 def test_subst_neg_v(rng):
     for _ in range(100):
-        a = random_coeff(rng)
-        assert subst_neg_v(subst_neg_v(a)) == a
+        a, b = random_coeff(rng), random_coeff(rng)
+        s = subst_neg_v(a)
+        assert subst_neg_v(s) == a
+        # canonical with no gcd: canonicalising again changes nothing
+        assert CoeffFn(s.shift, s.num, s.den) == s
+        # a field automorphism
+        assert subst_neg_v(a * b) == s * subst_neg_v(b)
+        assert subst_neg_v(a + b) == s + subst_neg_v(b)
+    assert subst_neg_v(v(1)) == -v(1)
+    assert subst_neg_v(ONE / (v(1) + ONE)) == ONE / (ONE - v(1))
 
 
 def test_string_form():

@@ -6,7 +6,8 @@ moves a single character of the output fails here.  To regenerate after
 an intended output change, run each case's argv with `--out` pointing at
 its golden file.  A wider set of `scatter` runs is pinned by the first 16
 hex digits of the sha256 of its stdout instead of a file, and so are the
-classical DT series along every maximal green sequence of A3 and A2.
+classical DT series along every maximal green sequence of A3 and A2, and
+the group elements of four completed DT-twisted diagrams.
 """
 
 import hashlib
@@ -17,7 +18,8 @@ import pytest
 
 from scatdiag.chambers import dt_series, enumerate_green_to_red
 from scatdiag.cli import main
-from scatdiag.lattice import a2_seed, a3_seed
+from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
+from scatdiag.scattering import dt_in_sd
 from scatdiag.torus import CLASSICAL
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,3 +178,21 @@ def test_classical_dt_series_hash(name):
         text = json.dumps(dt_series(seed, s, order, CLASSICAL).serialize())
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
             DT_SERIES_HASHES[name, s], s
+
+
+# (seed, order) -> sha256 prefix of the JSON of the group element of the
+# completed DT-twisted diagram, pinned before that diagram was carried in
+# the quantum torus through v -> -v
+DT_DIAGRAM_HASHES = {
+    "a2": (a2_seed, 7, "dd312e3f4b4b3a67"),
+    "a3": (a3_seed, 5, "50f6e09cbe851b0b"),
+    "markov": (markov_seed, 5, "f26948862b777e62"),
+    "kronecker3": (lambda: kronecker_seed(3), 6, "62325e963f25629b"),
+}
+
+
+@pytest.mark.parametrize("name", list(DT_DIAGRAM_HASHES))
+def test_dt_diagram_group_element_hash(name):
+    make, order, prefix = DT_DIAGRAM_HASHES[name]
+    text = json.dumps(dt_in_sd(make(), order).group_element().serialize(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix

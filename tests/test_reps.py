@@ -16,10 +16,10 @@ from scatdiag.scattering import quantum_cluster_sd
 from scatdiag.reps import (BudgetExceeded, all_subspaces, at_prime, check_relations,
                            enumerate_reps, euler_form, hom_dimension,
                            iq_wall_series, iq_wall_series_brute, is_semistable,
-                           is_stable, make_rep, path_matrix, reflect,
+                           make_rep, path_matrix, reflect,
                            semistable_transport_check, simple_rep,
                            total_counting_element)
-from oracles import is_isomorphic, is_semistable_by_subreps, rebase_rep
+from oracles import is_isomorphic, is_semistable_by_subreps, is_stable, rebase_rep
 
 F = Fraction
 REFLECT_GOLDEN = Path(__file__).parent / "golden" / "reflect_f2.json"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from scatdiag.coeff import CoeffFn, ONE, q_power
+from scatdiag.coeff import CoeffFn, ONE, q_power, subst_neg_v
 from scatdiag import scattering
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, kronecker_seed, markov_seed,
                               mutate_seed, primitive, rational_primitive)
@@ -16,7 +16,7 @@ from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
                                  psi_extract,
                                  quantum_cluster_sd, to_carrier)
 from conftest import random_lie, random_rational_point, random_skew_seed
-from oracles import nullspace, subst_neg_v
+from oracles import nullspace
 
 F = Fraction
 v = CoeffFn.v_power
@@ -135,6 +135,17 @@ def test_dt_equals_quantum_at_minus_v():
     gq = quantum_cluster_sd(a2, 6).group_element()
     gd = dt_in_sd(a2, 6).group_element()
     assert {d: subst_neg_v(c) for d, c in gq.coeffs.items()} == gd.coeffs
+
+
+def test_diagram_needs_a_quantum_carrier():
+    # a ValueError, not an assert that `python -O` strips
+    a2 = a2_seed()
+    for conv, build in BUILDERS.items():
+        sd = build(a2, 4)
+        assert sd.carrier.convention == QUANTUM
+        if conv != QUANTUM:
+            with pytest.raises(ValueError, match="a diagram is carried in the quantum torus"):
+                ScatDiagram(a2, 4, conv, sd.group_element())
 
 
 def test_rank1_single_wall():

@@ -1,15 +1,18 @@
+from math import factorial
+
 import pytest
 
 import scatdiag.coeff as coeff
 from scatdiag import torus
 from scatdiag.chambers import dt_series
-from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power
+from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power, subst_neg_v
 from scatdiag.lattice import a2_seed, a3_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
                             GradedElement, classical_map, dilog_group_element,
-                            dilog_lie_element, lift_classical)
+                            lift_classical, sigma)
 from conftest import random_coeff, random_lie
-from oracles import product_per_term, subst_neg_v
+from oracles import (bracket, dilog_lie_element, dt_power_series, dt_product,
+                     product_per_term)
 
 v = CoeffFn.v_power
 
@@ -40,13 +43,13 @@ def test_bracket_examples():
     a2 = a2_seed()
     c10 = GradedElement.monomial(a2, 6, CLASSICAL, (1, 0), ONE)
     c01 = GradedElement.monomial(a2, 6, CLASSICAL, (0, 1), ONE)
-    assert c10.bracket(c01).coeffs == {(1, 1): ONE}
+    assert bracket(c10, c01).coeffs == {(1, 1): ONE}
     c20 = GradedElement.monomial(a2, 6, CLASSICAL, (2, 0), ONE)
-    assert c10.bracket(c20).coeffs == {}
+    assert bracket(c10, c20).coeffs == {}
     mk = markov_seed()
     m111 = GradedElement.monomial(mk, 6, CLASSICAL, (1, 1, 1), ONE)
     m100 = GradedElement.monomial(mk, 6, CLASSICAL, (1, 0, 0), ONE)
-    assert m111.bracket(m100).coeffs == {}
+    assert bracket(m111, m100).coeffs == {}
 
 
 def test_bracket_vanishes_on_zero_pairing_all_conventions(rng):
@@ -55,7 +58,7 @@ def test_bracket_vanishes_on_zero_pairing_all_conventions(rng):
     for conv in (QUANTUM, CLASSICAL, DT_TWIST):
         x = GradedElement.monomial(mk, 8, conv, (1, 1, 1), ONE)
         y = GradedElement.monomial(mk, 8, conv, (2, 1, 0), ONE)
-        assert x.bracket(y).coeffs == {}
+        assert bracket(x, y).coeffs == {}
 
 
 def test_bracket_antisymmetry_and_jacobi(rng):
@@ -65,14 +68,14 @@ def test_bracket_antisymmetry_and_jacobi(rng):
             a = random_lie(rng, a2, conv, 6)
             b = random_lie(rng, a2, conv, 6)
             c = random_lie(rng, a2, conv, 6)
-            assert a.bracket(b).add(b.bracket(a)).coeffs == {}
-            jac = a.bracket(b.bracket(c)).add(b.bracket(c.bracket(a))) \
-                .add(c.bracket(a.bracket(b)))
+            assert bracket(a, b).add(bracket(b, a)).coeffs == {}
+            jac = bracket(a, bracket(b, c)).add(bracket(b, bracket(c, a))) \
+                .add(bracket(c, bracket(a, b)))
             assert jac.coeffs == {}
 
 
 def test_bracket_is_the_commutator_of_the_product(rng):
-    # ties the bracket twists to the product twists: [a, b] = ab - ba in the
+    # ties the per-term brackets to the product: [a, b] = ab - ba in the
     # quantum and dt conventions, and the Poisson bracket is the classical
     # limit of the commutator of the quantum lifts
     for seed, order in ((a2_seed(), 6), (a3_seed(), 5)):
@@ -80,12 +83,12 @@ def test_bracket_is_the_commutator_of_the_product(rng):
             for _ in range(10):
                 a = random_lie(rng, seed, conv, order)
                 b = random_lie(rng, seed, conv, order)
-                assert a.bracket(b) == a.mul(b).add(b.mul(a).neg())
+                assert bracket(a, b) == a.mul(b).add(b.mul(a).neg())
         for _ in range(10):
             a = random_lie(rng, seed, CLASSICAL, order)
             b = random_lie(rng, seed, CLASSICAL, order)
-            lifted = lift_classical(a).bracket(lift_classical(b))
-            assert classical_map(lifted) == a.bracket(b)
+            la, lb = lift_classical(a), lift_classical(b)
+            assert classical_map(la.mul(lb).add(lb.mul(la).neg())) == bracket(a, b)
 
 
 def test_mul_associativity(rng):
@@ -142,6 +145,7 @@ def test_dt_is_quantum_at_minus_v():
     q = dilog_group_element(a2, (1, 0), 8, QUANTUM)
     d = dilog_group_element(a2, (1, 0), 8, DT_TWIST)
     assert {k: subst_neg_v(c) for k, c in q.coeffs.items()} == d.coeffs
+    assert sigma(q) == d and sigma(d) == q
 
 
 def test_classical_map_of_dilog():
@@ -193,33 +197,50 @@ def random_element(rng, seed, conv, order, flavor, nterms=3):
     return GradedElement(seed, order, conv, flavor, coeffs)
 
 
-@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("conv", (QUANTUM, CLASSICAL))
 def test_product_kernel_matches_per_term_oracle(rng, monkeypatch, conv):
+    twist = torus._MUL_TWIST[conv]
     for seed, order in ((a2_seed(), 5), (a3_seed(), 4)):
         for _ in range(4):
             a, b = (random_element(rng, seed, conv, order, LIE) for _ in range(2))
             g, h = (random_element(rng, seed, conv, order, GROUP) for _ in range(2))
-            # a bracket with itself and a product with the inverse cancel
-            # every output key but the constant one
+            # a product with the inverse cancels every output key but the
+            # constant one
             g_inv = g.group_inverse()
-            assert a.bracket(a).coeffs == {}
             assert g.mul(g_inv) == GradedElement.one(seed, order, conv)
-            pairs = ((a, b), (g, h), (g, a), (a, a), (g, g_inv))
-            for twist in (torus._MUL_TWIST[conv], torus._BRACKET_TWIST[conv]):
-                for x, y in pairs:
-                    fx, fy = torus._full(x), torus._full(y)
-                    for degree in (None,) + tuple(range(order + 1)):
-                        assert torus._product(seed, order, fx, fy, twist, degree) == \
-                            product_per_term(seed, order, fx, fy, twist, degree)
+            for x, y in ((a, b), (g, h), (g, a), (a, a), (g, g_inv)):
+                fx, fy = torus._full(x), torus._full(y)
+                for degree in (None,) + tuple(range(order + 1)):
+                    assert torus._product(seed, order, fx, fy, twist, degree) == \
+                        product_per_term(seed, order, fx, fy, twist, degree)
 
             def results():
-                return [a.mul(b), a.bracket(b), g.mul(h), g.mul(a), a.exp(), g.log(),
-                        g.group_inverse(), a.bracket(a), g.mul(g_inv)]
+                return [a.mul(b), g.mul(h), g.mul(a), a.exp(), g.log(),
+                        g.group_inverse(), g.mul(g_inv)]
 
             fast = results()
             monkeypatch.setattr(torus, "_product", product_per_term)
             assert results() == fast
             monkeypatch.undo()
+
+
+def test_dt_operations_match_the_per_term_oracle(rng):
+    # dt mul, exp, log and inverse are sigma of the quantum ones; the oracle
+    # twists each pair of terms by (-v)^w itself
+    coefs = {"exp": lambda k: CoeffFn.from_fraction(1, factorial(k)),
+             "log": lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k),
+             "group_inverse": lambda k: CoeffFn.from_int((-1) ** k)}
+    for seed, order in ((a2_seed(), 5), (a3_seed(), 4), (markov_seed(), 4)):
+        for _ in range(10):
+            a, b = (random_element(rng, seed, DT_TWIST, order, LIE) for _ in range(2))
+            g, h = (random_element(rng, seed, DT_TWIST, order, GROUP) for _ in range(2))
+            assert sigma(sigma(g)) == g
+            for x, y in ((a, b), (g, h), (g, a), (a, g)):
+                assert torus._full(x.mul(y)) == \
+                    dt_product(seed, order, torus._full(x), torus._full(y))
+            for x, op in ((a, "exp"), (g, "log"), (g, "group_inverse")):
+                assert getattr(x, op)().coeffs == \
+                    dt_power_series(seed, order, x.coeffs, coefs[op])
 
 
 def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
@@ -231,14 +252,13 @@ def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
 
     monkeypatch.setattr(coeff, "_canonicalize", spy)
     seed, order = a3_seed(), 4
-    for conv in CONVENTIONS:
+    for conv in (QUANTUM, CLASSICAL):
         for _ in range(3):
             a, b = (torus._full(random_element(rng, seed, conv, order, GROUP, nterms=5))
                     for _ in range(2))
-            for twist in (torus._MUL_TWIST[conv], torus._BRACKET_TWIST[conv]):
-                del calls[:]
-                out = torus._product(seed, order, a, b, twist)
-                assert len(calls) <= len(out)
+            del calls[:]
+            out = torus._product(seed, order, a, b, torus._MUL_TWIST[conv])
+            assert len(calls) <= len(out)
     # the whole classical DT series of A3 along one maximal green sequence:
     # 1,574 canonicalisations when every term was canonicalised, 863 now
     del calls[:]
