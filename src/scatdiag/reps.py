@@ -23,7 +23,7 @@ from .lattice import check_covector, covector_to_new_basis, pair
 from .qp import (SeedWithPotential, ReductionError, composite_name,
                  cyclic_derivative, mutate_sp)
 from .torus import GROUP, QUANTUM, GradedElement
-from .scattering import factorize
+from .scattering import ScatDiagram
 
 
 class BudgetExceeded(RuntimeError):
@@ -546,8 +546,8 @@ def at_prime(series, p):
 
 def iq_wall_series(sp, m, order):
     """The integrated semistable series at the stability m over Q(v): the
-    middle factor of the total counting element."""
-    return factorize(total_counting_element(sp, order), m)[1]
+    middle factor of the total counting element, its wall function at m."""
+    return ScatDiagram.from_group_element(total_counting_element(sp, order)).phi(m)
 
 
 def iq_wall_series_brute(sp, m, dims_list, p):

@@ -60,14 +60,17 @@ class _FactorizationState:
     """Degree-by-degree factorization g = L * Z * P at a covector m, with L,
     Z and P supported on m < 0, m = 0 and m > 0 and LZ caching L * Z.  Layer
     t of g is L_t + Z_t + P_t plus `products(t)` of the settled layers.  It
-    keeps no log of Z: its two readers, completion and `psi_extract`, take it."""
+    keeps no log of Z: its two readers, completion and `psi_extract`, take it.
+    With a down-set `keys` of N^r it factors modulo the ideal the monomials
+    outside span: factorization keeps supports, so entries on `keys` agree."""
 
-    __slots__ = ("seed", "order", "m", "L", "Z", "P", "LZ")
+    __slots__ = ("seed", "order", "m", "keys", "L", "Z", "P", "LZ")
 
-    def __init__(self, seed, order, m):
+    def __init__(self, seed, order, m, keys=None):
         self.seed = seed
         self.order = order
         self.m = rational_primitive(m)   # a positive multiple: same signs
+        self.keys = keys
         zero = _zero_key(seed)
         self.L = {zero: ONE}
         self.Z = {zero: ONE}
@@ -76,8 +79,10 @@ class _FactorizationState:
 
     def products(self, t):
         """Layer t of L * Z and of L * Z * P, formed from the settled layers."""
-        lz_t = _product(self.seed, self.order, self.L, self.Z, _quantum_mul, degree=t)
-        r_t = _product(self.seed, self.order, self.LZ, self.P, _quantum_mul, degree=t)
+        lz_t = _product(self.seed, self.order, self.L, self.Z, _quantum_mul,
+                        degree=t, keys=self.keys)
+        r_t = _product(self.seed, self.order, self.LZ, self.P, _quantum_mul,
+                       degree=t, keys=self.keys)
         for d, c in lz_t.items():
             _acc(r_t, d, c)
         return lz_t, r_t
@@ -107,18 +112,20 @@ class _FactorizationState:
         return new_z
 
     def run(self, g):
+        g = g if self.keys is None else {d: g[d] for d in self.keys if d in g}
         layers = _by_degree(g)
         for t in range(1, self.order + 1):
             self.finish_layer(dict(layers.get(t, ())), self.products(t))
 
 
-def _factor(carrier, m, order=None):
+def _factor(carrier, m, keys=None):
     """Factor a carrier group element at the covector m: the coefficient
-    dicts of minus, zero and plus (zero key stripped), through degree
-    order (the carrier's order by default)."""
+    dicts of minus, zero and plus (zero key stripped), modulo the monomials
+    outside the down-set `keys` when it is given."""
     seed = carrier.seed
     check_covector(m, seed.rank)
-    state = _FactorizationState(seed, carrier.order if order is None else order, m)
+    order = carrier.order if keys is None else max(map(total_degree, keys))
+    state = _FactorizationState(seed, order, m, keys)
     state.run(_full(carrier))
     zero = _zero_key(seed)
     for part in (state.L, state.Z, state.P):
@@ -372,8 +379,8 @@ class ScatDiagram:
     """A consistent scattering diagram, stored as its group element."""
 
     def __init__(self, seed, order, convention, carrier):
-        if carrier.convention != QUANTUM:
-            raise ValueError("a diagram is carried in the quantum torus")
+        if (carrier.convention, carrier.seed, carrier.order) != (QUANTUM, seed, order):
+            raise ValueError("a diagram is carried in the quantum torus at its seed and order")
         self.seed = seed
         self.order = order
         self.convention = convention
@@ -382,6 +389,8 @@ class ScatDiagram:
         self._exposed = None
         self._wall_normals = None
         self._support_normals = None
+        self._closure = None
+        self._keys = {}         # S(m) -> its down-set with the zero key
 
     @staticmethod
     def from_group_element(g):
@@ -395,20 +404,35 @@ class ScatDiagram:
         return self._exposed
 
     def phi(self, m):
-        return expose(_group(self.carrier, _factor(self.carrier, m)[1]),
-                      self.convention)
+        return expose(self._middle(m), self.convention)
+
+    def _middle(self, m):
+        """The middle factor at m in the carrier.  Its keys lie in S(m), the
+        closure keys on m-perp, so it is factored modulo the monomials outside
+        the down-set of S(m)."""
+        on_perp = tuple(s for s in self._support_closure() if pair(m, s) == 0)
+        if on_perp not in self._keys:
+            self._keys[on_perp] = frozenset((_zero_key(self.seed), *(
+                d for d in self._support_closure()
+                if any(all(a <= b for a, b in zip(d, s)) for s in on_perp))))
+        return _group(self.carrier, _factor(self.carrier, m, self._keys[on_perp])[1])
 
     def support_normals(self):
         if self._support_normals is None:
             self._support_normals = dedupe_primitive(sorted(self.carrier.log().coeffs))
         return self._support_normals
 
+    def _support_closure(self):
+        """The support's closure: it holds each key of each factor at each m."""
+        if self._closure is None:
+            self._closure = tuple(sorted(_semigroup_closure(
+                set(self.carrier.coeffs), self.order, self.seed.rank)))
+        return self._closure
+
     def candidate_normals(self):
-        """Primitive directions of the multiplicative closure of the support;
-        every wall normal is among them."""
-        closure = _semigroup_closure(set(self.carrier.coeffs), self.order,
-                                     self.seed.rank)
-        return tuple(sorted({primitive(d) for d in closure}))
+        """Primitive directions of the support closure; every wall normal
+        is among them."""
+        return tuple(sorted({primitive(d) for d in self._support_closure()}))
 
     def wall_normals(self):
         """Normals whose hyperplane carries a nontrivial wall somewhere.
@@ -446,7 +470,8 @@ class ScatDiagram:
         The test needs no ray filter: every key of the middle factor at a
         witness m lies in the support closure and pairs zero with m, and m
         pairs nonzero with every candidate but n, so the whole middle factor
-        (through degree D_n, exposed) lies on the ray of n and is R_n(m).
+        (exposed) lies on the ray of n and is R_n(m).  So `phi` factors modulo
+        the monomials outside the box below (D_n/|n|)*n (see `_FactorizationState`).
         """
         if self._wall_normals is None:
             candidates = self.candidate_normals()
@@ -464,10 +489,9 @@ class ScatDiagram:
         return self._wall_normals
 
     def _ray_part_nontrivial(self, m, n):
-        z = _factor(self.carrier, m, _ray_top(self.order, n))[1]
-        # the identity exposes to the identity
-        return bool(z) and bool(expose(_group(self.carrier, z),
-                                       self.convention).coeffs)
+        # m is a witness on n-perp off every other candidate, so the whole
+        # middle factor there is R_n(m); n names the ray under test
+        return bool(expose(self._middle(m), self.convention).coeffs)
 
     def minimal_complex(self):
         if self._complex is not None:
@@ -586,7 +610,7 @@ def path_ordered_product(sd, a, b):
     for t in sorted(crossings):
         n, downward = crossings[t]
         point = tuple(x + t * (y - x) for x, y in zip(a, b))
-        value = _group(sd.carrier, _factor(sd.carrier, point)[1])
+        value = sd._middle(point)
         if not downward:
             value = value.group_inverse()
         result = result.mul(value)

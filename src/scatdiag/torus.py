@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .coeff import CoeffFn, ONE, ZERO, gl_count, subst_neg_v, sum_terms, _pmul
+from .coeff import CoeffFn, ONE, ZERO, PoleError, gl_count, subst_neg_v, sum_terms, _pmul
 from .lattice import skew, total_degree
 
 QUANTUM = "quantum"
@@ -224,18 +224,20 @@ def _by_degree(a):
     return out
 
 
-def _product(seed, order, a, b, twist, degree=None):
+def _product(seed, order, a, b, twist, degree=None, keys=None):
     """The truncated product of two coefficient dicts (the zero key is
     allowed): the sum of twist(c1, c2, {d1, d2}) x^(d1+d2).  Terms are
     paired by total degree, so with degree=t only the layer of total
-    degree t is formed.  The raw terms of each output key are summed and
-    canonicalised once."""
+    degree t is formed, and a pair whose key is not in a given set of keys
+    is not formed.  The raw terms of each key are summed and canonicalised once."""
     terms = {}
     right = _by_degree(b)
     for i, left in _by_degree(a).items():
         for j in (degree - i,) if degree is not None else range(order - i + 1):
             for d2, c2 in right.get(j, ()):
-                for d1, c1 in left:
+                pairs = left if keys is None else \
+                    [p for p in left if _add_key(p[0], d2) in keys]
+                for d1, c1 in pairs:
                     t = _raw(c1, c2) if twist is None else twist(c1, c2, skew(seed, d1, d2))
                     terms.setdefault(_add_key(d1, d2), []).append(t)
     out = {}
@@ -312,7 +314,7 @@ def classical_map(elem):
     """Evaluate a quantum element at q^(1/2) = 1 (x-hat^d -> x^d).
 
     Group elements go through log and exp so the result is a genuine
-    classical group element; a pole at v = 1 raises PoleError.
+    classical group element; a pole at v = 1 raises PoleError with its key.
     """
     if elem.convention != QUANTUM:
         raise ValueError("classical_map expects a quantum element")
@@ -322,7 +324,10 @@ def classical_map(elem):
     fac = (CoeffFn.v_power(2) - ONE).mul_vpow(-1)  # v - 1/v
     out = {}
     for d, c in elem.coeffs.items():
-        out[d] = CoeffFn.from_fraction((c * fac).eval_at_v1())
+        try:
+            out[d] = CoeffFn.from_fraction((c * fac).eval_at_v1())
+        except PoleError:
+            raise PoleError("pole at v = 1 at x^%s" % (list(d),)) from None
     return GradedElement(elem.seed, elem.order, CLASSICAL, LIE, out)
 
 

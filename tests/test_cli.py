@@ -31,7 +31,9 @@ def markov_file(tmp_path):
 
 
 def run(tmp_path, *argv):
+    # a command that writes nothing returns payload None, not an older payload
     out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
     code = main(list(argv) + ["--out", str(out)])
     payload = json.loads(out.read_text()) if out.exists() else None
     return code, payload
@@ -123,6 +125,24 @@ def test_verify_pass_fail(tmp_path, a2_file):
                         "--trials", "2", "--corrupt")
     assert code == 1 and not payload["passed"]
     assert payload["failures"]
+
+
+def test_verify_psi_roundtrip_corrupt_classical_reports_the_pole(tmp_path, a2_file):
+    # the corrupted carrier has a pole at v = 1 in its classical limit: each
+    # such trial fails with the key of the pole, and the report is written
+    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite",
+                        "psi-roundtrip", "--order", "4", "--trials", "4",
+                        "--corrupt", "--convention", "classical")
+    assert code == 1 and payload is not None and not payload["passed"]
+    poles = [f for f in payload["failures"] if "pole" in f]
+    assert poles and all("v = 1 at x^[" in f["pole"] for f in poles)
+
+
+def test_run_returns_no_stale_payload(tmp_path, a2_file):
+    code, payload = run(tmp_path, "scatter", "--seed", a2_file, "--order", "2")
+    assert code == 0 and payload is not None
+    code, payload = run(tmp_path, "scatter", "--seed", a2_file, "--depth", "5")
+    assert code == 2 and payload is None
 
 
 def test_verify_mutation_suite(tmp_path, a2_file):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,17 @@ def test_diagram_needs_a_quantum_carrier():
         if conv != QUANTUM:
             with pytest.raises(ValueError, match="a diagram is carried in the quantum torus"):
                 ScatDiagram(a2, 4, conv, sd.group_element())
+
+
+def test_diagram_carrier_matches_its_seed_and_order():
+    # the wall candidates and the middle-factor key sets are read from the
+    # carrier, so a carrier of another seed or order must be refused
+    a2_carrier = quantum_cluster_sd(a2_seed(), 6).carrier
+    for seed, order in ((a3_seed(), 3), (a3_seed(), 6), (a2_seed(), 4)):
+        with pytest.raises(ValueError, match="at its seed and order"):
+            ScatDiagram(seed, order, QUANTUM, a2_carrier)
+    assert ScatDiagram(a2_seed(), 6, QUANTUM, a2_carrier).wall_normals() == \
+        quantum_cluster_sd(a2_seed(), 6).wall_normals()
 
 
 def test_rank1_single_wall():
@@ -395,6 +407,49 @@ def test_full_dimensional_faces_are_identity(seed, conv, order):
     for f in full:
         assert sd.phi(f.witness).coeffs == {}
         assert mc.locate(f.witness).function is None
+
+
+def _down_set(sd, m):
+    """The zero key and the support-closure keys below a closure key on m-perp."""
+    from scatdiag.lattice import pair
+    on_perp = [s for s in sd._support_closure() if pair(m, s) == 0]
+    return {(0,) * sd.seed.rank} | {
+        d for d in sd._support_closure()
+        if any(all(a <= b for a, b in zip(d, s)) for s in on_perp)}
+
+
+@pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
+@pytest.mark.parametrize("seed, order",
+                         [(a2_seed(), 6), (A3, 4), (kronecker_seed(), 5),
+                          (markov_seed(), 3)],
+                         ids=["a2", "a3", "kronecker", "markov"])
+def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv):
+    # the wall function factors modulo the monomials outside the down-set
+    # of the closure keys on m-perp; the full factorization is its oracle
+    from scatdiag.lattice import pair
+    rng = random.Random(17)
+    sd = BUILDERS[conv](seed, order)
+    rank = seed.rank
+    points = [f.witness for f in sd.minimal_complex().faces if 0 in f.signs]
+    points.append((F(0),) * rank)
+    for _ in range(4):
+        points.append(random_rational_point(rng, rank))
+    for n in sd.wall_normals():
+        m = random_rational_point(rng, rank)
+        points.append(tuple(x - F(pair(m, n), pair(n, n)) * y for x, y in zip(m, n)))
+    control = False
+    for m in points:
+        want = _factor(sd.carrier, m)[1]
+        assert sd._middle(m).coeffs == want
+        keys = _down_set(sd, m)
+        assert _factor(sd.carrier, m, keys)[1] == want
+        # negative control: drop one key below a key of the middle factor,
+        # so the set is no down-set, until the value changes once
+        below = [d for d in keys if any(d) and d not in want and
+                 any(all(a <= b for a, b in zip(d, s)) for s in want)]
+        control = control or any(_factor(sd.carrier, m, keys - {d})[1] != want
+                                 for d in below)
+    assert control
 
 
 def test_minimal_complex_partition(rng):
