@@ -14,10 +14,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeff import CoeffFn, ONE, PoleError
+from .coeff import CoeffFn, ONE
 from .lattice import Seed, mutate_seed, primitive
 from .qp import SeedWithPotential, mutate_sp
-from .torus import CLASSICAL, DT_TWIST, QUANTUM, GROUP, LIE, GradedElement
+from .torus import CLASSICAL, DT_TWIST, QUANTUM, LIE, GradedElement
 from . import scattering
 from . import chambers as chambers_mod
 from . import reps as reps_mod
@@ -139,8 +139,14 @@ def cmd_reps(args):
     return 0
 
 
-def _suite_psi_roundtrip(args):
-    seed, _ = _load_seed(args.seed)
+def _corrupted(elem):
+    """The negative control: elem times exp(x^(1,...,1)) in its convention."""
+    bump = GradedElement.monomial(elem.seed, elem.order, elem.convention,
+                                  (1,) * elem.seed.rank, ONE)
+    return elem.mul(bump.exp())
+
+
+def _suite_psi_roundtrip(args, seed):
     conv = CONVENTIONS[args.convention]
     rng = random.Random(args.random_seed)
     n = seed.rank
@@ -166,17 +172,8 @@ def _suite_psi_roundtrip(args):
         trials += 1
         sd = scattering.complete_from_initial(eta, seed, args.order, conv)
         if args.corrupt:
-            bad = dict(sd.carrier.coeffs)
-            key = sorted(bad)[0]
-            bad[key] = bad[key] + CoeffFn.from_int(1)
-            sd = scattering.ScatDiagram(seed, args.order, conv,
-                                        GradedElement(seed, args.order, QUANTUM, GROUP, bad))
-        try:
-            back = scattering.psi_extract(sd)
-        except PoleError as exc:
-            # a carrier with no classical limit has no classical initial data
-            failures.append({"trial": trial, "pole": str(exc)})
-            continue
+            sd = scattering.ScatDiagram.from_group_element(_corrupted(sd.group_element()))
+        back = scattering.psi_extract(sd)
         if back != eta:
             witness = sorted(set(back) ^ set(eta)) or sorted(
                 n0 for n0 in eta if back.get(n0) != eta[n0])
@@ -187,36 +184,35 @@ def _suite_psi_roundtrip(args):
             "passed": trials > 0 and not failures, "failures": failures}
 
 
-def _suite_mutation(args):
-    seed, _ = _load_seed(args.seed)
+def _suite_mutation(args, seed):
     build = BUILDERS[args.convention]
     sd = build(seed, args.order)
-    failures = []
+    built, failures = {}, []
     for k in range(1, seed.rank + 1):
         for sign in (1, -1):
             seed2, _ = mutate_seed(seed, k, sign)
-            sd2 = build(seed2, args.order)
-            report = scattering.mutate_sd_check(sd, k, sign, sd2, samples=args.trials)
+            if seed2 not in built:
+                built[seed2] = build(seed2, args.order)
+            sd2 = built[seed2]
+            if args.corrupt:
+                sd2 = scattering.ScatDiagram.from_group_element(_corrupted(sd2.group_element()))
+            report = scattering.mutate_sd_check(sd, k, sign, sd2)
             if not report.passed:
-                failures.append({"k": k, "sign": sign,
-                                 "witnesses": [str(f) for f in report.failures[:3]]})
+                failures.append({"k": k, "sign": sign, "witnesses": [
+                    [kind, list(m), list(key)]
+                    for kind, m, key in report.failures[:3]]})
     return {"suite": "mutation", "passed": not failures, "failures": failures}
 
 
-def _suite_pentagon(args):
-    seed, _ = _load_seed(args.seed)
+def _suite_pentagon(args, seed):
     conv = CONVENTIONS[args.convention]
-    if args.corrupt and args.order < seed.rank:
-        raise ValueError("--corrupt needs --order >= %d, the seed rank" % seed.rank)
     seqs = chambers_mod.enumerate_green_to_red(seed, args.depth)
     if len(seqs) < 2:
         return {"suite": "pentagon", "passed": False,
                 "failures": ["fewer than two green-to-red sequences"]}
     series = [chambers_mod.dt_series(seed, s, args.order, conv) for s in seqs]
     if args.corrupt:
-        # negative control: the last series times exp(x^(1,...,1))
-        bump = GradedElement.monomial(seed, args.order, conv, (1,) * seed.rank, ONE)
-        series[-1] = series[-1].mul(bump.exp())
+        series[-1] = _corrupted(series[-1])
     ok = all(s == series[0] for s in series)
     return {"suite": "pentagon", "passed": ok,
             "sequences": [list(s) for s in seqs],
@@ -229,10 +225,11 @@ SUITES = {"psi-roundtrip": _suite_psi_roundtrip,
 
 
 def cmd_verify(args):
-    if args.corrupt and args.suite == "mutation":
-        sys.stderr.write("--corrupt has no negative control in the mutation suite\n")
-        return 2
-    report = SUITES[args.suite](args)
+    seed, _ = _load_seed(args.seed)
+    if args.corrupt and args.order < seed.rank:
+        # x^(1,...,1) would be truncated away
+        raise ValueError("--corrupt needs --order >= %d, the seed rank" % seed.rank)
+    report = SUITES[args.suite](args, seed)
     payload = {"schema": SCHEMA, "command": "verify"}
     payload.update(report)
     _emit(payload, args.out)

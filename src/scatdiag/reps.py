@@ -183,12 +183,12 @@ def path_matrix(rep, path):
     return out
 
 
-def check_relations(rep, strict=True):
-    """Jacobian relations and nilpotency of the path ideal."""
+def check_relations(rep):
+    """Raise ValueError unless rep satisfies the Jacobian relations and the
+    path ideal acts nilpotently."""
     failure = _relation_failure(rep, rep.sp.quiver.has_oriented_cycle())
-    if failure and strict:
+    if failure:
         raise ValueError(failure)
-    return not failure
 
 
 def _relation_failure(rep, cyclic):

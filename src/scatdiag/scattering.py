@@ -632,118 +632,95 @@ def endpoint_product(sd, a, b):
 class MutationReport:
     passed: bool
     checked: int
-    failures: list
+    failures: list          # (kind, face witness covector, first differing key)
 
 
-def mutate_sd_check(sd, k, sign, sd_mut, samples=20, rng=None):
-    """Verify the mutation law relating sd (at seed s) and sd_mut (at
-    mu_k^sign(s)) on sampled rational covectors plus the wall itself."""
-    import random
-    rng = rng or random.Random(20240 + k)
+def _transvection(seed, k, s, d):
+    """(T_k^vee)^s on dimension vectors: d -> d + s {s_k, d} s_k."""
+    out = list(d)
+    out[k - 1] += s * sum(b * x for b, x in zip(seed.b[k - 1], d))
+    return tuple(out)
+
+
+def _pulled_back(seed, k, sign, change, normals):
+    """The mutated seed's normals pulled back through T_k^sign, by half-space:
+    s = 0 where sign * m(s_k) > 0 and s = sign where it is < 0.  There T_k is
+    linear, and each pulled-back n of n' has pair(m, n) = pair(image(m), n'),
+    image(m) being covector_to_new_basis(change, t_k(seed, k, sign, m))."""
+    return {s: [_transvection(seed, k, -s, apply_change_to_dimvec(change, n))
+                for n in normals] for s in (0, sign)}
+
+
+def _first_difference(a, b):
+    return min((d for d in set(a) | set(b) if a.get(d, ZERO) != b.get(d, ZERO)),
+               default=None)
+
+
+def mutate_sd_check(sd, k, sign, sd_mut):
+    """Check the mutation law (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394,
+    Thm 1.24) relating sd, at seed s, and sd_mut, at mu_k^sign(s), exactly.
+
+    On each half-space of s_k-perp, sd's wall normals, s_k and sd_mut's wall
+    normals pulled back through T_k (`_pulled_back`) cut an arrangement on
+    each face of which both sd(m) and sd_mut(image(m)) are constant.  At the
+    witness of each face off s_k-perp with a zero sign, the wall function of
+    sd, its keys moved by (T_k^vee)^s, must equal that of sd_mut at image(m)
+    on every key visible in both truncations; on each face of s_k-perp of
+    dimension rank - 1 each side must be the dilogarithm of its own s_k.
+    Values come from the two minimal complexes; `checked` counts the faces.
+    """
     seed = sd.seed
     order = min(sd.order, sd_mut.order)
     seed_mut, change = mutate_seed(seed, k, sign)
     if sd_mut.seed != seed_mut:
         raise ValueError("sd_mut is not the diagram of mu_k^sign(seed)")
     _, change_back = mutate_seed(seed_mut, k, -sign)
-    kk = k - 1
-    failures = []
-    checked = 0
+    ek = _unit_rays(seed)[k - 1]
 
-    def deg_mut(lattice_vec):
-        d = apply_change_to_dimvec(change_back, lattice_vec)
-        if any(x < 0 for x in d):
-            return None
-        return total_degree(d)
-
-    b_row = seed.b[kk]
-
-    def theta(d, s):
-        # (T_k^vee)^s on dimension vectors: n -> n + s s_k {s_k, n}
-        out = list(d)
-        out[kk] += s * sum(b_row[j] * d[j] for j in range(len(d)))
-        return tuple(out)
+    def within(d):
+        return min(d) >= 0 and total_degree(d) <= order
 
     def compare(val1, val2, s):
-        # val1 from sd (s-coordinates) transported by theta^s, val2 from
-        # sd_mut (s'-coordinates); a lattice key is verifiable only when it
-        # is visible inside both truncations, i.e. its pre-transport degree
-        # on the sd side and its degree on the mutated side are both within
-        # the order
-        lat1 = {theta(d, s): c for d, c in val1.coeffs.items()}
-        lat2 = {apply_change_to_dimvec(change, d): c
-                for d, c in val2.coeffs.items()}
-        for key in set(lat1) | set(lat2):
-            dm = deg_mut(key)
-            src = theta(key, -s)
-            ds = total_degree(src) if not any(x < 0 for x in src) else None
-            if ds is not None and ds <= order and (dm is None or dm > order):
+        # val1 from sd (s-coordinates), its keys moved by theta^s, against
+        # val2 from sd_mut (s'-coordinates): a differing key counts when
+        # both truncations see it, or when sd can never produce it
+        lat1 = {_transvection(seed, k, s, d): c for d, c in val1.items()}
+        lat2 = {apply_change_to_dimvec(change, d): c for d, c in val2.items()}
+        for key in sorted(set(lat1) | set(lat2)):
+            if lat1.get(key, ZERO) == lat2.get(key, ZERO):
                 continue
-            if ds is None or ds > order:
-                if ds is None and lat2.get(key, ZERO) != ZERO and \
-                        lat1.get(key, ZERO) != lat2.get(key, ZERO):
-                    return key  # the sd side can never produce this key
-                continue
-            if lat1.get(key, ZERO) != lat2.get(key, ZERO):
+            src = _transvection(seed, k, -s, key)
+            if min(src) < 0 or (within(src) and
+                                within(apply_change_to_dimvec(change_back, key))):
                 return key
         return None
 
-    def rand_point():
-        while True:
-            m = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 5))
-                      for _ in range(seed.rank))
-            if pair(m, _unit_rays(seed)[kk]) != 0:
-                return m
+    def value(diagram, m):
+        cell = diagram.minimal_complex().locate(m)
+        return cell.function.coeffs if cell.function else {}
 
-    for _ in range(samples):
-        # equal half-space: mu_k^sign agrees with sd where sign * m(s_k) > 0
-        m = rand_point()
-        if (m[kk] > 0) != (sign > 0):
-            m = tuple(-x for x in m)
-        v1 = sd.phi(m)
-        v2 = sd_mut.phi(covector_to_new_basis(change, m))
-        bad = compare(v1, v2, 0)
-        checked += 1
-        if bad is not None:
-            failures.append(("equal-side", m, bad))
-        # transported half-space
-        m = rand_point()
-        if (m[kk] > 0) == (sign > 0):
-            m = tuple(-x for x in m)
-        v1 = sd.phi(m)
-        v2 = sd_mut.phi(covector_to_new_basis(change, t_k(seed, k, sign, m)))
-        bad = compare(v1, v2, sign)
-        checked += 1
-        if bad is not None:
-            failures.append(("transported-side", m, bad))
-    # the wall itself: phi = dilog on s_k, phi' = dilog on s'_k = -s_k
-    wall_m = _generic_wall_point(sd, k, rng)
-    ek = _unit_rays(seed)[kk]
-    want = dilog_group_element(seed, ek, order, sd.convention)
-    got = sd.phi(wall_m)
-    if got.coeffs != {d: c for d, c in want.coeffs.items()}:
-        failures.append(("wall", wall_m, None))
-    ek2 = _unit_rays(seed_mut)[kk]
-    want2 = dilog_group_element(seed_mut, ek2, order, sd.convention)
-    got2 = sd_mut.phi(covector_to_new_basis(change, wall_m))
-    if got2.coeffs != {d: c for d, c in want2.coeffs.items()}:
-        failures.append(("wall-mutated", wall_m, None))
-    checked += 2
+    dilogs = [dilog_group_element(at, ek, order, sd.convention).coeffs
+              for at in (seed, seed_mut)]
+    pulled = _pulled_back(seed, k, sign, change, sd_mut.wall_normals())
+    failures, checked = [], 0
+    for s, side in ((0, sign), (sign, -sign)):
+        for face in face_enumerate((*sd.wall_normals(), ek, *pulled[s]), seed.rank):
+            on = face.signs[face.normals.index(ek)]
+            # each face of s_k-perp is met on both half-spaces: check it once
+            if 0 not in face.signs or on == -side or \
+                    (on == 0 and (s or face.dim < seed.rank - 1)):
+                continue
+            m = face.witness
+            got = (value(sd, m),
+                   value(sd_mut, covector_to_new_basis(change, t_k(seed, k, sign, m))))
+            checked += 1
+            if on:
+                found = [("transported-side" if s else "equal-side", compare(*got, s))]
+            else:
+                found = [(kind, _first_difference(val, want)) for kind, val, want
+                         in zip(("wall", "wall-mutated"), got, dilogs)]
+            failures.extend((kind, m, key) for kind, key in found if key is not None)
     return MutationReport(not failures, checked, failures)
-
-
-def _generic_wall_point(sd, k, rng):
-    """A rational point on s_k^perp away from every other support wall."""
-    kk = k - 1
-    normals = [n for n in sd.support_normals()
-               if primitive(n) != _unit_rays(sd.seed)[kk]]
-    while True:
-        m = [Fraction(rng.randint(-40, 40), rng.randint(1, 3))
-             for _ in range(sd.seed.rank)]
-        m[kk] = Fraction(0)
-        m = tuple(m)
-        if any(m) and all(pair(m, n) != 0 for n in normals):
-            return m
 
 
 # ---------------------------------------------------------------------------

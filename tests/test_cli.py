@@ -127,15 +127,15 @@ def test_verify_pass_fail(tmp_path, a2_file):
     assert payload["failures"]
 
 
-def test_verify_psi_roundtrip_corrupt_classical_reports_the_pole(tmp_path, a2_file):
-    # the corrupted carrier has a pole at v = 1 in its classical limit: each
-    # such trial fails with the key of the pole, and the report is written
-    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite",
-                        "psi-roundtrip", "--order", "4", "--trials", "4",
-                        "--corrupt", "--convention", "classical")
-    assert code == 1 and payload is not None and not payload["passed"]
-    poles = [f for f in payload["failures"] if "pole" in f]
-    assert poles and all("v = 1 at x^[" in f["pole"] for f in poles)
+def test_verify_psi_roundtrip_corrupt_fails_every_trial(tmp_path, a2_file):
+    # each completed diagram times exp(x^(1,...,1)) has other initial data,
+    # in every convention
+    for conv in ("quantum", "classical", "dt"):
+        code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite",
+                            "psi-roundtrip", "--order", "4", "--trials", "4",
+                            "--corrupt", "--convention", conv)
+        assert code == 1 and payload["trials"] > 0, conv
+        assert len({f["trial"] for f in payload["failures"]}) == payload["trials"], conv
 
 
 def test_run_returns_no_stale_payload(tmp_path, a2_file):
@@ -147,8 +147,23 @@ def test_run_returns_no_stale_payload(tmp_path, a2_file):
 
 def test_verify_mutation_suite(tmp_path, a2_file):
     code, payload = run(tmp_path, "verify", "--seed", a2_file,
-                        "--suite", "mutation", "--order", "4", "--trials", "3")
+                        "--suite", "mutation", "--order", "4")
     assert code == 0 and payload["passed"]
+
+
+def test_verify_mutation_corrupt_fails(tmp_path, a2_file):
+    # negative control: each mutated diagram times exp(x^(1,...,1)); every
+    # (k, sign) fails with witnesses [kind, face witness, key]
+    a3_file = tmp_path / "a3.json"
+    a3_file.write_text(json.dumps({"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
+    for seed, rank in ((a2_file, 2), (str(a3_file), 3)):
+        code, payload = run(tmp_path, "verify", "--seed", seed, "--suite", "mutation",
+                            "--order", "4", "--corrupt")
+        assert code == 1 and not payload["passed"], seed
+        assert len(payload["failures"]) == 2 * rank, seed
+        for failure in payload["failures"]:
+            for kind, m, key in failure["witnesses"]:
+                assert isinstance(kind, str) and len(m) == len(key) == rank
 
 
 def test_verify_pentagon_suite(tmp_path, a2_file):
@@ -172,9 +187,6 @@ def test_verify_pentagon_corrupt_fails(tmp_path, a2_file):
             code, payload = run(tmp_path, *argv, "--corrupt")
             assert code == 1 and not payload["passed"], (seed, conv)
             assert payload["failures"] == ["series differ between sequences"]
-    # below the seed rank x^(1,...,1) is truncated away: refused
-    assert main(["verify", "--seed", str(a3_file), "--suite", "pentagon",
-                 "--order", "2", "--corrupt"]) == 2
 
 
 def test_verify_unknown_suite(tmp_path, a2_file):
@@ -256,12 +268,13 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, a2_file):
     assert main(["dt", "--seed", a2_file, "--order", "x"]) == 2
 
 
-def test_corrupt_needs_a_suite_with_a_negative_control(tmp_path, a2_file):
-    # psi-roundtrip and pentagon perturb their input under --corrupt;
-    # mutation has no negative control
-    code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite", "mutation",
-                        "--order", "2", "--corrupt")
-    assert code == 2 and payload is None
+def test_corrupt_below_the_seed_rank_exits_2(tmp_path, a2_file):
+    # every suite's negative control is x^(1,...,1), truncated away below
+    # the seed rank
+    for suite in sorted(cli.SUITES):
+        code, payload = run(tmp_path, "verify", "--seed", a2_file, "--suite", suite,
+                            "--order", "1", "--corrupt")
+        assert code == 2 and payload is None, suite
 
 
 def _args_read(func):

@@ -87,7 +87,7 @@ def test_nilpotency_index_n_accepted():
     sp = SeedWithPotential.make(a3_seed())
     rep = make_rep(sp, 2, (1, 1, 1), {"a1_2_1": ((1,),), "a2_3_1": ((1,),)})
     assert path_matrix(rep, ("a1_2_1", "a2_3_1")) == ((1,),)
-    assert check_relations(rep, strict=False)
+    check_relations(rep)
 
 
 def test_semistability_examples():

@@ -5,8 +5,9 @@ import pytest
 
 from scatdiag.coeff import CoeffFn, ONE, q_power, subst_neg_v
 from scatdiag import scattering
-from scatdiag.lattice import (Seed, a2_seed, a3_seed, kronecker_seed, markov_seed,
-                              mutate_seed, primitive, rational_primitive)
+from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
+                              kronecker_seed, markov_seed, mutate_seed, pair,
+                              primitive, rational_primitive, t_k)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
@@ -543,14 +544,76 @@ def test_endpoint_independence(rng):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
-def test_mutation_check_a2(conv, rng):
+def test_mutation_check_a2(conv):
     sd = BUILDERS[conv](a2_seed(), 5)
     for k in (1, 2):
         for sign in (1, -1):
             seed2, _ = mutate_seed(a2_seed(), k, sign)
             sd2 = BUILDERS[conv](seed2, 5)
-            report = mutate_sd_check(sd, k, sign, sd2, samples=6, rng=rng)
-            assert report.passed, report.failures[:2]
+            report = mutate_sd_check(sd, k, sign, sd2)
+            assert report.passed and report.checked, report.failures[:2]
+
+
+@pytest.mark.parametrize("seed", [a2_seed(), a3_seed(), markov_seed()],
+                         ids=["a2", "a3", "markov"])
+def test_pulled_back_normals_pair_as_their_images(seed, rng):
+    # on each half-space of s_k-perp, pair(m, n) = pair(image(m), n')
+    rank = seed.rank
+    normals = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(6)]
+    for k in range(1, rank + 1):
+        for sign in (1, -1):
+            _, change = mutate_seed(seed, k, sign)
+            pulled = scattering._pulled_back(seed, k, sign, change, normals)
+            for s, side in ((0, sign), (sign, -sign)):
+                done = 0
+                while done < 8:
+                    m = random_rational_point(rng, rank)
+                    if m[k - 1] * side <= 0:
+                        continue
+                    image = covector_to_new_basis(change, t_k(seed, k, sign, m))
+                    assert [pair(m, n) for n in pulled[s]] == \
+                        [pair(image, n) for n in normals], (k, sign, s, m)
+                    done += 1
+
+
+@pytest.mark.parametrize("seed,order", [(a2_seed(), 6), (a3_seed(), 5),
+                                        (kronecker_seed(), 6), (markov_seed(), 4)],
+                         ids=["a2", "a3", "kronecker", "markov"])
+def test_mutation_check_rejects_a_corrupted_diagram(seed, order):
+    # the mutated diagram times exp(x^(1,...,1)) fails at every (k, sign),
+    # each failure naming a face witness and a key where the sides differ
+    sd = quantum_cluster_sd(seed, order)
+    kinds = {"equal-side", "transported-side", "wall", "wall-mutated"}
+    for k in range(1, seed.rank + 1):
+        for sign in (1, -1):
+            seed2, _ = mutate_seed(seed, k, sign)
+            g = quantum_cluster_sd(seed2, order).group_element()
+            bump = GradedElement.monomial(seed2, order, QUANTUM, (1,) * seed.rank, ONE)
+            report = mutate_sd_check(sd, k, sign,
+                                     ScatDiagram.from_group_element(g.mul(bump.exp())))
+            assert not report.passed and report.failures, (k, sign)
+            for kind, m, key in report.failures:
+                assert kind in kinds and len(m) == len(key) == seed.rank, (k, sign)
+
+
+def test_mutation_check_compares_each_wall_with_the_dilogarithm():
+    # x^(order * s_k) is central at the truncation order, so exp of it
+    # changes the wall function on s_k-perp and nothing else
+    order = 4
+
+    def bumped(sd, k):
+        d = tuple(order if i == k - 1 else 0 for i in range(2))
+        bump = GradedElement.monomial(sd.seed, order, QUANTUM, d, ONE).exp()
+        return ScatDiagram.from_group_element(sd.group_element().mul(bump))
+
+    sd = quantum_cluster_sd(a2_seed(), order)
+    for k in (1, 2):
+        for sign in (1, -1):
+            sd2 = quantum_cluster_sd(mutate_seed(a2_seed(), k, sign)[0], order)
+            for (a, b), kind in (((bumped(sd, k), sd2), "wall"),
+                                 ((sd, bumped(sd2, k)), "wall-mutated")):
+                report = mutate_sd_check(a, k, sign, b)
+                assert {f[0] for f in report.failures} == {kind}, (k, sign)
 
 
 def test_mutation_check_rejects_wrong_seed():
