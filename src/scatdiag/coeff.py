@@ -13,7 +13,7 @@ oracles) stores its coefficients as CoeffFn values; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class PoleError(ArithmeticError):
@@ -52,6 +52,10 @@ def _palt(a, k):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    if len(a) == 1:
+        return _pscale(b, a[0])
+    if len(b) == 1:
+        return _pscale(a, b[0])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -455,28 +459,49 @@ def sum_terms(terms):
     """The sum of raw terms (shift, num, den), each meaning v^shift num/den
     in no particular form (den nonzero), canonicalised once.
 
-    Numerators over the same denominator add with no gcd; the distinct
-    denominators then join pairwise over their gcd, as `CoeffFn.__add__`
-    does, but with no canonical form in between.
+    Numerators over the same denominator add with no gcd.  Denominators
+    that agree up to an integer factor f then go over their primitive part
+    p (positive leading coefficient) times the lcm of the factors, again
+    with no gcd.  Only the distinct primitive denominators join pairwise
+    over their gcd, as `CoeffFn.__add__` does, but with no canonical form
+    in between.
     """
     by_den = {}
     for shift, num, den in terms:
         if num:
             acc = by_den.get(den)
-            if acc is None:
-                by_den[den] = shift, num
-            else:
-                s = min(acc[0], shift)
-                by_den[den] = s, _padd(_pshift(acc[1], acc[0] - s), _pshift(num, shift - s))
-    if not by_den:
+            by_den[den] = (shift, num) if acc is None else _shift_add(*acc, shift, num)
+    by_prim = {}
+    for den, (shift, num) in by_den.items():
+        f = _pcontent(den) if den[-1] > 0 else -_pcontent(den)
+        prim = den if f == 1 else tuple(x // f for x in den)
+        by_prim.setdefault(prim, []).append((f, den, shift, num))
+    groups = []
+    for prim, parts in by_prim.items():
+        if len(parts) == 1:
+            _, den, shift, num = parts[0]
+        else:
+            m = lcm(*(f for f, _, _, _ in parts))
+            shift, num = parts[0][2], ()    # the empty sum
+            for f, _, s, n in parts:
+                shift, num = _shift_add(shift, num, s, _pscale(n, m // f))
+            den = _pscale(prim, m)
+        if num:
+            groups.append((shift, num, den))
+    if not groups:
         return ZERO
-    (den, (shift, num)), *rest = by_den.items()
-    for d, (s, n) in rest:
-        t = min(shift, s)
+    (shift, num, den), *rest = groups
+    for s, n, d in rest:
         _, c1, c2 = _pgcd(den, d)
-        num = _padd(_pmul(_pshift(num, shift - t), c2), _pmul(_pshift(n, s - t), c1))
-        den, shift = _pmul(den, c2), t
+        shift, num = _shift_add(shift, _pmul(num, c2), s, _pmul(n, c1))
+        den = _pmul(den, c2)
     return CoeffFn(shift, num, den) if num else ZERO
+
+
+def _shift_add(s1, a, s2, b):
+    """v^s1 a + v^s2 b as (shift, polynomial)."""
+    s = min(s1, s2)
+    return s, _padd(_pshift(a, s1 - s), _pshift(b, s2 - s))
 
 
 def subst_neg_v(c):

@@ -199,11 +199,11 @@ def t_k(seed, k, sign, m):
     row = seed.b[kk]
     if sign == -1:
         if mk > 0:
-            return tuple(mi + Fraction(row[i]) * mk for i, mi in enumerate(m))
+            return tuple(mi + row[i] * mk for i, mi in enumerate(m))
         return tuple(m)
     if sign == 1:
         if mk < 0:
-            return tuple(mi - Fraction(row[i]) * mk for i, mi in enumerate(m))
+            return tuple(mi - row[i] * mk for i, mi in enumerate(m))
         return tuple(m)
     raise ValueError("sign must be +1 or -1")
 

@@ -240,25 +240,31 @@ def _product(seed, order, a, b, twist, degree=None, keys=None):
                 for d1, c1 in pairs:
                     t = _raw(c1, c2) if twist is None else twist(c1, c2, skew(seed, d1, d2))
                     terms.setdefault(_add_key(d1, d2), []).append(t)
+    return _sum_keys(terms)
+
+
+def _series(seed, order, twist, u, coef):
+    """The truncated power series sum_{k >= 1} coef(k) u^k of a dict u
+    without constant term.  The raw terms of every power are collected
+    under their key and each key is summed and canonicalised once."""
+    terms = {}
+    term, k = u, 1
+    while term:
+        c = coef(k)
+        for d, x in term.items():
+            terms.setdefault(d, []).append(_raw(x, c))
+        term = _product(seed, order, term, u, twist)
+        k += 1
+    return _sum_keys(terms)
+
+
+def _sum_keys(terms):
+    """The nonzero sums of a dict from keys to lists of raw terms."""
     out = {}
     for d, ts in terms.items():
         c = sum_terms(ts)
         if not c.is_zero():
             out[d] = c
-    return out
-
-
-def _series(seed, order, twist, u, coef):
-    """The truncated power series sum_{k >= 1} coef(k) u^k of a dict u
-    without constant term."""
-    out = {}
-    term, k = u, 1
-    while term:
-        c = coef(k)
-        for d, x in term.items():
-            _acc(out, d, x * c)
-        term = _product(seed, order, term, u, twist)
-        k += 1
     return out
 
 

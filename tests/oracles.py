@@ -5,7 +5,8 @@ membership by Caratheodory's theorem, cones cut out one constraint at a
 time, brute-force isomorphism of representations, King semistability by
 enumerating every subrepresentation, the truncated product that
 canonicalises after every term (with the DT twist (-v)^w and the Lie
-brackets written out per term), and the log of the dilogarithm written
+brackets written out per term), the power series that adds one canonical
+coefficient per power, and the log of the dilogarithm written
 down directly.  None of them runs in the package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
@@ -321,13 +322,18 @@ def dt_product(seed, order, a, b):
     return _per_term(seed, order, a, b, _dt_mul)
 
 
-def dt_power_series(seed, order, u, coef):
-    """sum_{k >= 1} coef(k) u^k in the DT-twisted product, term by term."""
+def power_series_per_power(seed, order, convention, u, coef):
+    """sum_{k >= 1} coef(k) u^k, term by term: each power's coefficients
+    times coef(k), canonical, added into the sum at once, and the next power
+    by the per-term product of the convention ((-v)^w on each pair of terms
+    in the DT-twisted one)."""
+    twist = {QUANTUM: _quantum_mul, CLASSICAL: None, DT_TWIST: _dt_mul}[convention]
     out, term, k = {}, u, 1
     while term:
+        c = coef(k)
         for d, x in term.items():
-            torus._acc(out, d, x * coef(k))
-        term = dt_product(seed, order, term, u)
+            torus._acc(out, d, x * c)
+        term = _per_term(seed, order, term, u, twist)
         k += 1
     return out
 

@@ -180,7 +180,7 @@ def test_heuristic_gcd_matches_prs(rng, monkeypatch):
         assert coeff._pgcd_prs(a, b) == g, (a, b)
 
 
-def test_sum_terms_is_a_fold_of_add(rng):
+def test_sum_terms_is_a_fold_of_add(rng, monkeypatch):
     """`sum_terms` on raw terms, each a random coefficient with a common
     factor and a power of v left in, equals the left fold of `+`."""
     def raw(c):
@@ -206,6 +206,57 @@ def test_sum_terms_is_a_fold_of_add(rng):
         assert sum_terms([(c.shift, c.num, c.den) for c in cs]) == expected
     for c in pool:
         assert sum_terms([raw(c)]) == c
+
+    # raw denominators equal up to an integer factor, negative or with a
+    # content above 1: they go over one primitive denominator with no gcd,
+    # so the gcds are the joins of distinct primitive denominators and the
+    # one of the canonical form
+    def scaled(c):
+        f = rng.choice((-6, -4, -3, -2, -1, 2, 3, 5))
+        return c.shift, coeff._pscale(c.num, f), coeff._pscale(c.den, f)
+
+    def primitive(den):
+        p = coeff._pprim(den)
+        return p if p[-1] > 0 else coeff._pneg(p)
+
+    real, calls = coeff._pgcd, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for _ in range(300):
+        cs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            cs += [-c for c in cs]
+        rng.shuffle(cs)
+        expected = functools.reduce(operator.add, cs, ZERO)
+        terms = [scaled(c) for c in cs]
+        monkeypatch.setattr(coeff, "_pgcd", spy)
+        del calls[:]
+        assert sum_terms(terms) == expected
+        monkeypatch.undo()
+        assert len(calls) <= len({primitive(c.den) for c in cs})
+    # a sum that cancels to zero over denominators -2 (v + 1) and 3 (v + 1)
+    assert sum_terms([(0, (2,), (-2, -2)), (0, (3,), (3, 3))]) == ZERO
+    assert sum_terms([(0, (1,), (4, 4)), (0, (1,), (-6, -6))]) == \
+        CoeffFn(0, (1,), (12, 12))
+
+
+def test_pmul_constant_operand(rng):
+    """The constant-operand path of `_pmul` against the double loop."""
+    def double_loop(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return coeff._ptrim(out)
+
+    for _ in range(200):
+        b = coeff._ptrim(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))) or (1,)
+        for k in (1, -1, rng.choice((-7, -2, 3, 12))):
+            assert coeff._pmul((k,), b) == coeff._pmul(b, (k,)) == double_loop((k,), b)
+            assert type(coeff._pmul((k,), b)) is tuple
 
 
 def test_q_int_rejects_k_below_one():

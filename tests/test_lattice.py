@@ -94,16 +94,42 @@ def test_t_k_examples():
 
 def test_t_k_inverse_through_mutated_seed(rng):
     # T_k^+ at mu_k^-(s) undoes T_k^- at s (the piecewise branches compose
-    # to the identity once the half-spaces are read in the new basis)
-    s = a2_seed()
-    for _ in range(200):
-        m = random_rational_point(rng, 2, span=5, den=3)
-        k = rng.randint(1, 2)
-        sp, ch = mutate_seed(s, k, -1)
-        spi, chi = mutate_seed(sp, k, 1)
-        assert spi == s
-        mid = covector_to_new_basis(ch, t_k(s, k, -1, m))
-        assert covector_to_new_basis(chi, t_k(sp, k, 1, mid)) == m
+    # to the identity once the half-spaces are read in the new basis); an
+    # integer covector comes back as int entries
+    seeds = [a2_seed(), markov_seed()] + [random_skew_seed(rng, 3) for _ in range(5)]
+    for s in seeds:
+        n = s.rank
+        for i in range(60):
+            if i % 2:
+                m = random_rational_point(rng, n, span=5, den=3)
+            else:
+                m = tuple(rng.randint(-6, 6) for _ in range(n))
+            k = rng.randint(1, n)
+            sp, ch = mutate_seed(s, k, -1)
+            spi, chi = mutate_seed(sp, k, 1)
+            assert spi == s
+            mid = covector_to_new_basis(ch, t_k(s, k, -1, m))
+            back = covector_to_new_basis(chi, t_k(sp, k, 1, mid))
+            assert back == m
+            if i % 2 == 0:
+                assert all(type(x) is int for x in back)
+
+
+def test_t_k_keeps_integer_covectors_integer(rng):
+    # the transform multiplies by the integer entries of B, so an integer
+    # covector stays integer and equals the value over Fraction
+    for s in [a2_seed(), markov_seed()] + [random_skew_seed(rng, 3) for _ in range(5)]:
+        n = s.rank
+        for _ in range(40):
+            m = tuple(rng.randint(-6, 6) for _ in range(n))
+            k = rng.randint(1, n)
+            for sign in (1, -1):
+                out = t_k(s, k, sign, m)
+                assert all(type(x) is int for x in out)
+                mk = F(m[k - 1])
+                moved = mk > 0 if sign == -1 else mk < 0
+                assert out == tuple(F(x) - sign * F(b) * mk * moved
+                                    for x, b in zip(m, s.b[k - 1]))
 
 
 def test_face_enumerate_counts():

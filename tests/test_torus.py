@@ -4,14 +4,14 @@ import pytest
 
 import scatdiag.coeff as coeff
 from scatdiag import torus
-from scatdiag.chambers import dt_series
+from scatdiag.chambers import dt_series, enumerate_green_to_red
 from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power, subst_neg_v
-from scatdiag.lattice import a2_seed, a3_seed, markov_seed
+from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
                             GradedElement, classical_map, dilog_group_element,
                             lift_classical, sigma)
 from conftest import random_coeff, random_lie
-from oracles import (bracket, dilog_lie_element, dt_power_series, dt_product,
+from oracles import (bracket, dilog_lie_element, dt_product, power_series_per_power,
                      product_per_term)
 
 v = CoeffFn.v_power
@@ -225,11 +225,8 @@ def test_product_kernel_matches_per_term_oracle(rng, monkeypatch, conv):
 
 
 def test_dt_operations_match_the_per_term_oracle(rng):
-    # dt mul, exp, log and inverse are sigma of the quantum ones; the oracle
-    # twists each pair of terms by (-v)^w itself
-    coefs = {"exp": lambda k: CoeffFn.from_fraction(1, factorial(k)),
-             "log": lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k),
-             "group_inverse": lambda k: CoeffFn.from_int((-1) ** k)}
+    # a dt product is sigma of the quantum one; the oracle twists each pair
+    # of terms by (-v)^w itself
     for seed, order in ((a2_seed(), 5), (a3_seed(), 4), (markov_seed(), 4)):
         for _ in range(10):
             a, b = (random_element(rng, seed, DT_TWIST, order, LIE) for _ in range(2))
@@ -238,9 +235,31 @@ def test_dt_operations_match_the_per_term_oracle(rng):
             for x, y in ((a, b), (g, h), (g, a), (a, g)):
                 assert torus._full(x.mul(y)) == \
                     dt_product(seed, order, torus._full(x), torus._full(y))
+
+
+SERIES_COEFS = {"exp": lambda k: CoeffFn.from_fraction(1, factorial(k)),
+                "log": lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k),
+                "group_inverse": lambda k: CoeffFn.from_int((-1) ** k)}
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_series_match_the_per_power_oracle(rng, conv):
+    # exp, log and the group inverse sum the raw terms of each key once; the
+    # oracle adds one canonical coefficient per power, and in the dt
+    # convention twists each pair of terms by (-v)^w itself.  A product of
+    # two dilogarithms brings the cyclotomic denominators, equal up to an
+    # integer factor, that the series of a DT product meets.
+    seeds = ((a2_seed(), 5), (a3_seed(), 4), (markov_seed(), 4), (kronecker_seed(), 4))
+    for seed, order in seeds:
+        units = [tuple(int(i == j) for j in range(seed.rank)) for i in (0, seed.rank - 1)]
+        dilogs = dilog_group_element(seed, units[0], order, conv).mul(
+            dilog_group_element(seed, units[1], order, conv))
+        for i in range(11):
+            a = random_element(rng, seed, conv, order, LIE)
+            g = dilogs if i == 0 else random_element(rng, seed, conv, order, GROUP)
             for x, op in ((a, "exp"), (g, "log"), (g, "group_inverse")):
                 assert getattr(x, op)().coeffs == \
-                    dt_power_series(seed, order, x.coeffs, coefs[op])
+                    power_series_per_power(seed, order, conv, x.coeffs, SERIES_COEFS[op])
 
 
 def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
@@ -264,6 +283,25 @@ def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
     del calls[:]
     dt_series(a3_seed(), (1, 2, 3), 5, CLASSICAL)
     assert len(calls) <= 863
+
+
+def test_series_gcd_count(monkeypatch):
+    """The classical DT series of A2 at order 8 along both maximal green
+    sequences: 6,518 polynomial gcds when each power of a series added a
+    canonical coefficient and every raw denominator joined over a gcd,
+    1,796 when each key is summed once over its primitive denominators."""
+    real, calls = coeff._pgcd, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coeff, "_pgcd", spy)
+    seqs = enumerate_green_to_red(a2_seed(), 4)
+    assert seqs == [(1, 2), (2, 1, 2)]
+    for seq in seqs:
+        dt_series(a2_seed(), seq, 8, CLASSICAL)
+    assert len(calls) <= 2000
 
 
 def test_malformed_inputs_raise_value_error():
