@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -246,9 +245,32 @@ def _integer(text, low):
     return value
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin for 2 <= p < _MR_BOUND."""
+    if any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1     # 2^s exactly divides p - 1
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        # a witnesses that p is composite unless x = 1 or one of
+        # x, x^2, ..., x^(2^(s-1)) is p - 1
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
+            return False
+    return True
+
+
 def _prime(text):
     p = _integer(text, 2)
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p >= _MR_BOUND:
+        raise argparse.ArgumentTypeError("primes must be below %d, got %d" % (_MR_BOUND, p))
+    if not _is_prime(p):
         raise argparse.ArgumentTypeError("not a prime: %d" % p)
     return p
 

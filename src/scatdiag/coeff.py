@@ -104,32 +104,17 @@ def _pdiv_exact(a, b):
 
 
 def _prem_pseudo(a, b):
-    """Pseudo-remainder of a by b (b nonzero, deg a >= deg b)."""
-    rem = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    if lb == 1 or lb == -1:
-        # plain division remainder, no coefficient growth
-        while True:
-            rem = list(_ptrim(rem))
-            if not rem or len(rem) - 1 < db:
-                break
-            d = len(rem) - 1 - db
-            lead = rem[-1] * lb
-            for j, y in enumerate(b):
-                rem[d + j] -= lead * y
-        return _ptrim(rem)
-    while len(rem) - 1 >= db and any(rem):
-        rem = _ptrim(rem)
-        if not rem or len(rem) - 1 < db:
-            break
+    """Pseudo-remainder of a by b (b nonzero)."""
+    rem = _ptrim(a)
+    lb, db = b[-1], len(b) - 1
+    while len(rem) - 1 >= db:
         d = len(rem) - 1 - db
         lead = rem[-1]
         rem = [lb * x for x in rem]
         for j, y in enumerate(b):
             rem[d + j] -= lead * y
-        rem = list(_ptrim(rem))
-    return _ptrim(rem)
+        rem = _ptrim(rem)
+    return rem
 
 
 _HEU_TRIES = 6
@@ -268,19 +253,8 @@ class CoeffFn:
             return other
         if not other.num:
             return self
-        s = min(self.shift, other.shift)
-        a = _pshift(self.num, self.shift - s)
-        b = _pshift(other.num, other.shift - s)
-        if self.den == other.den:
-            if self.den == (1,):
-                return CoeffFn(s, _padd(a, b), (1,))
-            return CoeffFn(s, _padd(a, b), self.den)
-        if self.den == (1,):
-            return CoeffFn(s, _padd(_pmul(a, other.den), b), other.den)
-        if other.den == (1,):
-            return CoeffFn(s, _padd(a, _pmul(b, self.den)), self.den)
-        _, d1, d2 = _pgcd(self.den, other.den)
-        return CoeffFn(s, _padd(_pmul(a, d2), _pmul(b, d1)), _pmul(self.den, d2))
+        return sum_terms(((self.shift, self.num, self.den),
+                          (other.shift, other.num, other.den)))
 
     def __neg__(self):
         if not self.num:
@@ -301,13 +275,7 @@ class CoeffFn:
         n2, d1 = other.num, self.den
         if len(n2) > 1 and len(d1) > 1:
             _, n2, d1 = _pgcd(n2, d1)
-        num, den = _pmul(n1, n2), _pmul(d1, d2)
-        c = gcd(_pcontent(num), _pcontent(den))
-        if c > 1:
-            num = tuple(x // c for x in num)
-            den = tuple(x // c for x in den)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
+        num, den = _content_and_sign(_pmul(n1, n2), _pmul(d1, d2))
         return CoeffFn(self.shift + other.shift, num, den, _canonical=True)
 
     def inverse(self):
@@ -441,14 +409,19 @@ def _canonicalize(shift, num, den):
     num, den = num[i:], den[j:]
     # cancel polynomial gcd
     _, num, den = _pgcd(num, den)
-    # coprime integer contents, positive leading denominator coefficient
+    return (shift, *_content_and_sign(num, den))
+
+
+def _content_and_sign(num, den):
+    """num/den with the common integer content divided out and a positive
+    leading denominator coefficient."""
     c = gcd(_pcontent(num), _pcontent(den))
     if c > 1:
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)
     if den[-1] < 0:
         num, den = _pneg(num), _pneg(den)
-    return shift, num, den
+    return num, den
 
 
 ZERO = CoeffFn(0, (), (1,), _canonical=True)
@@ -459,18 +432,21 @@ def sum_terms(terms):
     """The sum of raw terms (shift, num, den), each meaning v^shift num/den
     in no particular form (den nonzero), canonicalised once.
 
-    Numerators over the same denominator add with no gcd.  Denominators
-    that agree up to an integer factor f then go over their primitive part
-    p (positive leading coefficient) times the lcm of the factors, again
-    with no gcd.  Only the distinct primitive denominators join pairwise
-    over their gcd, as `CoeffFn.__add__` does, but with no canonical form
-    in between.
+    Numerators over the same denominator add with no gcd, and a sum over
+    one denominator is done there.  Denominators that agree up to an
+    integer factor f then go over their primitive part p (positive leading
+    coefficient) times the lcm of the factors, again with no gcd.  Only
+    the distinct primitive denominators join pairwise over their gcd, with
+    no canonical form in between.  `CoeffFn.__add__` is the sum of two terms.
     """
     by_den = {}
     for shift, num, den in terms:
         if num:
             acc = by_den.get(den)
             by_den[den] = (shift, num) if acc is None else _shift_add(*acc, shift, num)
+    if len(by_den) == 1:
+        (den, (shift, num)), = by_den.items()
+        return CoeffFn(shift, num, den) if num else ZERO
     by_prim = {}
     for den, (shift, num) in by_den.items():
         f = _pcontent(den) if den[-1] > 0 else -_pcontent(den)
@@ -496,6 +472,12 @@ def sum_terms(terms):
         shift, num = _shift_add(shift, _pmul(num, c2), s, _pmul(n, c1))
         den = _pmul(den, c2)
     return CoeffFn(shift, num, den) if num else ZERO
+
+
+def raw_product(c1, c2, k=0):
+    """The raw term (shift, num, den) of v^k c1 c2: numerators and
+    denominators multiplied with no gcd, for `sum_terms`."""
+    return c1.shift + c2.shift + k, _pmul(c1.num, c2.num), _pmul(c1.den, c2.den)
 
 
 def _shift_add(s1, a, s2, b):

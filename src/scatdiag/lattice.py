@@ -36,6 +36,8 @@ class Seed:
             raise ValueError("B entries must be integers, got %r" % (self.b,))
         object.__setattr__(self, "b", b)
         n = len(b)
+        if n == 0:
+            raise ValueError("B must have rank >= 1, got an empty matrix")
         if any(len(row) != n for row in self.b):
             raise ValueError("B must be square")
         for i in range(n):

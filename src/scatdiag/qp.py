@@ -314,8 +314,8 @@ def _substitute(quiver, potential, name, replacement):
 
 
 def reduce_qp(quiver, potential):
-    """Split off the trivial part: returns (trivial_terms, reduced_quiver,
-    reduced_potential, eliminated_arrows).
+    """The reduced part (reduced_quiver, reduced_potential): what is left
+    when the trivial part, the invertible 2-cycle terms, is split off.
 
     Iteratively eliminates invertible 2-cycle terms by the substitution
     v -> v - (1/c) (d_u w - c v), which only ever rewrites arrows that are
@@ -324,7 +324,6 @@ def reduce_qp(quiver, potential):
     """
     pot = potential
     eliminated = []
-    trivial = {}
     rounds = 0
     while True:
         rounds += 1
@@ -349,7 +348,6 @@ def reduce_qp(quiver, potential):
         du2 = cyclic_derivative(quiver, pot, u)
         if set(du2) != {(vv,)}:
             continue  # another pass needed (u met other eliminated arrows)
-        trivial[normalize_cycle((u, vv))] = du2[(vv,)]
         pot = Potential.make(quiver,
                              [(w, q) for w, q in pot.terms
                               if u not in w and vv not in w], potential.cap)
@@ -363,14 +361,13 @@ def reduce_qp(quiver, potential):
     # caught by the is_k_mutable comparison downstream.
     red_quiver = Quiver(quiver.nvertices, tuple(keep))
     red_pot = Potential.make(red_quiver, pot.terms, potential.cap)
-    return trivial, red_quiver, red_pot, tuple(eliminated)
+    return red_quiver, red_pot
 
 
 def mutate_qp(quiver, potential, k):
     """DWZ mutation: the reduced part of the tilde mutation."""
     tq, tw = tilde_mutate(quiver, potential, k)
-    trivial, rq, rw, elim = reduce_qp(tq, tw)
-    return rq, rw
+    return reduce_qp(tq, tw)
 
 
 def _k_mutation(quiver, potential, k):

@@ -29,7 +29,7 @@ from .lattice import (check_covector, dedupe_primitive, face_enumerate, mutate_s
                       apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical, sigma,
-                    _acc, _by_degree, _full, _product, _quantum_mul, _zero_key)
+                    _acc, _by_degree, _full, _product, _zero_key)
 
 
 class DegenerateSegmentError(ValueError):
@@ -79,9 +79,9 @@ class _FactorizationState:
 
     def products(self, t):
         """Layer t of L * Z and of L * Z * P, formed from the settled layers."""
-        lz_t = _product(self.seed, self.order, self.L, self.Z, _quantum_mul,
+        lz_t = _product(self.seed, self.order, self.L, self.Z, True,
                         degree=t, keys=self.keys)
-        r_t = _product(self.seed, self.order, self.LZ, self.P, _quantum_mul,
+        r_t = _product(self.seed, self.order, self.LZ, self.P, True,
                        degree=t, keys=self.keys)
         for d, c in lz_t.items():
             _acc(r_t, d, c)
@@ -231,7 +231,7 @@ def _log_correction(seed, order, upow, t):
     corr = {}
     upow.append({})     # (Z - 1)^(t+1) starts in degree t + 1
     for p in range(2, t + 1):
-        new = _product(seed, order, upow[p - 2], upow[0], _quantum_mul, degree=t)
+        new = _product(seed, order, upow[p - 2], upow[0], True, degree=t)
         upow[p - 1].update(new)
         inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
         for d, c in new.items():
@@ -331,7 +331,9 @@ class _WallPlane:
             self.tested.append(x)
             m = tuple(sum(w * b[i] for w, b in zip(x, self.basis))
                       for i in range(self.rank))
-            if sd._ray_part_nontrivial(m, self.n):
+            # m is off every other candidate, so the whole middle factor
+            # there is the ray-of-n part R_n(m)
+            if sd.phi(m).coeffs:
                 return True
         return False
 
@@ -487,11 +489,6 @@ class ScatDiagram:
                         grew = True
             self._wall_normals = tuple(n for n in candidates if n in walls)
         return self._wall_normals
-
-    def _ray_part_nontrivial(self, m, n):
-        # m is a witness on n-perp off every other candidate, so the whole
-        # middle factor there is R_n(m); n names the ray under test
-        return bool(expose(self._middle(m), self.convention).coeffs)
 
     def minimal_complex(self):
         if self._complex is not None:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from math import factorial
 
-from .coeff import CoeffFn, ONE, ZERO, PoleError, gl_count, subst_neg_v, sum_terms, _pmul
+from .coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, raw_product, subst_neg_v,
+                    sum_terms)
 from .lattice import skew, total_degree
 
 QUANTUM = "quantum"
@@ -110,7 +111,7 @@ class GradedElement:
         if self.convention == DT_TWIST:
             return sigma(sigma(self).mul(sigma(other)))
         out = _product(self.seed, self.order, _full(self), _full(other),
-                       _MUL_TWIST[self.convention])
+                       self.convention == QUANTUM)
         c0 = out.pop(_zero_key(self.seed), ZERO)
         if c0 == ONE:
             flavor = GROUP
@@ -126,7 +127,7 @@ class GradedElement:
         """The `flavor` element sum_{k >= 1} coef(k) u^k, u the stored terms."""
         if self.convention == DT_TWIST:
             return sigma(sigma(self)._power_series(flavor, coef))
-        out = _series(self.seed, self.order, _MUL_TWIST[self.convention],
+        out = _series(self.seed, self.order, self.convention == QUANTUM,
                       self.coeffs, coef)
         return GradedElement(self.seed, self.order, self.convention, flavor, out)
 
@@ -200,23 +201,6 @@ def _full(elem):
     return out
 
 
-# The raw term (shift, num, den) of x^(d1+d2) contributed by c1 x^d1 and
-# c2 x^d2: numerators and denominators multiplied with no gcd, and
-# `sum_terms` canonicalises each output coefficient once.  The quantum twist
-# multiplies by v^w, w = {d1, d2}; a twist of None is the commutative
-# product, which needs no pairing.
-
-def _raw(c1, c2, k=0):
-    return c1.shift + c2.shift + k, _pmul(c1.num, c2.num), _pmul(c1.den, c2.den)
-
-
-def _quantum_mul(c1, c2, w):
-    return _raw(c1, c2, w)
-
-
-_MUL_TWIST = {QUANTUM: _quantum_mul, CLASSICAL: None}
-
-
 def _by_degree(a):
     out = {}
     for d, c in a.items():
@@ -224,9 +208,11 @@ def _by_degree(a):
     return out
 
 
-def _product(seed, order, a, b, twist, degree=None, keys=None):
+def _product(seed, order, a, b, twisted, degree=None, keys=None):
     """The truncated product of two coefficient dicts (the zero key is
-    allowed): the sum of twist(c1, c2, {d1, d2}) x^(d1+d2).  Terms are
+    allowed): the sum of v^w c1 c2 x^(d1+d2), with w = {d1, d2} when
+    `twisted` (the quantum product) and w = 0 otherwise (the commutative
+    one).  Each pair gives a raw term (`coeff.raw_product`).  Terms are
     paired by total degree, so with degree=t only the layer of total
     degree t is formed, and a pair whose key is not in a given set of keys
     is not formed.  The raw terms of each key are summed and canonicalised once."""
@@ -238,12 +224,12 @@ def _product(seed, order, a, b, twist, degree=None, keys=None):
                 pairs = left if keys is None else \
                     [p for p in left if _add_key(p[0], d2) in keys]
                 for d1, c1 in pairs:
-                    t = _raw(c1, c2) if twist is None else twist(c1, c2, skew(seed, d1, d2))
-                    terms.setdefault(_add_key(d1, d2), []).append(t)
+                    w = skew(seed, d1, d2) if twisted else 0
+                    terms.setdefault(_add_key(d1, d2), []).append(raw_product(c1, c2, w))
     return _sum_keys(terms)
 
 
-def _series(seed, order, twist, u, coef):
+def _series(seed, order, twisted, u, coef):
     """The truncated power series sum_{k >= 1} coef(k) u^k of a dict u
     without constant term.  The raw terms of every power are collected
     under their key and each key is summed and canonicalised once."""
@@ -252,8 +238,8 @@ def _series(seed, order, twist, u, coef):
     while term:
         c = coef(k)
         for d, x in term.items():
-            terms.setdefault(d, []).append(_raw(x, c))
-        term = _product(seed, order, term, u, twist)
+            terms.setdefault(d, []).append(raw_product(x, c))
+        term = _product(seed, order, term, u, twisted)
         k += 1
     return _sum_keys(terms)
 
@@ -295,7 +281,7 @@ def dilog_group_element(seed, n, order, convention):
     kn = {k: tuple(k * x for x in n) for k in range(1, order // deg + 1)}
     if convention == CLASSICAL:
         lie = {d: CoeffFn.from_fraction((-1) ** (k - 1), k * k) for k, d in kn.items()}
-        coeffs = _series(seed, order, None, lie, _exp_coef)
+        coeffs = _series(seed, order, False, lie, _exp_coef)
     else:
         coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k) for k, d in kn.items()}
     return GradedElement(seed, order, convention, GROUP, coeffs)

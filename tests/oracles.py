@@ -3,11 +3,12 @@
 Each one is slow and direct: Gaussian elimination over Fraction, cone
 membership by Caratheodory's theorem, cones cut out one constraint at a
 time, brute-force isomorphism of representations, King semistability by
-enumerating every subrepresentation, the truncated product that
-canonicalises after every term (with the DT twist (-v)^w and the Lie
-brackets written out per term), the power series that adds one canonical
-coefficient per power, and the log of the dilogarithm written
-down directly.  None of them runs in the package.
+enumerating every subrepresentation, the sum of two coefficients by its
+own denominator join, the truncated product that canonicalises after
+every term (with the DT twist (-v)^w and the Lie brackets written out per
+term), the power series that adds one canonical coefficient per power,
+and the log of the dilogarithm written down directly.  None of them runs
+in the package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
@@ -15,7 +16,7 @@ some test.
 import itertools
 from fractions import Fraction
 
-from scatdiag import torus
+from scatdiag import coeff, torus
 from scatdiag.coeff import CoeffFn
 from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair, skew, total_degree
 from scatdiag.reps import all_subspaces, is_semistable, make_rep, mat_mul, mat_vec, rref_p
@@ -262,6 +263,32 @@ def dilog_lie_element(seed, n, order, convention):
 
 
 # ---------------------------------------------------------------------------
+# the sum of two coefficients by its own denominator join
+# ---------------------------------------------------------------------------
+
+def add_by_denominator_join(x, y):
+    """x + y over the common denominator of the two, built case by case:
+    a shared denominator, a denominator of 1 on either side, and otherwise
+    the product of the two divided by their gcd."""
+    if not x.num:
+        return y
+    if not y.num:
+        return x
+    s = min(x.shift, y.shift)
+    a = coeff._pshift(x.num, x.shift - s)
+    b = coeff._pshift(y.num, y.shift - s)
+    if x.den == y.den:
+        return CoeffFn(s, coeff._padd(a, b), x.den)
+    if x.den == (1,):
+        return CoeffFn(s, coeff._padd(coeff._pmul(a, y.den), b), y.den)
+    if y.den == (1,):
+        return CoeffFn(s, coeff._padd(a, coeff._pmul(b, x.den)), x.den)
+    _, d1, d2 = coeff._pgcd(x.den, y.den)
+    return CoeffFn(s, coeff._padd(coeff._pmul(a, d2), coeff._pmul(b, d1)),
+                   coeff._pmul(x.den, d2))
+
+
+# ---------------------------------------------------------------------------
 # the truncated product, one canonical coefficient per term
 # ---------------------------------------------------------------------------
 
@@ -308,12 +335,10 @@ def _per_term(seed, order, a, b, twist, degree=None):
     return out
 
 
-def product_per_term(seed, order, a, b, twist, degree=None):
-    """`torus._product` term by term.  `twist` is the package's quantum
-    twist or None, and the same twist on canonical coefficients stands in
-    for it."""
-    return _per_term(seed, order, a, b, {None: None, torus._quantum_mul: _quantum_mul}[twist],
-                     degree)
+def product_per_term(seed, order, a, b, twisted, degree=None):
+    """`torus._product` term by term: the quantum twist on canonical
+    coefficients when `twisted`, the commutative product otherwise."""
+    return _per_term(seed, order, a, b, _quantum_mul if twisted else None, degree)
 
 
 def dt_product(seed, order, a, b):

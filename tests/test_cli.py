@@ -296,12 +296,55 @@ def test_every_flag_is_read_by_its_handler():
 
 
 def test_large_prime_is_accepted_quickly(tmp_path, a2_file):
-    # primality is checked by trial division up to sqrt(p), not up to p
+    # primality is checked by Miller-Rabin, not by trial division
     start = time.perf_counter()
     code, payload = run(tmp_path, "reps", "--seed", a2_file, "--m", "1,0",
                         "--order", "1", "--primes", "1000000007")
     assert code == 0 and payload["primes"] == [1000000007]
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (998244353 * 1000000007, 2)],
+                         ids=["mersenne-61", "semiprime"])
+def test_primes_near_2_61_are_decided_quickly(tmp_path, a2_file, p, code):
+    # trial division up to sqrt(p) ran for over 10 s on each
+    start = time.perf_counter()
+    assert run(tmp_path, "reps", "--seed", a2_file, "--m", "1,0", "--order", "1",
+               "--primes", str(p))[0] == code
+    assert time.perf_counter() - start < 1
+
+
+def test_primality_matches_trial_division(a2_file, capsys):
+    for p in range(2, 10 ** 4):
+        assert cli._is_prime(p) == all(p % q for q in range(2, int(p ** 0.5) + 1)), p
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert not cli._is_prime(3215031751) and not cli._is_prime(3825123056546413051)
+    # 399165290221 * 798330580441 is the least strong pseudoprime to the
+    # twelve prime bases 2..37; base 41 is a witness
+    assert not cli._is_prime(399165290221 * 798330580441)
+    assert main(["reps", "--seed", a2_file, "--m", "1,0", "--primes",
+                 str(399165290221 * 798330580441)]) == 2
+    assert "not a prime" in capsys.readouterr().err
+    # the bound is the least strong pseudoprime to all thirteen bases, so the
+    # test cannot decide it and the CLI refuses it and everything above
+    assert cli._is_prime(cli._MR_BOUND)
+    for p in (cli._MR_BOUND, cli._MR_BOUND + 2):
+        assert main(["reps", "--seed", a2_file, "--m", "1,0", "--primes", str(p)]) == 2
+        assert "must be below" in capsys.readouterr().err
+
+
+def test_a_rank_0_seed_exits_2(tmp_path, capsys):
+    # a rank-0 seed left `verify` checking nothing with exit 0, `scatter`
+    # printing an empty diagram and `reps` failing inside itertools
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"B": []}))
+    argvs = [("scatter",), ("mutate", "--vertex", "1"), ("g2r",), ("dt",),
+             ("reps", "--m", "1")] + [("verify", "--suite", s) for s in sorted(cli.SUITES)]
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        code, payload = run(tmp_path, argv[0], "--seed", str(empty), *argv[1:])
+        assert (code, payload) == (2, None), argv
+        assert "rank >= 1" in capsys.readouterr().err, argv
 
 
 def test_reps_reads_a_piped_seed(a2_file):

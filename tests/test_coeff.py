@@ -1,5 +1,4 @@
 import functools
-import operator
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +8,7 @@ import scatdiag.coeff as coeff
 from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_power,
                             subst_neg_v, sum_terms)
 from conftest import random_coeff
-from oracles import q_int
+from oracles import add_by_denominator_join, q_int
 
 v = CoeffFn.v_power
 
@@ -180,9 +179,46 @@ def test_heuristic_gcd_matches_prs(rng, monkeypatch):
         assert coeff._pgcd_prs(a, b) == g, (a, b)
 
 
+def test_add_matches_the_denominator_join(rng):
+    """`+` is `sum_terms` of its two terms; the reference joins the two
+    denominators itself.  Pairs over one denominator, over denominators
+    that differ by an integer factor, over a denominator of 1, with a zero
+    operand, and pairs that cancel to zero."""
+    def poly():
+        return tuple(rng.randint(-4, 4) for _ in range(3))
+
+    def kind(a, b, total):
+        if a.is_zero() or b.is_zero():
+            return "zero operand"
+        if total.is_zero():
+            return "cancels"
+        if a.den == b.den:
+            return "equal"
+        if (1,) in (a.den, b.den):
+            return "one"
+        return "integer factor" if coeff._pprim(a.den) == coeff._pprim(b.den) else "other"
+
+    seen = set()
+    for _ in range(400):
+        x = random_coeff(rng)
+        f = rng.choice((-6, -2, 3, 5))
+        pairs = [(x, CoeffFn(rng.randint(-3, 3), poly(), x.den)),
+                 (x, CoeffFn(x.shift, coeff._pscale(x.num, rng.choice((1, 7))),
+                             coeff._pscale(x.den, f))),
+                 (x, CoeffFn(rng.randint(-3, 3), poly(), (1,))),
+                 (x, ZERO), (x, -x), (x, random_coeff(rng))]
+        for a, b in pairs:
+            for y, z in ((a, b), (b, a)):
+                total = y + z
+                assert total == add_by_denominator_join(y, z), (y, z)
+                seen.add(kind(y, z, total))
+    assert seen == {"zero operand", "cancels", "equal", "one", "integer factor", "other"}
+
+
 def test_sum_terms_is_a_fold_of_add(rng, monkeypatch):
     """`sum_terms` on raw terms, each a random coefficient with a common
-    factor and a power of v left in, equals the left fold of `+`."""
+    factor and a power of v left in, equals the left fold of the
+    reference sum (a fold of `+` would be `sum_terms` again)."""
     def raw(c):
         f = coeff._ptrim(tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3))))
         k = rng.randint(0, 2)
@@ -201,7 +237,7 @@ def test_sum_terms_is_a_fold_of_add(rng, monkeypatch):
         if rng.random() < 0.3:
             cs += [-c for c in cs]
         rng.shuffle(cs)
-        expected = functools.reduce(operator.add, cs, ZERO)
+        expected = functools.reduce(add_by_denominator_join, cs, ZERO)
         assert sum_terms([raw(c) for c in cs]) == expected
         assert sum_terms([(c.shift, c.num, c.den) for c in cs]) == expected
     for c in pool:
@@ -230,7 +266,7 @@ def test_sum_terms_is_a_fold_of_add(rng, monkeypatch):
         if rng.random() < 0.3:
             cs += [-c for c in cs]
         rng.shuffle(cs)
-        expected = functools.reduce(operator.add, cs, ZERO)
+        expected = functools.reduce(add_by_denominator_join, cs, ZERO)
         terms = [scaled(c) for c in cs]
         monkeypatch.setattr(coeff, "_pgcd", spy)
         del calls[:]

@@ -344,13 +344,16 @@ def test_wall_witnesses_avoid_every_other_candidate(seed, conv, monkeypatch):
     sd = BUILDERS[conv](seed, 4)
     candidates = sd.candidate_normals()
     calls = []
-    test = ScatDiagram._ray_part_nontrivial
+    phi = ScatDiagram.phi
 
-    def spy(self, m, n):
+    def spy(self, m):
+        # the ray under test is the one candidate that m pairs to zero
+        n, = (d for d in candidates if pair(m, d) == 0)
         calls.append((m, n))
-        return test(self, m, n)
-    monkeypatch.setattr(ScatDiagram, "_ray_part_nontrivial", spy)
+        return phi(self, m)
+    monkeypatch.setattr(ScatDiagram, "phi", spy)
     sd.wall_normals()
+    monkeypatch.undo()
     assert calls
     for m, n in calls:
         assert pair(m, n) == 0
@@ -362,19 +365,23 @@ def test_a_wall_confirmed_on_a_retest(monkeypatch):
     # x^(1,2) and x^(2,1) scatter into the ray of (1,1) at degree 6 only, on
     # one side of the line that (1,2) and (2,1) cut out of (1,1)-perp; the
     # first test of (1,1) comes before they are confirmed and misses it
+    from scatdiag.lattice import pair
     a2 = a2_seed()
     eta = {n: GradedElement(a2, 6, QUANTUM, LIE, {n: ONE}).exp()
            for n in ((1, 2), (2, 1))}
     sd = complete_from_initial(eta, a2, 6, QUANTUM)
     assert sd.phi((F(-1), F(1))).coeffs == {}
     assert (3, 3) in sd.phi((F(1), F(-1))).coeffs
+    candidates = sd.candidate_normals()
     results = []
-    test = ScatDiagram._ray_part_nontrivial
+    phi = ScatDiagram.phi
 
-    def spy(self, m, n):
-        results.append((n, test(self, m, n)))
-        return results[-1][1]
-    monkeypatch.setattr(ScatDiagram, "_ray_part_nontrivial", spy)
+    def spy(self, m):
+        n, = (d for d in candidates if pair(m, d) == 0)
+        value = phi(self, m)
+        results.append((n, bool(value.coeffs)))
+        return value
+    monkeypatch.setattr(ScatDiagram, "phi", spy)
     assert sd.wall_normals() == ((1, 1), (1, 2), (2, 1))
     assert [r for n, r in results if n == (1, 1)] == [False, True]
 
