@@ -278,64 +278,34 @@ def complete_from_initial(eta, seed, order, convention):
 # wall detection on one candidate hyperplane
 # ---------------------------------------------------------------------------
 
-def _ray_top(order, n):
-    """The last degree at which the ray of n has a term."""
-    return order // total_degree(n) * total_degree(n)
+def _perp_basis(n):
+    """An integer basis of n-perp: the lineality that cutting all space by n
+    leaves."""
+    return _cut((), _unit_basis(len(n)), n, ())[0]
 
 
-class _WallPlane:
-    """The hyperplane n-perp of one candidate, in an integer basis of it,
-    with the witnesses already tested on it."""
+def _open_face_witnesses(n, keys):
+    """One covector in each open face that the keys off the ray of n cut out
+    of n-perp."""
+    basis = _perp_basis(n)
+    lines = set()
+    for d in keys:
+        if any(d) and primitive(d) != n:
+            c = tuple(pair(b, d) for b in basis)
+            lines.add(min(c, tuple(-x for x in c)))     # c, -c: one line
+    for face in face_enumerate(sorted(lines), len(basis)):
+        if 0 not in face.signs:
+            yield tuple(sum(x * b[i] for x, b in zip(face.witness, basis))
+                        for i in range(len(n)))
 
-    def __init__(self, n, candidates):
-        self.n = n
-        self.rank = len(n)
-        # cutting all space by n leaves an integer basis of n-perp as lineality
-        self.basis = _cut((), _unit_basis(self.rank), n, ())[0]
-        self.lines = {}         # other candidate -> its line in the basis
-        for d in candidates:
-            if d != n:
-                c = primitive(tuple(pair(b, d) for b in self.basis))
-                self.lines[d] = max(c, tuple(-x for x in c))   # c, -c: one line
-        self.tested = []
-        self.cut = None
 
-    def _witness(self, face):
-        # the face spans the plane, so each line vanishes at finitely many k
-        gens = face.rays + face.lineality
-        k = 1
-        while True:
-            x = tuple(sum(k ** i * g[j] for i, g in enumerate(gens))
-                      for j in range(self.rank - 1))
-            if all(pair(x, c) for c in self.lines.values()):
-                return x
-            k += 1
-
-    def retest(self, sd, walls):
-        """Test the open faces that the confirmed walls cut out of n-perp
-        and that hold no tested witness; True when one carries a wall."""
-        top = _ray_top(sd.order, self.n)
-        cut = sorted({self.lines[w] for w in walls
-                      if w != self.n and total_degree(w) < top})
-        if cut == self.cut:
-            return False
-        self.cut = cut
-        for face in face_enumerate(cut, self.rank - 1):
-            # a tested witness pairs nonzero with every line
-            if 0 in face.signs or any(
-                    all((pair(x, c) > 0) == (s > 0)
-                        for c, s in zip(face.normals, face.signs))
-                    for x in self.tested):
-                continue
-            x = self._witness(face)
-            self.tested.append(x)
-            m = tuple(sum(w * b[i] for w, b in zip(x, self.basis))
-                      for i in range(self.rank))
-            # m is off every other candidate, so the whole middle factor
-            # there is the ray-of-n part R_n(m)
-            if sd.phi(m).coeffs:
-                return True
-        return False
+def _carries_wall(sd, n):
+    """Whether the middle factor modulo the box of n, exposed, is nontrivial
+    at the witness of one open face of the box arrangement in n-perp."""
+    k = sd.order // total_degree(n)
+    box = sd._below((tuple(k * x for x in n),))
+    return any(expose(_group(sd.carrier, _factor(sd.carrier, m, box)[1]),
+                      sd.convention).coeffs for m in _open_face_witnesses(n, box))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +342,7 @@ class MinimalComplex:
 
     def locate(self, m):
         """The unique cell whose relative interior contains m."""
+        check_covector(m, self.rank)
         sig = tuple(1 if pair(m, n) > 0 else (-1 if pair(m, n) < 0 else 0)
                     for n in self.normals)
         return self.cells[self._face_cell[sig]]
@@ -392,7 +363,7 @@ class ScatDiagram:
         self._wall_normals = None
         self._support_normals = None
         self._closure = None
-        self._keys = {}         # S(m) -> its down-set with the zero key
+        self._keys = {}         # tops -> their down-set with the zero key
 
     @staticmethod
     def from_group_element(g):
@@ -413,11 +384,16 @@ class ScatDiagram:
         closure keys on m-perp, so it is factored modulo the monomials outside
         the down-set of S(m)."""
         on_perp = tuple(s for s in self._support_closure() if pair(m, s) == 0)
-        if on_perp not in self._keys:
-            self._keys[on_perp] = frozenset((_zero_key(self.seed), *(
+        return _group(self.carrier, _factor(self.carrier, m, self._below(on_perp))[1])
+
+    def _below(self, tops):
+        """The down-set of `tops`: the zero key and the closure keys below one
+        of them."""
+        if tops not in self._keys:
+            self._keys[tops] = frozenset((_zero_key(self.seed), *(
                 d for d in self._support_closure()
-                if any(all(a <= b for a, b in zip(d, s)) for s in on_perp))))
-        return _group(self.carrier, _factor(self.carrier, m, self._keys[on_perp])[1])
+                if any(all(a <= b for a, b in zip(d, s)) for s in tops))))
+        return self._keys[tops]
 
     def support_normals(self):
         if self._support_normals is None:
@@ -439,55 +415,27 @@ class ScatDiagram:
     def wall_normals(self):
         """Normals whose hyperplane carries a nontrivial wall somewhere.
 
-        Candidates come from the support closure.  Write |n| for the total
-        degree, R_n(m) for the ray-of-n part of the middle factor at m on
-        n-perp (exposed in the diagram's convention), and D_n for
-        (order // |n|)*|n|, the last degree at which R_n has a term.  The
-        walls W are found as a fixpoint: candidates are taken by increasing
-        (|n|, n); n-perp (in an integer basis of it) is cut only by the
-        confirmed walls w != n with |w| < D_n, and R_n is tested at one
-        witness per open face, the face's rays and lineality vectors summed
-        with coefficients 1, k, k^2, ... for the least k >= 1 that puts it
-        off every other candidate's line.  A candidate keeps the witnesses
-        it has tested; when W grows, only the open faces holding none of
-        them are tested (faces only split).  Passes repeat until one
-        confirms nothing.
+        Candidates come from the support closure, and each is decided alone,
+        from its box: the zero key and the closure keys below k*n, for k*n
+        the last multiple of n within the order.  Write R_n(m) for the middle
+        factor at m on n-perp, factored modulo the monomials outside the box
+        and exposed in the diagram's convention.
 
-        Exactness.  R_n is constant on each open face of the arrangement
-        the other candidates cut out of n-perp, and every witness lies in
-        one, so a positive test is one the all-candidates sweep makes too:
-        W holds walls only.  Conversely, order by order (Kontsevich-
-        Soibelman; Gross-Hacking-Keel-Kontsevich, App. C), the degree-s
-        part of R_n changes only across w-perp for a wall w with a term of
-        degree below s: around a joint of n-perp and w-perp, consistency
-        modulo degree > s changes it only by brackets of lower-degree terms
-        of the walls through the joint, and terms of degree s are central
-        there.  Suppose a wall were missed, and let s be the smallest degree
-        at which some missed wall n has R_n(m) nonzero, m generic on n-perp.
-        Every wall w with a term of degree below s is then confirmed, and
-        |w| <= that degree < s <= D_n, so w cuts the final arrangement of n.
-        Hence R_n agrees in degrees <= s on the whole face of m.  That face
-        holds a tested witness (faces only split, and the last pass tested
-        every face without one), where R_n was trivial: a contradiction.
-        The test needs no ray filter: every key of the middle factor at a
-        witness m lies in the support closure and pairs zero with m, and m
-        pairs nonzero with every candidate but n, so the whole middle factor
-        (exposed) lies on the ray of n and is R_n(m).  So `phi` factors modulo
-        the monomials outside the box below (D_n/|n|)*n (see `_FactorizationState`).
+        The box is a down-set, so on its keys this factorization agrees with
+        the unrestricted one, and it reads m only through the signs of m on
+        the box keys (`_FactorizationState.finish_layer`).  So R_n is constant
+        on each open face of the arrangement that the box keys off the ray of
+        n cut out of n-perp.  There the only box keys on m-perp are multiples
+        of n, so R_n(m) is the ray-of-n part of the middle factor, up to the
+        degree of k*n, beyond which the ray has no term.  A wall of normal n
+        is a cone of dimension rank - 1 in n-perp, so it meets an open face:
+        n is a wall exactly when R_n is nontrivial at the witness of one.  The
+        test does not go through `phi`: a witness may lie on the hyperplane of
+        a closure key outside the box, which S(m) would then hold.
         """
         if self._wall_normals is None:
-            candidates = self.candidate_normals()
-            planes = [_WallPlane(n, candidates)
-                      for n in sorted(candidates, key=lambda n: (total_degree(n), n))]
-            walls = set()
-            grew = True
-            while grew:
-                grew = False
-                for plane in planes:
-                    if plane.n not in walls and plane.retest(self, walls):
-                        walls.add(plane.n)
-                        grew = True
-            self._wall_normals = tuple(n for n in candidates if n in walls)
+            self._wall_normals = tuple(n for n in self.candidate_normals()
+                                       if _carries_wall(self, n))
         return self._wall_normals
 
     def minimal_complex(self):
@@ -591,6 +539,7 @@ def path_ordered_product(sd, a, b):
     b = tuple(Fraction(x) for x in b)
     normals = sd.support_normals()
     for point in (a, b):
+        check_covector(point, sd.seed.rank)
         if any(pair(point, n) == 0 for n in normals):
             raise ValueError("path endpoint lies on a wall")
     crossings = {}

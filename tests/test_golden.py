@@ -101,10 +101,12 @@ SCATTER_HASHES = {
     "a4-2-classical": (A4, 2, "classical", "c151e9c2ed6588e2"),
     "a4-2-dt": (A4, 2, "dt", "f1a55f646413e2f4"),
     "a4-3-quantum": (A4, 3, "quantum", "9e73f5b9db544af7"),
+    "a4-4-quantum": (A4, 4, "quantum", "f02ee7c1465c6405"),
     "a2+a2-2-quantum": (A2_A2, 2, "quantum", "60eee713238289a8"),
     "a2+a2-3-quantum": (A2_A2, 3, "quantum", "48f3862e2574f2c3"),
     "d4-2-quantum": (D4, 2, "quantum", "9095761140958f66"),
     "d4-2-classical": (D4, 2, "classical", "f6102d7e664375b4"),
+    "d4-4-quantum": (D4, 4, "quantum", "5e1069828b1e392e"),
     "zero4-2-quantum": (zero(4), 2, "quantum", "1ed8573c8465949d"),
 }
 

@@ -11,7 +11,7 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
-                                 _factor, central_difference, cluster_sd,
+                                 _factor, _group, central_difference, cluster_sd,
                                  complete_from_initial, dt_in_sd,
                                  endpoint_product, expose, factorize,
                                  mutate_sd_check, path_ordered_product,
@@ -263,7 +263,7 @@ def test_wall_plane_basis_is_the_rational_kernel(rng):
         r = rng.randint(2, 5)
         n = primitive(tuple(rng.randint(-4, 4) for _ in range(r)))
         if any(n):
-            assert list(scattering._WallPlane(n, ()).basis) == \
+            assert list(scattering._perp_basis(n)) == \
                 [rational_primitive(b) for b in nullspace([n], r)]
 
 
@@ -299,20 +299,33 @@ def test_a4_walls_are_the_positive_roots():
                                  (1, 1, 0, 0))
 
 
+def _two_rays_sd(seed, order):
+    # x^(1,2) and x^(2,1) scatter into the ray of (1,1) at degree 6 only, on
+    # one side of the line that (1,2) and (2,1) cut out of (1,1)-perp
+    eta = {n: GradedElement(seed, order, QUANTUM, LIE, {n: ONE}).exp()
+           for n in ((1, 2), (2, 1))}
+    return complete_from_initial(eta, seed, order, QUANTUM)
+
+
 WALL_CASES = [
-    (Seed(((0,),)), QUANTUM, 4),
-    (a2_seed(), QUANTUM, 5),
-    (a2_seed(), CLASSICAL, 4),
-    (A3, QUANTUM, 3),
-    (markov_seed(), QUANTUM, 3),
-    (Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0))), QUANTUM, 4),
-    (CYCLE3, CLASSICAL, 3),
-    (A4, QUANTUM, 2),
+    (quantum_cluster_sd, Seed(((0,),)), 4),
+    (quantum_cluster_sd, a2_seed(), 5),
+    (cluster_sd, a2_seed(), 4),
+    (quantum_cluster_sd, A3, 3),
+    (quantum_cluster_sd, markov_seed(), 3),
+    (quantum_cluster_sd, Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0))), 4),
+    (cluster_sd, CYCLE3, 3),
+    (quantum_cluster_sd, A4, 2),
     # walls above the lowest degree, whose planes later walls may cut
-    (A3, QUANTUM, 4),
-    (CYCLE3, QUANTUM, 4),
-    (Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0))), CLASSICAL, 4),
-    (D4, QUANTUM, 2),
+    (quantum_cluster_sd, A3, 4),
+    (quantum_cluster_sd, CYCLE3, 4),
+    (cluster_sd, Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0))), 4),
+    (quantum_cluster_sd, D4, 2),
+    (cluster_sd, A3, 5),
+    (quantum_cluster_sd, markov_seed(), 5),
+    (cluster_sd, markov_seed(), 4),
+    (cluster_sd, kronecker_seed(3), 7),
+    (_two_rays_sd, a2_seed(), 6),
 ]
 
 
@@ -322,8 +335,8 @@ def test_wall_normals_match_the_full_arrangement(case):
     # candidate arrangement whose only zero sign is at n has a nontrivial
     # middle factor (there it is supported on the ray of n alone)
     from scatdiag.lattice import face_enumerate
-    seed, conv, order = WALL_CASES[case]
-    sd = BUILDERS[conv](seed, order)
+    build, seed, order = WALL_CASES[case]
+    sd = build(seed, order)
     candidates = sd.candidate_normals()
     walls = set()
     for face in face_enumerate(candidates, seed.rank):
@@ -336,60 +349,64 @@ def test_wall_normals_match_the_full_arrangement(case):
 @pytest.mark.parametrize("seed, conv", [(A3, QUANTUM), (CYCLE3, QUANTUM),
                                         (A3, CLASSICAL)],
                          ids=["a3", "3-cycle", "a3-classical"])
-def test_wall_witnesses_avoid_every_other_candidate(seed, conv, monkeypatch):
-    # each ray test sits inside one face of the full candidate arrangement,
-    # so the middle factor there lives on the ray of n: the wall test reads
-    # it whole, with no filter on the ray
-    from scatdiag.lattice import pair
+def test_box_factor_is_the_ray_part_at_each_open_face(seed, conv):
+    # at a witness of an open face of n's box arrangement, the middle factor
+    # modulo the box lies on the ray of n and is the ray-of-n part of the
+    # unrestricted middle factor; the unrestricted factorization is its oracle
+    from scatdiag.lattice import face_enumerate
     sd = BUILDERS[conv](seed, 4)
     candidates = sd.candidate_normals()
-    calls = []
-    phi = ScatDiagram.phi
+    faces = face_enumerate(candidates, seed.rank)
+    witnesses, control = 0, False
+    for n in candidates:
+        k = sd.order // sum(n)
+        box = sd._below((tuple(k * x for x in n),))
+        # negative control: with one key off the ray dropped, the keys are no
+        # down-set, and the middle factor changes at some witness
+        off_ray = [d for d in box if any(d) and primitive(d) != n]
+        signs = set()
+        for m in scattering._open_face_witnesses(n, box):
+            assert pair(m, n) == 0 and all(pair(m, d) for d in off_ray)
+            signs.add(tuple(pair(m, d) > 0 for d in off_ray))
+            middle = _factor(sd.carrier, m, box)[1]
+            got = expose(_group(sd.carrier, middle), conv).coeffs
+            want = expose(_group(sd.carrier, _factor(sd.carrier, m)[1]), conv).coeffs
+            assert all(primitive(d) == n for d in got)
+            assert got == {d: c for d, c in want.items() if primitive(d) == n}
+            witnesses += 1
+            control = control or any(_factor(sd.carrier, m, box - {d})[1] != middle
+                                     for d in off_ray)
+        # each face of the full candidate arrangement open in n-perp lies in
+        # the open face of one witness
+        for f in faces:
+            if [d for d, s in zip(f.normals, f.signs) if s == 0] == [n]:
+                assert tuple(pair(f.witness, d) > 0 for d in off_ray) in signs
+    assert witnesses and control
 
-    def spy(self, m):
-        # the ray under test is the one candidate that m pairs to zero
-        n, = (d for d in candidates if pair(m, d) == 0)
-        calls.append((m, n))
-        return phi(self, m)
-    monkeypatch.setattr(ScatDiagram, "phi", spy)
-    sd.wall_normals()
-    monkeypatch.undo()
-    assert calls
-    for m, n in calls:
-        assert pair(m, n) == 0
-        assert all(pair(m, d) != 0 for d in candidates if d != n)
-        assert all(primitive(d) == n for d in sd.phi(m).coeffs)
 
-
-def test_a_wall_confirmed_on_a_retest(monkeypatch):
-    # x^(1,2) and x^(2,1) scatter into the ray of (1,1) at degree 6 only, on
-    # one side of the line that (1,2) and (2,1) cut out of (1,1)-perp; the
-    # first test of (1,1) comes before they are confirmed and misses it
-    from scatdiag.lattice import pair
-    a2 = a2_seed()
-    eta = {n: GradedElement(a2, 6, QUANTUM, LIE, {n: ONE}).exp()
-           for n in ((1, 2), (2, 1))}
-    sd = complete_from_initial(eta, a2, 6, QUANTUM)
+def test_a_wall_on_one_side_of_its_plane():
+    # the ray of (1,1) carries a wall on one side of the line that the
+    # lower-degree walls (1,2) and (2,1) cut out of its plane
+    sd = _two_rays_sd(a2_seed(), 6)
     assert sd.phi((F(-1), F(1))).coeffs == {}
     assert (3, 3) in sd.phi((F(1), F(-1))).coeffs
-    candidates = sd.candidate_normals()
-    results = []
-    phi = ScatDiagram.phi
-
-    def spy(self, m):
-        n, = (d for d in candidates if pair(m, d) == 0)
-        value = phi(self, m)
-        results.append((n, bool(value.coeffs)))
-        return value
-    monkeypatch.setattr(ScatDiagram, "phi", spy)
     assert sd.wall_normals() == ((1, 1), (1, 2), (2, 1))
-    assert [r for n, r in results if n == (1, 1)] == [False, True]
 
 
-@pytest.mark.parametrize("order, cap", [(5, 350), (6, 500)])
-def test_wall_detection_factorization_count(order, cap, monkeypatch):
-    from scatdiag import scattering
-    sd = quantum_cluster_sd(A3, order)
+A3_WALLS = ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+MARKOV6_WALLS = (
+    (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 3), (0, 3, 2),
+    (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 2), (1, 2, 0), (1, 2, 1),
+    (1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 0, 1), (2, 0, 3), (2, 1, 0), (2, 1, 1),
+    (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 3, 0), (2, 3, 1), (3, 0, 2), (3, 1, 2),
+    (3, 2, 0), (3, 2, 1))
+
+
+@pytest.mark.parametrize("seed, order, cap, walls", [
+    (A3, 5, 154, A3_WALLS), (A3, 6, 299, A3_WALLS),
+    (markov_seed(), 6, 200, MARKOV6_WALLS)], ids=["a3-5", "a3-6", "markov-6"])
+def test_wall_detection_factorization_count(seed, order, cap, walls, monkeypatch):
+    sd = quantum_cluster_sd(seed, order)
     runs = []
     run = scattering._FactorizationState.run
 
@@ -397,8 +414,7 @@ def test_wall_detection_factorization_count(order, cap, monkeypatch):
         runs.append(self.m)
         return run(self, g)
     monkeypatch.setattr(scattering._FactorizationState, "run", counted)
-    assert sd.wall_normals() == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
-                                 (1, 1, 0), (1, 1, 1))
+    assert sd.wall_normals() == walls
     assert len(runs) <= cap
 
 
@@ -529,6 +545,18 @@ def test_covector_of_wrong_length_rejected():
             sd.phi(m)
         with pytest.raises(ValueError):
             factorize(sd.group_element(), m)
+    # pairing through zip would drop the extra or missing coordinates
+    sd = quantum_cluster_sd(A3, 3)
+    good = (F(2), F(3), F(1))
+    for m in ((F(1), F(2)), (F(1), F(2), F(3), F(4))):
+        with pytest.raises(ValueError, match="covector has"):
+            sd.minimal_complex().locate(m)
+    for a, b in (((1, 1, 1, 1), (2, 3, 1, 1)), ((1, 1, 1, 1), good),
+                 (good, (2, 3))):
+        with pytest.raises(ValueError, match="covector has"):
+            path_ordered_product(sd, a, b)
+        with pytest.raises(ValueError, match="covector has"):
+            endpoint_product(sd, a, b)
 
 
 def test_endpoint_independence(rng):
