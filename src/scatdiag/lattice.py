@@ -282,15 +282,6 @@ class SignedFace:
     rays: tuple
     lineality: tuple
 
-    def is_face_of(self, other):
-        """The refinement order: self lies in the closure of other."""
-        if self.normals != other.normals:
-            raise ValueError("faces of different arrangements")
-        for a, b in zip(self.signs, other.signs):
-            if a != 0 and a != b:
-                return False
-        return True
-
 
 def dedupe_primitive(vectors):
     out, seen = [], set()

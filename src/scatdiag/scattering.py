@@ -92,7 +92,8 @@ class _FactorizationState:
         g_t of g and the layer's `products`; return the new Z entries."""
         lz_t, r_t = products
         new_l, new_z = {}, {}
-        for d in set(g_t).union(r_t):
+        keys = set(g_t).union(r_t)
+        for d in keys if self.keys is None else keys & self.keys:
             delta = g_t.get(d, ZERO) - r_t.get(d, ZERO)
             if delta.is_zero():
                 continue
@@ -112,10 +113,16 @@ class _FactorizationState:
         return new_z
 
     def run(self, g):
-        g = g if self.keys is None else {d: g[d] for d in self.keys if d in g}
         layers = _by_degree(g)
         for t in range(1, self.order + 1):
             self.finish_layer(dict(layers.get(t, ())), self.products(t))
+
+
+def _down_set(keys, tops, zero):
+    """The zero key and the `keys` below one of `tops`: the part in `keys`
+    of a down-set of N^r, outside which the monomials span an ideal."""
+    return frozenset((zero, *(d for d in keys
+                              if any(all(a <= b for a, b in zip(d, s)) for s in tops))))
 
 
 def _factor(carrier, m, keys=None):
@@ -190,16 +197,20 @@ def _ray_targets(eta, seed, order, convention):
 
 def _ray_states(seed, order, rays, support):
     """The factorization state at p*(n) for each ray n; rays whose p*(n)
-    takes the same signs on the support share one state."""
+    takes the same signs on the support share one state.  It factors modulo
+    the monomials outside the down-set of the support keys on its rays: a
+    ray key reads only the entries below it."""
     support = sorted(support)
-    by_sign, out = {}, {}
+    sign_of, by_sign = {}, {}
     for n in rays:
         m = p_star(seed, n)
-        sig = tuple((pair(m, d) > 0) - (pair(m, d) < 0) for d in support)
-        if sig not in by_sign:
-            by_sign[sig] = _FactorizationState(seed, order, m)
-        out[n] = by_sign[sig]
-    return out
+        sign_of[n] = tuple((pair(m, d) > 0) - (pair(m, d) < 0) for d in support)
+        by_sign.setdefault(sign_of[n], (m, set()))[1].add(n)
+    zero = _zero_key(seed)
+    states = {sig: _FactorizationState(seed, order, m, _down_set(
+        support, [d for d in support if primitive(d) in own], zero))
+        for sig, (m, own) in by_sign.items()}
+    return {n: states[sign_of[n]] for n in rays}
 
 
 def psi_extract(g):
@@ -225,13 +236,15 @@ def psi_extract(g):
     return out
 
 
-def _log_correction(seed, order, upow, t):
+def _log_correction(state, upow, t):
     """Layer t of log Z - (Z - 1): sum_{p >= 2} (-1)^(p-1)/p [(Z - 1)^p]_t,
-    from upow[p-1], the settled layers of (Z - 1)^p, which gain layer t."""
+    from upow[p-1], the settled layers of (Z - 1)^p, which gain layer t;
+    modulo the monomials outside the state's keys, as Z is."""
     corr = {}
     upow.append({})     # (Z - 1)^(t+1) starts in degree t + 1
     for p in range(2, t + 1):
-        new = _product(seed, order, upow[p - 2], upow[0], True, degree=t)
+        new = _product(state.seed, state.order, upow[p - 2], upow[0], True,
+                       degree=t, keys=state.keys)
         upow[p - 1].update(new)
         inv = CoeffFn.from_fraction((-1) ** (p - 1), p)
         for d, c in new.items():
@@ -253,8 +266,7 @@ def complete_from_initial(eta, seed, order, convention):
     powers = {state: [{}] for state in ray_state.values()}
     for t in range(1, order + 1):
         products = {state: state.products(t) for state in powers}
-        corr = {state: _log_correction(seed, order, upow, t)
-                for state, upow in powers.items()}
+        corr = {state: _log_correction(state, upow, t) for state, upow in powers.items()}
         g_t = {}
         for n in rays:
             k, rest = divmod(t, total_degree(n))
@@ -364,6 +376,7 @@ class ScatDiagram:
         self._support_normals = None
         self._closure = None
         self._keys = {}         # tops -> their down-set with the zero key
+        self._middles = {}      # _sign_class(m) -> the middle factor at m
 
     @staticmethod
     def from_group_element(g):
@@ -382,17 +395,28 @@ class ScatDiagram:
     def _middle(self, m):
         """The middle factor at m in the carrier.  Its keys lie in S(m), the
         closure keys on m-perp, so it is factored modulo the monomials outside
-        the down-set of S(m)."""
-        on_perp = tuple(s for s in self._support_closure() if pair(m, s) == 0)
-        return _group(self.carrier, _factor(self.carrier, m, self._below(on_perp))[1])
+        the down-set of S(m).  That factorization reads m only through its
+        signs on the down-set (`_FactorizationState.finish_layer`), so it is
+        kept per sign class."""
+        key = self._sign_class(m)
+        if key not in self._middles:
+            self._middles[key] = _group(self.carrier, _factor(self.carrier, m, key[0])[1])
+        return self._middles[key]
+
+    def _sign_class(self, m):
+        """The down-set of S(m) and the signs of m on it.  The length of m is
+        checked first: pairing through zip would give a covector with a
+        missing or an extra coordinate the class of another."""
+        check_covector(m, self.seed.rank)
+        closure = self._support_closure()
+        pairs = [pair(m, s) for s in closure]
+        keys = self._below(tuple(s for s, x in zip(closure, pairs) if x == 0))
+        return keys, tuple((x > 0) - (x < 0) for s, x in zip(closure, pairs) if s in keys)
 
     def _below(self, tops):
-        """The down-set of `tops`: the zero key and the closure keys below one
-        of them."""
+        """The down-set of `tops` in the support closure, with the zero key."""
         if tops not in self._keys:
-            self._keys[tops] = frozenset((_zero_key(self.seed), *(
-                d for d in self._support_closure()
-                if any(all(a <= b for a, b in zip(d, s)) for s in tops))))
+            self._keys[tops] = _down_set(self._support_closure(), tops, _zero_key(self.seed))
         return self._keys[tops]
 
     def support_normals(self):
@@ -444,11 +468,12 @@ class ScatDiagram:
         rank = self.seed.rank
         normals = self.wall_normals()
         faces = face_enumerate(normals, rank)
-        values = []
-        for f in faces:
-            # a face of full dimension meets no wall: its value is the identity
-            z = self.phi(f.witness).coeffs if 0 in f.signs else {}
-            values.append(tuple(sorted(z.items())))
+        # a face of full dimension meets no wall: its value is the identity
+        values = [tuple(sorted(self.phi(f.witness).coeffs.items())) if 0 in f.signs else ()
+                  for f in faces]
+        by_value = {}
+        for i, z in enumerate(values):
+            by_value.setdefault(z, []).append(i)
         parent = list(range(len(faces)))
 
         def find(i):
@@ -457,44 +482,47 @@ class ScatDiagram:
                 i = parent[i]
             return i
 
-        for i in range(len(faces)):
-            for j in range(len(faces)):
-                if i != j and values[i] == values[j] and faces[i].is_face_of(faces[j]):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
+        # faces of equal value join when one lies in the closure of the other:
+        # its positive and its negative signs are among the other's
+        masks = [tuple(sum(1 << k for k, s in enumerate(f.signs) if s == t) for t in (1, -1))
+                 for f in faces]
+        for group in by_value.values():
+            for a, i in enumerate(group):
+                pi, ni = masks[i]
+                for j in group[a + 1:]:
+                    pj, nj = masks[j]
+                    if not (pi & ~pj or ni & ~nj) or not (pj & ~pi or nj & ~ni):
+                        parent[find(i)] = find(j)
         groups = {}
         for i in range(len(faces)):
             groups.setdefault(find(i), []).append(i)
+        dims = {root: max(faces[i].dim for i in members) for root, members in groups.items()}
+        # a ray of a member face generates its cell when the ray's own face,
+        # one dimension above the lineality, lies in a cell of that dimension
+        lineality = faces[0].lineality
+        edge = len(lineality) + 1
+        edge_rays = {r for i, f in enumerate(faces) if f.dim == edge == dims[find(i)]
+                     for r in f.rays}
         cells = []
         face_cell = {}
-        lineality = faces[0].lineality
-        for members in groups.values():
-            dims = [faces[i].dim for i in members]
-            top = members[dims.index(max(dims))]
+        for root, members in groups.items():
+            top = next(i for i in members if faces[i].dim == dims[root])
             func = None
             if values[top]:
                 func = GradedElement(self.seed, self.order,
                                      self.convention, GROUP, dict(values[top]))
             normal = None
-            if max(dims) == rank - 1:
+            if dims[root] == rank - 1:
                 f = faces[top]
                 zn = [n for n, s in zip(f.normals, f.signs) if s == 0]
                 normal = primitive(zn[0]) if zn else None
-            idx = len(cells)
-            cells.append(Cell(max(dims), tuple(faces[i].signs for i in members),
-                              func, (), lineality, normal))
+            rays = tuple(sorted({r for i in members for r in faces[i].rays if r in edge_rays}))
             for i in members:
-                face_cell[faces[i].signs] = idx
-        mc = MinimalComplex(rank, normals, faces, cells, face_cell)
-        # a ray of a member face generates its cell when the ray's own face,
-        # one dimension above the lineality, is a cell by itself
-        edge = len(lineality) + 1
-        for cell, members in zip(cells, groups.values()):
-            cell.rays = tuple(sorted({r for i in members for r in faces[i].rays
-                                      if mc.locate(r).dim == edge}))
-        self._complex = mc
-        return mc
+                face_cell[faces[i].signs] = len(cells)
+            cells.append(Cell(dims[root], tuple(faces[i].signs for i in members),
+                              func, rays, lineality, normal))
+        self._complex = MinimalComplex(rank, normals, faces, cells, face_cell)
+        return self._complex
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ enumerating every subrepresentation, the sum of two coefficients by its
 own denominator join, the truncated product that canonicalises after
 every term (with the DT twist (-v)^w and the Lie brackets written out per
 term), the power series that adds one canonical coefficient per power,
-and the log of the dilogarithm written down directly.  None of them runs
-in the package.
+the log of the dilogarithm written down directly, the cells of the minimal
+complex by comparing every pair of faces, and completion states that each
+factor the whole support.  None of them runs in the package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
@@ -16,9 +17,9 @@ some test.
 import itertools
 from fractions import Fraction
 
-from scatdiag import coeff, torus
+from scatdiag import coeff, scattering, torus
 from scatdiag.coeff import CoeffFn
-from scatdiag.lattice import _cut, _ray_sum, _unit_basis, pair, skew, total_degree
+from scatdiag.lattice import _cut, _ray_sum, _unit_basis, p_star, pair, skew, total_degree
 from scatdiag.reps import all_subspaces, is_semistable, make_rep, mat_mul, mat_vec, rref_p
 from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement
 
@@ -133,6 +134,57 @@ def cone_generators(zeros, weaks, dim):
     rays, lin = _follow([(z, 0) for z in zeros] + [(w, 1) for w in weaks], dim,
                         closed=True)
     return tuple(sorted(rays)), tuple(sorted(lin))
+
+
+# ---------------------------------------------------------------------------
+# the cells of the minimal complex, over all pairs of faces
+# ---------------------------------------------------------------------------
+
+def is_face_of(a, b):
+    """The refinement order: face a lies in the closure of face b."""
+    if a.normals != b.normals:
+        raise ValueError("faces of different arrangements")
+    return all(s == 0 or s == t for s, t in zip(a.signs, b.signs))
+
+
+def cells_by_all_pairs(faces, values):
+    """The cells as lists of face indices: faces i != j of equal value join
+    when face i lies in the closure of face j, for every ordered pair.  The
+    cells come in the order of their first members."""
+    parent = list(range(len(faces)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(faces)):
+        for j in range(len(faces)):
+            if i != j and values[i] == values[j] and is_face_of(faces[i], faces[j]):
+                parent[find(i)] = find(j)
+    cells = {}
+    for i in range(len(faces)):
+        cells.setdefault(find(i), []).append(i)
+    return list(cells.values())
+
+
+# ---------------------------------------------------------------------------
+# completion states that factor the whole support
+# ---------------------------------------------------------------------------
+
+def full_ray_states(seed, order, rays, support):
+    """`scattering._ray_states` with no down-set: the state at p*(n) for each
+    ray n, shared by the rays whose p*(n) takes the same signs on the
+    support, factors the whole support."""
+    support = sorted(support)
+    by_sign, out = {}, {}
+    for n in rays:
+        m = p_star(seed, n)
+        sig = tuple((pair(m, d) > 0) - (pair(m, d) < 0) for d in support)
+        if sig not in by_sign:
+            by_sign[sig] = scattering._FactorizationState(seed, order, m)
+        out[n] = by_sign[sig]
+    return out
 
 
 # ---------------------------------------------------------------------------

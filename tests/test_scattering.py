@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scatdiag.coeff import CoeffFn, ONE, q_power, subst_neg_v
-from scatdiag import scattering
+from scatdiag import coeff, scattering
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               kronecker_seed, markov_seed, mutate_seed, pair,
                               primitive, rational_primitive, t_k)
@@ -18,7 +18,7 @@ from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
                                  psi_extract,
                                  quantum_cluster_sd, to_carrier)
 from conftest import random_lie, random_rational_point, random_skew_seed
-from oracles import nullspace
+from oracles import cells_by_all_pairs, full_ray_states, is_face_of, nullspace
 
 F = Fraction
 v = CoeffFn.v_power
@@ -215,30 +215,80 @@ def test_single_ray_completion_is_itself():
         GradedElement.one(a2, 6, QUANTUM)
 
 
+def _random_initial_data(rng, order=6):
+    """A random seed of rank 2 or 3, a convention, and initial data on up to
+    two random rays (possibly none)."""
+    n = rng.choice([2, 2, 3])
+    seed = random_skew_seed(rng, n)
+    conv = rng.choice([QUANTUM, CLASSICAL, DT_TWIST])
+    eta = {}
+    for _ in range(2):
+        ray = tuple(rng.randint(0, 2) for _ in range(n))
+        if not any(ray) or sum(ray) > order:
+            continue
+        ray = primitive(ray)
+        lie = {}
+        for k in range(1, order // sum(ray) + 1):
+            if rng.random() < 0.7:
+                lie[tuple(k * x for x in ray)] = \
+                    CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        lie = {d: c for d, c in lie.items() if not c.is_zero()}
+        if lie:
+            eta[ray] = GradedElement(seed, order, conv, LIE, lie).exp()
+    return seed, conv, eta
+
+
 def test_psi_roundtrip_random(rng):
     for trial in range(24):
-        n = rng.choice([2, 2, 3])
-        seed = random_skew_seed(rng, n)
-        conv = rng.choice([QUANTUM, CLASSICAL, DT_TWIST])
-        order = 6
-        eta = {}
-        for _ in range(2):
-            ray = tuple(rng.randint(0, 2) for _ in range(n))
-            if not any(ray) or sum(ray) > order:
-                continue
-            ray = primitive(ray)
-            lie = {}
-            for k in range(1, order // sum(ray) + 1):
-                if rng.random() < 0.7:
-                    lie[tuple(k * x for x in ray)] = \
-                        CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            lie = {d: c for d, c in lie.items() if not c.is_zero()}
-            if lie:
-                eta[ray] = GradedElement(seed, order, conv, LIE, lie).exp()
+        seed, conv, eta = _random_initial_data(rng)
         if not eta:
             continue
-        sd = complete_from_initial(eta, seed, order, conv)
+        sd = complete_from_initial(eta, seed, 6, conv)
         assert psi_extract(sd) == eta
+
+
+def test_restricted_states_on_random_initial_data(rng, monkeypatch):
+    # each completion state factors modulo the down-set of the support keys
+    # on its rays; the states that factor the whole support are the oracle
+    done = 0
+    while done < 12:
+        seed, conv, eta = _random_initial_data(rng)
+        if not eta:
+            continue
+        sd = complete_from_initial(eta, seed, 6, conv)
+        got = (sd.carrier, psi_extract(sd))
+        with monkeypatch.context() as patch:
+            patch.setattr(scattering, "_ray_states", full_ray_states)
+            full = complete_from_initial(eta, seed, 6, conv)
+            assert got == (full.carrier, psi_extract(full))
+        done += 1
+
+
+def test_a_key_off_the_down_set_changes_the_carrier(monkeypatch):
+    # negative control: with one key below a ray key dropped from the keys of
+    # a completion state, they are no down-set, and the carrier changes
+    real, seen = scattering._ray_states, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(scattering, "_ray_states", spy)
+    want = quantum_cluster_sd(a2_seed(), 5).carrier
+    ray_state = seen[0]
+    drops = [(n, d) for n, state in ray_state.items() for d in state.keys
+             if any(d) and primitive(d) not in
+             {r for r, other in ray_state.items() if other is state}]
+
+    def carrier_without(n, d):
+        def states(*args):
+            out = real(*args)
+            out[n].keys -= {d}
+            return out
+        monkeypatch.setattr(scattering, "_ray_states", states)
+        return quantum_cluster_sd(a2_seed(), 5).carrier
+
+    assert drops and any(carrier_without(n, d) != want for n, d in drops)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +396,31 @@ def test_wall_normals_match_the_full_arrangement(case):
     assert sd.wall_normals() == tuple(n for n in candidates if n in walls)
 
 
+@pytest.mark.parametrize("case", range(len(WALL_CASES)))
+def test_restricted_states_match_the_full_support(case, monkeypatch):
+    # completion and psi with each state modulo the down-set of the support
+    # keys on its rays; the states that factor the whole support are the oracle
+    build, seed, order = WALL_CASES[case]
+    sd = build(seed, order)
+    got = (sd.carrier, psi_extract(sd))
+    monkeypatch.setattr(scattering, "_ray_states", full_ray_states)
+    full = build(seed, order)
+    assert got == (full.carrier, psi_extract(full))
+
+
+@pytest.mark.parametrize("case", range(len(WALL_CASES)))
+def test_cell_rays_are_the_located_edges(case):
+    # a ray of a member face generates its cell when the cell that locates
+    # the ray is of dimension one above the lineality
+    build, seed, order = WALL_CASES[case]
+    mc = build(seed, order).minimal_complex()
+    by_signs = {f.signs: f for f in mc.faces}
+    edge = len(mc.faces[0].lineality) + 1
+    for cell in mc.cells:
+        assert cell.rays == tuple(sorted({r for s in cell.faces for r in by_signs[s].rays
+                                          if mc.locate(r).dim == edge}))
+
+
 @pytest.mark.parametrize("seed, conv", [(A3, QUANTUM), (CYCLE3, QUANTUM),
                                         (A3, CLASSICAL)],
                          ids=["a3", "3-cycle", "a3-classical"])
@@ -418,6 +493,38 @@ def test_wall_detection_factorization_count(seed, order, cap, walls, monkeypatch
     assert len(runs) <= cap
 
 
+def test_minimal_complex_factorization_count(monkeypatch):
+    # Markov quantum order 6: 1,375 factorizations on the faces of the
+    # complex with one per face, 835 with one per sign class
+    sd = quantum_cluster_sd(markov_seed(), 6)
+    runs = []
+    run = scattering._FactorizationState.run
+
+    def counted(self, g):
+        runs.append(self.m)
+        return run(self, g)
+    monkeypatch.setattr(scattering._FactorizationState, "run", counted)
+    assert sd.wall_normals() == MARKOV6_WALLS
+    assert len(runs) <= 189
+    del runs[:]
+    assert len(sd.minimal_complex().cells) == 255
+    assert len(runs) <= 900
+
+
+def test_completion_gcd_count(monkeypatch):
+    # A3 quantum order 5: 1,694 polynomial gcds when each completion state
+    # factored the whole support, 520 modulo the down-set of its rays' keys
+    real, calls = coeff._pgcd, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coeff, "_pgcd", spy)
+    quantum_cluster_sd(A3, 5)
+    assert len(calls) <= 600
+
+
 @pytest.mark.parametrize("seed, conv, order",
                          [(markov_seed(), QUANTUM, 3), (A3, CLASSICAL, 4)],
                          ids=["markov-quantum-3", "a3-classical-4"])
@@ -447,9 +554,12 @@ def _down_set(sd, m):
                          [(a2_seed(), 6), (A3, 4), (kronecker_seed(), 5),
                           (markov_seed(), 3)],
                          ids=["a2", "a3", "kronecker", "markov"])
-def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv):
+def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv,
+                                                              monkeypatch):
     # the wall function factors modulo the monomials outside the down-set
-    # of the closure keys on m-perp; the full factorization is its oracle
+    # of the closure keys on m-perp, once per sign class of m on it: at the
+    # face witnesses `_middle` reads what the complex left in the memo.  The
+    # full factorization is its oracle
     from scatdiag.lattice import pair
     rng = random.Random(17)
     sd = BUILDERS[conv](seed, order)
@@ -461,9 +571,10 @@ def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv)
     for n in sd.wall_normals():
         m = random_rational_point(rng, rank)
         points.append(tuple(x - F(pair(m, n), pair(n, n)) * y for x, y in zip(m, n)))
-    control = False
+    control, wants = False, []
     for m in points:
         want = _factor(sd.carrier, m)[1]
+        wants.append(want)
         assert sd._middle(m).coeffs == want
         keys = _down_set(sd, m)
         assert _factor(sd.carrier, m, keys)[1] == want
@@ -474,6 +585,11 @@ def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv)
         control = control or any(_factor(sd.carrier, m, keys - {d})[1] != want
                                  for d in below)
     assert control
+    # negative control: a memo key without the signs of m joins sign classes
+    real = ScatDiagram._sign_class
+    monkeypatch.setattr(ScatDiagram, "_sign_class", lambda self, m: (real(self, m)[0], ()))
+    blind = BUILDERS[conv](seed, order)
+    assert any(blind._middle(m).coeffs != want for m, want in zip(points, wants))
 
 
 def test_minimal_complex_partition(rng):
@@ -487,6 +603,23 @@ def test_minimal_complex_partition(rng):
             assert val.coeffs == {}
         else:
             assert val == cell.function
+
+
+@pytest.mark.parametrize("build, seed, order", [
+    (quantum_cluster_sd, A3, 5), (cluster_sd, A3, 5),
+    (quantum_cluster_sd, kronecker_seed(2), 6), (dt_in_sd, kronecker_seed(3), 5),
+    (quantum_cluster_sd, markov_seed(), 5), (cluster_sd, markov_seed(), 4)],
+    ids=["a3-quantum-5", "a3-classical-5", "kronecker2-quantum-6",
+         "kronecker3-dt-5", "markov-quantum-5", "markov-classical-4"])
+def test_cells_match_the_all_pairs_merge(build, seed, order):
+    # the complex joins faces of one value by bitmasks on their signs; the
+    # merge over every ordered pair of faces is the oracle
+    sd = build(seed, order)
+    mc = sd.minimal_complex()
+    values = [tuple(sorted(sd.phi(f.witness).coeffs.items())) if 0 in f.signs else ()
+              for f in mc.faces]
+    assert [c.faces for c in mc.cells] == \
+        [tuple(mc.faces[i].signs for i in cell) for cell in cells_by_all_pairs(mc.faces, values)]
 
 
 def test_identity_diagram_complex():
@@ -506,10 +639,10 @@ def test_project_face_functor(rng):
     g0 = factorize(g, zero_face.witness)[1]
     count = 0
     for f1 in faces:
-        if not zero_face.is_face_of(f1):
+        if not is_face_of(zero_face, f1):
             continue
         for f2 in faces:
-            if not f1.is_face_of(f2):
+            if not is_face_of(f1, f2):
                 continue
             via = factorize(factorize(g0, f1.witness)[1], f2.witness)[1]
             assert via == factorize(g0, f2.witness)[1]
@@ -547,6 +680,12 @@ def test_covector_of_wrong_length_rejected():
             factorize(sd.group_element(), m)
     # pairing through zip would drop the extra or missing coordinates
     sd = quantum_cluster_sd(A3, 3)
+    # checked before the middle-factor memo is read: zip would pair the
+    # short and the long covector as the cached (1, -1, 0)
+    sd.phi((F(1), F(-1), F(0)))
+    for m in ((F(1), F(-1)), (F(1), F(-1), F(0), F(7))):
+        with pytest.raises(ValueError, match="covector has"):
+            sd.phi(m)
     good = (F(2), F(3), F(1))
     for m in ((F(1), F(2)), (F(1), F(2), F(3), F(4))):
         with pytest.raises(ValueError, match="covector has"):
