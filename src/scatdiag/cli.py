@@ -20,6 +20,7 @@ from .torus import CLASSICAL, DT_TWIST, QUANTUM, LIE, GradedElement
 from . import scattering
 from . import chambers as chambers_mod
 from . import reps as reps_mod
+from .reps import _MR_BOUND, _is_prime
 
 SCHEMA = "scatdiag/1"
 
@@ -243,27 +244,6 @@ def _integer(text, low):
     if value < low:
         raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
     return value
-
-
-# Miller-Rabin with the first thirteen primes as bases decides primality
-# exactly below this bound, the least strong pseudoprime to all of them
-# (Sorenson and Webster, 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(p):
-    """Deterministic Miller-Rabin for 2 <= p < _MR_BOUND."""
-    if any(p % a == 0 for a in _MR_BASES):
-        return p in _MR_BASES
-    s = ((p - 1) & (1 - p)).bit_length() - 1     # 2^s exactly divides p - 1
-    for a in _MR_BASES:
-        x = pow(a, (p - 1) >> s, p)
-        # a witnesses that p is composite unless x = 1 or one of
-        # x, x^2, ..., x^(2^(s-1)) is p - 1
-        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
-            return False
-    return True
 
 
 def _prime(text):

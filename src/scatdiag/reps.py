@@ -2,12 +2,13 @@
 
 Representations of the Jacobian algebra over a prime field are enumerated
 as raw matrix tuples.  King semistability is decided by searching only the
-subspaces of destabilizing dimension vectors, and reflection functors
-follow the kernel/cokernel construction.  The wall-function counting series
-is the Harder-Narasimhan factor of the total counting element, built over
-Q(v) with q = v^2 like the rest of the package (so no point enumeration is
-needed at large dimensions); a prime enters only in `at_prime`, which
-evaluates a series at v = sqrt(p).
+subspaces of destabilizing dimension vectors, listed once per dimension
+vector, against a bitmask per arrow matrix of the subspace tuples it
+preserves; reflection functors follow the kernel/cokernel construction.
+The wall-function counting series is the Harder-Narasimhan factor of the
+total counting element, built over Q(v) with q = v^2 like the rest of the
+package (so no point enumeration is needed at large dimensions); a prime
+enters only in `at_prime`, which evaluates a series at v = sqrt(p).
 """
 
 from __future__ import annotations
@@ -37,6 +38,34 @@ class UnsupportedReduction(RuntimeError):
 # ---------------------------------------------------------------------------
 # F_p linear algebra (matrices are tuples of row tuples)
 # ---------------------------------------------------------------------------
+
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin for 2 <= p < _MR_BOUND."""
+    if any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1     # 2^s exactly divides p - 1
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        # a witnesses that p is composite unless x = 1 or one of
+        # x, x^2, ..., x^(2^(s-1)) is p - 1
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
+            return False
+    return True
+
+
+def _check_prime(p):
+    """Reject a p that is not a prime below _MR_BOUND: arithmetic mod a
+    composite p is not that of a field."""
+    if not isinstance(p, int) or not 2 <= p < _MR_BOUND or not _is_prime(p):
+        raise ValueError("p must be a prime below %d, got %r" % (_MR_BOUND, p))
+
 
 def mat_mul(a, b, p, shape=None):
     """Product over F_p; pass shape=(rows, cols) when a factor may be empty
@@ -166,6 +195,7 @@ class Rep:
 
 
 def make_rep(sp, p, dims, mats):
+    _check_prime(p)
     rep = Rep(sp, p, tuple(dims), tuple(sorted(mats.items())))
     check_relations(rep)
     return rep
@@ -186,20 +216,41 @@ def path_matrix(rep, path):
 def check_relations(rep):
     """Raise ValueError unless rep satisfies the Jacobian relations and the
     path ideal acts nilpotently."""
-    failure = _relation_failure(rep, rep.sp.quiver.has_oriented_cycle())
+    failure = _relation_failure(rep, _relations(rep.sp, rep.p),
+                                rep.sp.quiver.has_oriented_cycle())
     if failure:
         raise ValueError(failure)
 
 
-def _relation_failure(rep, cyclic):
-    """Why rep breaks the relations, or None.  Nilpotency is tested only
-    when `cyclic`: every representation of a quiver without an oriented
-    cycle is nilpotent."""
-    sp = rep.sp
+def _mod_p(deriv, p):
+    """A potential derivative as (path, coefficient mod p) pairs."""
+    out = []
+    for path, coeff in deriv.items():
+        c = Fraction(coeff)
+        if c.denominator % p == 0:
+            raise ValueError("potential coefficient not defined mod p")
+        out.append((path, (c.numerator * pow(c.denominator, p - 2, p)) % p))
+    return out
+
+
+def _relations(sp, p):
+    """The Jacobian relations over F_p: (arrow, source, target, the paths of
+    its cyclic derivative with their coefficients mod p) for every arrow
+    whose derivative is not zero."""
+    out = []
     for name, s, t in sp.quiver.arrows:
         deriv = cyclic_derivative(sp.quiver, sp.potential, name)
-        if deriv and any(any(row) for row in
-                         _path_sum(rep, deriv, rep.dims[s - 1], rep.dims[t - 1])):
+        if deriv:
+            out.append((name, s, t, _mod_p(deriv, p)))
+    return out
+
+
+def _relation_failure(rep, relations, cyclic):
+    """Why rep breaks the relations (from `_relations`), or None.
+    Nilpotency is tested only when `cyclic`: every representation of a
+    quiver without an oriented cycle is nilpotent."""
+    for name, s, t, terms in relations:
+        if any(any(row) for row in _path_sum(rep, terms, rep.dims[s - 1], rep.dims[t - 1])):
             return "Jacobian relation fails at %s" % name
     # nilpotency of the total arrow operator
     n = rep.total_dim()
@@ -208,7 +259,7 @@ def _relation_failure(rep, cyclic):
         for d in rep.dims:
             offs.append(offs[-1] + d)
         big = [[0] * n for _ in range(n)]
-        for name, s, t in sp.quiver.arrows:
+        for name, s, t in rep.sp.quiver.arrows:
             m = rep.matrix(name)
             for i in range(rep.dims[t - 1]):
                 for j in range(rep.dims[s - 1]):
@@ -223,17 +274,14 @@ def _relation_failure(rep, cyclic):
     return None
 
 
-def _path_sum(rep, deriv, rows, cols):
-    """The rows x cols matrix of a potential derivative: its paths' matrices
-    weighted by their coefficients mod p."""
+def _path_sum(rep, terms, rows, cols):
+    """The rows x cols matrix of a potential derivative given as (path,
+    coefficient mod p) pairs: its paths' matrices weighted by the
+    coefficients."""
     p = rep.p
     total = zero_mat(rows, cols)
-    for path, coeff in deriv.items():
-        c = Fraction(coeff)
-        if c.denominator % p == 0:
-            raise ValueError("potential coefficient not defined mod p")
-        cm = (c.numerator * pow(c.denominator, p - 2, p)) % p
-        total = mat_add(total, mat_scale(path_matrix(rep, path), cm, p), p)
+    for path, c in terms:
+        total = mat_add(total, mat_scale(path_matrix(rep, path), c, p), p)
     return total
 
 
@@ -246,7 +294,11 @@ def simple_rep(sp, p, i):
 def enumerate_reps(sp, dims, p, budget=300000):
     """All matrix tuples of dimension vector dims over F_p that satisfy the
     relations."""
+    _check_prime(p)
     dims = tuple(dims)
+    if len(dims) != sp.seed.rank or not all(isinstance(d, int) and d >= 0 for d in dims):
+        raise ValueError("a dimension vector needs %d non-negative integers, got %r"
+                         % (sp.seed.rank, dims))
     quiver = sp.quiver
     shapes = [(a[0], dims[a[2] - 1], dims[a[1] - 1]) for a in quiver.arrows]
     total = 1
@@ -255,6 +307,7 @@ def enumerate_reps(sp, dims, p, budget=300000):
     if total > budget:
         raise BudgetExceeded("%d matrix tuples exceed the budget" % total)
     out = []
+    relations = _relations(sp, p)
     cyclic = quiver.has_oriented_cycle()
     spaces = [list(itertools.product(range(p), repeat=r * c)) for _, r, c in shapes]
     for combo in itertools.product(*spaces):
@@ -262,7 +315,7 @@ def enumerate_reps(sp, dims, p, budget=300000):
         for (name, r, c), flat in zip(shapes, combo):
             mats[name] = tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
         rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
-        if _relation_failure(rep, cyclic) is None:
+        if _relation_failure(rep, relations, cyclic) is None:
             out.append(rep)
     return out
 
@@ -271,7 +324,6 @@ def enumerate_reps(sp, dims, p, budget=300000):
 # King stability
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
 def _destabilizing(dims, m, strict):
     """The proper nonzero dimension vectors e <= dims with m(e) > 0 (>= 0
     when strict): those of the subrepresentations that break (semi)stability."""
@@ -279,25 +331,54 @@ def _destabilizing(dims, m, strict):
                  if any(e) and e != dims and (pair(m, e) >= 0 if strict else pair(m, e) > 0))
 
 
-def _has_subrep(rep, e):
-    """Whether rep has a subrepresentation of dimension vector e: a subspace
-    of dimension e_i at each vertex i that every arrow maps into itself."""
-    p = rep.p
-    arrows = [(rep.matrix(name), s - 1, t - 1) for name, s, t in rep.sp.quiver.arrows]
-    for combo in itertools.product(*(all_subspaces(p, d)[k] for d, k in zip(rep.dims, e))):
-        if all(mat_vec(mat, v, p) in combo[t][1] for mat, s, t in arrows for v in combo[s][0]):
-            return True
-    return False
+def _semistable_test(sp, dims, m, p, strict):
+    """King (semi)stability at m of the representations of sp over F_p of
+    dimension vector dims, as a predicate rep -> bool.
+
+    For each destabilizing e the tuples of subspaces of dimension e_i at
+    each vertex i are listed once.  Each arrow's matrix is turned once into
+    the bitmask of the tuples whose source subspace it maps into the target
+    one; the memo keys on the arrow's ends, so parallel arrows share it, and
+    it lives as long as the predicate.  A rep has a subrepresentation of
+    dimension e exactly when the masks of its arrows share a bit."""
+    check_covector(m, sp.seed.rank)
+    if pair(m, dims) != 0:
+        return lambda rep: False
+    spaces = [tuple(itertools.product(*(all_subspaces(p, d)[k] for d, k in zip(dims, e))))
+              for e in _destabilizing(dims, m, strict)]
+    full = [(1 << len(group)) - 1 for group in spaces]
+    # the basis vectors at each vertex of the listed subspaces
+    vectors = [{v for group in spaces for combo in group for v in combo[i][0]}
+               for i in range(len(dims))]
+    ends = [(name, s - 1, t - 1) for name, s, t in sp.quiver.arrows]
+    masks = {}    # (source, target, matrix) -> one mask per e
+
+    def arrow_masks(s, t, mat):
+        key = (s, t, mat)
+        if key not in masks:
+            image = {v: mat_vec(mat, v, p) for v in vectors[s]}
+            masks[key] = [sum(1 << j for j, combo in enumerate(group)
+                              if all(image[v] in combo[t][1] for v in combo[s][0]))
+                          for group in spaces]
+        return masks[key]
+
+    def test(rep):
+        per_arrow = [arrow_masks(s, t, rep.matrix(name)) for name, s, t in ends]
+        for i, common in enumerate(full):
+            for mask in per_arrow:
+                common &= mask[i]
+            if common:
+                return False
+        return True
+
+    return test
 
 
 def is_semistable(rep, m, strict=False):
     """King (semi)stability: m(V) = 0 and m(W) <= 0 (< 0) for proper
     nonzero subrepresentations W.  Only the subspaces of the dimension
     vectors with m(W) > 0 (>= 0) are searched."""
-    check_covector(m, rep.sp.seed.rank)
-    if pair(m, rep.dims) != 0:
-        return False
-    return not any(_has_subrep(rep, e) for e in _destabilizing(rep.dims, tuple(m), strict))
+    return _semistable_test(rep.sp, rep.dims, m, rep.p, strict)(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +406,7 @@ def reflect(rep, k, sign):
     is implemented; anything else raises UnsupportedReduction.
     """
     sp, p, dims = rep.sp, rep.p, rep.dims
-    try:
-        sp2, change = mutate_sp(sp, k, sign)
-    except ReductionError as exc:
-        raise UnsupportedReduction(str(exc)) from exc
+    sp2, change = _mutate(sp, k, sign)
     incoming = sp.quiver.arrows_into(k)
     outgoing = sp.quiver.arrows_out_of(k)
     in_off, din = {}, 0
@@ -342,7 +420,7 @@ def reflect(rep, k, sign):
     beta = sum((rep.matrix(b) for b, _, _ in outgoing), ())
     gamma = ()
     for a, s, _ in incoming:
-        gamma += _hcat([_path_sum(rep, _pair_derivative(sp.potential, a, b),
+        gamma += _hcat([_path_sum(rep, _mod_p(_pair_derivative(sp.potential, a, b), p),
                                   dims[s - 1], dims[t - 1]) for b, _, t in outgoing],
                        dims[s - 1])
     if sign == 1:
@@ -370,6 +448,15 @@ def reflect(rep, k, sign):
         else:
             new_mats[name] = rep.matrix(name)
     return make_rep(sp2, p, new_dims, new_mats), sp2, change
+
+
+def _mutate(sp, k, sign):
+    """mutate_sp, with a reduction outside the linear case refused as
+    UnsupportedReduction."""
+    try:
+        return mutate_sp(sp, k, sign)
+    except ReductionError as exc:
+        raise UnsupportedReduction(str(exc)) from exc
 
 
 def _hcat(mats, rows):
@@ -467,29 +554,36 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     semistable V lies there automatically.
     """
     check_covector(m, sp.seed.rank)
-    ek = tuple(1 if j == k - 1 else 0 for j in range(sp.seed.rank))
+    n = sp.seed.rank
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise ValueError("k must be a vertex 1..%d, got %r" % (n, k))
+    _check_prime(p)
+    ek = tuple(1 if j == k - 1 else 0 for j in range(n))
     if pair(m, ek) == 0:
         raise ValueError("m must not vanish on s_k")
     sign = 1 if pair(m, ek) > 0 else -1
-    n = sp.seed.rank
+    _, change = _mutate(sp, k, sign)
+    m2 = covector_to_new_basis(change, m)
     failures = []
     checked = 0
     sk = simple_rep(sp, p, k)
+    image_tests = {}    # reflected dims -> semistability test at m2
     for dims in _dimension_vectors(n, max_total_dim):
         try:
             reps = enumerate_reps(sp, dims, p)
         except BudgetExceeded:
             continue
+        test = _semistable_test(sp, dims, m, p, False)
         for rep in reps:
             if sign > 0 and hom_dimension(sk, rep) != 0:
                 continue
             if sign < 0 and hom_dimension(rep, sk) != 0:
                 continue
-            refl, sp2, change = reflect(rep, k, sign)
-            s1 = is_semistable(rep, m)
-            s2 = is_semistable(refl, covector_to_new_basis(change, m))
+            refl, sp2, _ = reflect(rep, k, sign)
+            if refl.dims not in image_tests:
+                image_tests[refl.dims] = _semistable_test(sp2, refl.dims, m2, p, False)
             checked += 1
-            if s1 != s2:
+            if test(rep) != image_tests[refl.dims](refl):
                 failures.append((dims, rep.mats))
     return TransportReport(not failures, checked, failures)
 
@@ -553,9 +647,14 @@ def iq_wall_series(sp, m, order):
 def iq_wall_series_brute(sp, m, dims_list, p):
     """Same series at q = p from raw enumeration of semistable points (small dims)."""
     check_covector(m, sp.seed.rank)
+    _check_prime(p)
+    if not dims_list:
+        raise ValueError("no dimension vectors to count")
     coeffs = {}
     for dims in dims_list:
-        count = sum(1 for r in enumerate_reps(sp, dims, p) if is_semistable(r, m))
+        reps = enumerate_reps(sp, dims, p)
+        test = _semistable_test(sp, tuple(dims), m, p, False)
+        count = sum(1 for r in reps if test(r))
         if count:
             coeffs[tuple(dims)] = _groupoid_coefficient(sp.quiver, dims, CoeffFn.from_int(count))
     order = max(sum(d) for d in dims_list)

@@ -14,6 +14,7 @@ tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -269,12 +270,19 @@ def is_stable(rep, m):
     return is_semistable(rep, m, strict=True)
 
 
+@functools.lru_cache(maxsize=1)
+def _subrep_dims(rep):
+    """The dimension vectors of rep's subrepresentations.  The last rep's
+    are kept, since a differential test asks about one rep at many m."""
+    return frozenset(dims for dims, _ in _subreps(rep))
+
+
 def is_semistable_by_subreps(rep, m, strict=False):
     """King (semi)stability by enumerating every subrepresentation and then
     comparing m on its dimension vector."""
     if pair(m, rep.dims) != 0:
         return False
-    for dims, _ in _subreps(rep):
+    for dims in _subrep_dims(rep):
         if not any(dims) or dims == rep.dims:
             continue
         w = pair(m, dims)

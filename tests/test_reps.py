@@ -6,15 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from scatdiag import qp
+from scatdiag import qp, reps
 from scatdiag.coeff import CoeffFn, gl_count
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
                               kronecker_seed)
 from scatdiag.qp import ReductionError, SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
-from scatdiag.reps import (BudgetExceeded, all_subspaces, at_prime, check_relations,
-                           enumerate_reps, euler_form, hom_dimension,
+from scatdiag.reps import (BudgetExceeded, _semistable_test, all_subspaces, at_prime,
+                           check_relations, enumerate_reps, euler_form, hom_dimension,
                            iq_wall_series, iq_wall_series_brute, is_semistable,
                            make_rep, path_matrix, reflect,
                            semistable_transport_check, simple_rep,
@@ -123,6 +123,123 @@ def test_semistability_matches_subrep_enumeration(rng):
                     assert got == is_semistable_by_subreps(rep, m, strict), (rep, m, strict)
                     verdicts[strict, got] += 1
     assert sum(verdicts.values()) > 3000 and min(verdicts.values()) > 200
+
+
+def _covectors_vanishing_on(dims):
+    """The covectors r |dims| - (r . dims) (1, ..., 1) for r in {-1, 0, 1}^n:
+    each vanishes on dims."""
+    total = sum(dims)
+    out = set()
+    for r in itertools.product((-1, 0, 1), repeat=len(dims)):
+        w = sum(x * d for x, d in zip(r, dims))
+        out.add(tuple(x * total - w for x in r))
+    return sorted(out)
+
+
+def test_semistable_test_matches_subrep_enumeration_everywhere():
+    # one predicate per (dims, m, strict), over every representation of
+    # dimension vector dims, against enumerating every subrepresentation
+    k2 = SeedWithPotential.make(kronecker_seed())
+    cases = [(k2, d, p) for d in [(1, 1), (2, 1), (1, 2), (2, 2)] for p in (2, 3)]
+    cases += [(sp, d, 2) for sp in (SeedWithPotential.make(a3_seed()), cycsp())
+              for d in itertools.product(range(3), range(2), range(2)) if any(d)]
+    verdicts = Counter()
+    for sp, dims, p in cases:
+        # and one covector that does not vanish on dims
+        off = tuple(int(i == dims.index(max(dims))) for i in range(len(dims)))
+        tests = {(m, strict): _semistable_test(sp, dims, m, p, strict)
+                 for m in _covectors_vanishing_on(dims) + [off] for strict in (False, True)}
+        for rep in enumerate_reps(sp, dims, p):
+            for (m, strict), test in tests.items():
+                got = test(rep)
+                assert got == is_semistable_by_subreps(rep, m, strict), (rep, m, strict)
+                verdicts[m == off, strict, got] += 1
+    assert verdicts[True, False, True] == verdicts[True, True, True] == 0
+    assert min(verdicts[False, strict, got] for strict in (False, True)
+               for got in (False, True)) > 1000
+
+
+def test_brute_mat_vec_count(monkeypatch):
+    # each arrow matrix is mapped once per distinct basis vector: 327 calls
+    # here, where searching the subspace tuples per representation made 71,526
+    calls = Counter()
+    real = reps.mat_vec
+
+    def spy(*args):
+        calls["mat_vec"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(reps, "mat_vec", spy)
+    k2 = SeedWithPotential.make(kronecker_seed())
+    iq_wall_series_brute(k2, (F(1), F(-1)), [(1, 1), (2, 2)], 3)
+    assert 0 < calls["mat_vec"] <= 5000
+
+
+def test_enumeration_reads_each_derivative_once(monkeypatch):
+    calls = Counter()
+    real = reps.cyclic_derivative
+
+    def spy(quiver, potential, name):
+        calls[name] += 1
+        return real(quiver, potential, name)
+
+    monkeypatch.setattr(reps, "cyclic_derivative", spy)
+    sp = cycsp()
+    for dims in [(1, 1, 1), (2, 1, 1)]:
+        calls.clear()
+        assert enumerate_reps(sp, dims, 2)
+        assert calls == Counter({name: 1 for name, _, _ in sp.quiver.arrows})
+
+
+def test_potential_coefficient_not_defined_mod_p():
+    seed = Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
+    sp = SeedWithPotential.make(seed, {("a1_2_1", "a2_3_1", "a3_1_1"): F(1, 2)})
+    zeros = {"a1_2_1": ((0,),), "a2_3_1": ((0,),), "a3_1_1": ((0,),)}
+    for call in (lambda: enumerate_reps(sp, (1, 1, 1), 2),
+                 lambda: make_rep(sp, 2, (1, 1, 1), zeros)):
+        with pytest.raises(ValueError, match="not defined mod p"):
+            call()
+    assert len(enumerate_reps(sp, (1, 1, 1), 3)) == len(enumerate_reps(cycsp(), (1, 1, 1), 3))
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 9, 2.0, F(3)])
+def test_non_prime_p_rejected(p):
+    # arithmetic mod 4 is not F_4: the brute count at (1,1) read 5/3
+    k2 = SeedWithPotential.make(kronecker_seed())
+    m = (F(1), F(-1))
+    calls = [lambda: enumerate_reps(k2, (1, 1), p),
+             lambda: simple_rep(k2, p, 1),
+             lambda: make_rep(k2, p, (1, 0), {"a1_2_1": (), "a1_2_2": ()}),
+             lambda: iq_wall_series_brute(k2, m, [(1, 1)], p),
+             lambda: semistable_transport_check(a2sp(), 1, m, p=p)]
+    for call in calls:
+        with pytest.raises(ValueError, match="p must be a prime"):
+            call()
+
+
+def test_transport_rejects_a_vertex_out_of_range():
+    # k = 3 on a rank-2 seed said "m must not vanish on s_k"
+    k2 = SeedWithPotential.make(kronecker_seed())
+    for k in (0, 3, -1, 1.0):
+        with pytest.raises(ValueError, match="k must be a vertex 1..2"):
+            semistable_transport_check(k2, k, (F(1), F(-1)))
+
+
+def test_enumeration_rejects_bad_dimension_vectors():
+    # a negative entry raised inside itertools, a float one a TypeError
+    k2 = SeedWithPotential.make(kronecker_seed())
+    for dims in [(-1, 1), (1.0, 1), (1, 1, 0), (1,)]:
+        with pytest.raises(ValueError, match="2 non-negative integers"):
+            enumerate_reps(k2, dims, 2)
+        with pytest.raises(ValueError, match="2 non-negative integers"):
+            iq_wall_series_brute(k2, (F(1), F(-1)), [(1, 1), dims], 2)
+
+
+def test_brute_needs_a_dimension_vector():
+    # max() of an empty sequence escaped
+    k2 = SeedWithPotential.make(kronecker_seed())
+    with pytest.raises(ValueError, match="no dimension vectors"):
+        iq_wall_series_brute(k2, (F(1), F(-1)), [], 2)
 
 
 def test_all_subspaces_lattice():
@@ -302,10 +419,13 @@ def test_no_semistables_off_walls():
 def test_brute_matches_factorization():
     sp = SeedWithPotential.make(kronecker_seed())
     m = (F(1), F(-1))
-    got = at_prime(iq_wall_series(sp, m, 4), 2)
-    brute = iq_wall_series_brute(sp, m, [(1, 1), (2, 2)], 2)
-    for d in [(1, 1), (2, 2)]:
-        assert got.coeffs.get(d) == brute.coeffs.get(d)
+    for p in (2, 3):
+        got = at_prime(iq_wall_series(sp, m, 4), p)
+        brute = iq_wall_series_brute(sp, m, [(1, 1), (2, 2)], p)
+        for d in [(1, 1), (2, 2)]:
+            assert got.coeffs.get(d) == brute.coeffs.get(d)
+    assert {tuple(row["dimvec"]): row["coeff"] for row in brute.serialize()} == \
+        {(1, 1): "2", (2, 2): "21/8"}
 
 
 def test_kronecker_wall_oracle():
