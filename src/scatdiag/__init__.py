@@ -12,7 +12,7 @@ from .qp import (Potential, Quiver, SeedWithPotential, is_k_mutable, mutate_qp,
 from .chambers import (chamber_from_sequence, dt_series, enumerate_chambers,
                        enumerate_green_to_red, find_green_to_red)
 from .reps import (Rep, at_prime, enumerate_reps, iq_wall_series, iq_wall_series_brute,
-                   is_semistable, reflect, semistable_transport_check)
+                   is_semistable, reflect, semistable_transport_check, simple_rep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,10 +1,14 @@
 """Finite-field representation oracle for the stability side.
 
 Representations of the Jacobian algebra over a prime field are enumerated
-as raw matrix tuples.  King semistability is decided by searching only the
-subspaces of destabilizing dimension vectors, listed once per dimension
-vector, against a bitmask per arrow matrix of the subspace tuples it
-preserves; reflection functors follow the kernel/cokernel construction.
+as raw matrix tuples, against one relation test per dimension vector that
+reads the relations mod p once and decides each relation from the matrices
+of only the arrows it reads, memoised on them.  King semistability is
+decided by searching only the subspaces of destabilizing dimension vectors,
+listed once per dimension vector, against a bitmask per arrow matrix of the
+subspace tuples it preserves.  Reflection functors follow the
+kernel/cokernel construction, with the mutation, the derivative terms and
+the mutated relation tests prepared once per (SP, k, sign).
 The wall-function counting series is the Harder-Narasimhan factor of the
 total counting element, built over Q(v) with q = v^2 like the rest of the
 package (so no point enumeration is needed at large dimensions); a prime
@@ -87,18 +91,6 @@ def mat_vec(a, v, p):
 
 def zero_mat(rows, cols):
     return tuple((0,) * cols for _ in range(rows))
-
-
-def identity_mat(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_add(a, b, p):
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c, p):
-    return tuple(tuple((x * c) % p for x in ra) for ra in a)
 
 
 def rref_p(rows, p):
@@ -190,102 +182,146 @@ class Rep:
                 return m
         raise KeyError(name)
 
-    def total_dim(self):
-        return sum(self.dims)
+
+def _check_vertex(i, n, what):
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+        raise ValueError("%s must be a vertex 1..%d, got %r" % (what, n, i))
+
+
+def _check_dims(sp, dims):
+    """dims as a tuple; ValueError unless it holds one non-negative int (not
+    a bool) per vertex of sp."""
+    dims = tuple(dims)
+    if len(dims) != sp.seed.rank or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims):
+        raise ValueError("a dimension vector needs %d non-negative integers, got %r"
+                         % (sp.seed.rank, dims))
+    return dims
 
 
 def make_rep(sp, p, dims, mats):
+    """The representation of sp over F_p given by `mats`: a dict from each
+    arrow name, and no other, to its dims[target] x dims[source] matrix, a
+    tuple of row tuples of ints 0..p-1 (`()` for a matrix with no rows).
+    ValueError for any other input, and unless the matrices satisfy the
+    Jacobian relations and act nilpotently."""
     _check_prime(p)
-    rep = Rep(sp, p, tuple(dims), tuple(sorted(mats.items())))
+    dims = _check_dims(sp, dims)
+    arrows = sp.quiver.arrows
+    if not isinstance(mats, dict) or set(mats) != {name for name, _, _ in arrows}:
+        raise ValueError("a matrix is needed for each of the arrows %s and no other, got %r"
+                         % (", ".join(name for name, _, _ in arrows), mats))
+    for name, s, t in arrows:
+        m, rows, cols = mats[name], dims[t - 1], dims[s - 1]
+        if not (isinstance(m, tuple) and len(m) == rows
+                and all(isinstance(row, tuple) and len(row) == cols
+                        and all(type(x) is int and 0 <= x < p for x in row) for row in m)):
+            raise ValueError("arrow %s needs a %d x %d tuple of row tuples with entries "
+                             "0..%d, got %r" % (name, rows, cols, p - 1, m))
+    rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
     check_relations(rep)
     return rep
-
-
-def path_matrix(rep, path):
-    """Travel-order path (a_1, ..., a_r) acts by M_{a_r} ... M_{a_1}."""
-    quiver = rep.sp.quiver
-    _, s0, _ = quiver.arrow(path[0])
-    out = identity_mat(rep.dims[s0 - 1])
-    for name in path:
-        _, _, t = quiver.arrow(name)
-        out = mat_mul(rep.matrix(name), out, rep.p,
-                      shape=(rep.dims[t - 1], rep.dims[s0 - 1]))
-    return out
 
 
 def check_relations(rep):
     """Raise ValueError unless rep satisfies the Jacobian relations and the
     path ideal acts nilpotently."""
-    failure = _relation_failure(rep, _relations(rep.sp, rep.p),
-                                rep.sp.quiver.has_oriented_cycle())
+    test = _relation_test(rep.sp, rep.dims, rep.p)
+    failure = test and test(tuple(rep.matrix(name) for name, _, _ in rep.sp.quiver.arrows))
     if failure:
         raise ValueError(failure)
 
 
-def _mod_p(deriv, p):
-    """A potential derivative as (path, coefficient mod p) pairs."""
+def _terms(deriv, where, p):
+    """A potential derivative as (path, coefficient mod p) pairs, each path
+    as the (position, target's index) of its arrows in travel order, read
+    from `where` (arrow name -> that pair)."""
     out = []
     for path, coeff in deriv.items():
         c = Fraction(coeff)
         if c.denominator % p == 0:
             raise ValueError("potential coefficient not defined mod p")
-        out.append((path, (c.numerator * pow(c.denominator, p - 2, p)) % p))
+        out.append((tuple(where[a] for a in path),
+                    (c.numerator * pow(c.denominator, p - 2, p)) % p))
     return out
 
 
-def _relations(sp, p):
-    """The Jacobian relations over F_p: (arrow, source, target, the paths of
-    its cyclic derivative with their coefficients mod p) for every arrow
-    whose derivative is not zero."""
-    out = []
-    for name, s, t in sp.quiver.arrows:
-        deriv = cyclic_derivative(sp.quiver, sp.potential, name)
-        if deriv:
-            out.append((name, s, t, _mod_p(deriv, p)))
-    return out
+def _positions(quiver):
+    """Arrow name -> (its position in quiver.arrows, its target's index)."""
+    return {name: (i, t - 1) for i, (name, _, t) in enumerate(quiver.arrows)}
 
 
-def _relation_failure(rep, relations, cyclic):
-    """Why rep breaks the relations (from `_relations`), or None.
-    Nilpotency is tested only when `cyclic`: every representation of a
-    quiver without an oriented cycle is nilpotent."""
-    for name, s, t, terms in relations:
-        if any(any(row) for row in _path_sum(rep, terms, rep.dims[s - 1], rep.dims[t - 1])):
-            return "Jacobian relation fails at %s" % name
-    # nilpotency of the total arrow operator
-    n = rep.total_dim()
-    if cyclic and n:
-        offs = [0]
-        for d in rep.dims:
-            offs.append(offs[-1] + d)
-        big = [[0] * n for _ in range(n)]
-        for name, s, t in rep.sp.quiver.arrows:
-            m = rep.matrix(name)
-            for i in range(rep.dims[t - 1]):
-                for j in range(rep.dims[s - 1]):
-                    big[offs[t - 1] + i][offs[s - 1] + j] = m[i][j]
-        power = big = tuple(tuple(r) for r in big)
-        for _ in range(n):    # A^k = 0 gives A^n = 0 for every n >= k
-            if not any(any(row) for row in power):
-                break
-            power = mat_mul(big, power, rep.p)
-        else:
-            return "path ideal does not act nilpotently"
-    return None
-
-
-def _path_sum(rep, terms, rows, cols):
-    """The rows x cols matrix of a potential derivative given as (path,
-    coefficient mod p) pairs: its paths' matrices weighted by the
-    coefficients."""
-    p = rep.p
-    total = zero_mat(rows, cols)
+def _path_sum(mats, dims, terms, rows, cols, p):
+    """The rows x cols matrix of a potential derivative given as `_terms`
+    pairs, for the matrices `mats` in the order of quiver.arrows: each
+    path's matrix M_{a_r} ... M_{a_1}, multiplied out from M_{a_1}, weighted
+    by its coefficient."""
+    total = [[0] * cols for _ in range(rows)]
     for path, c in terms:
-        total = mat_add(total, mat_scale(path_matrix(rep, path), c, p), p)
-    return total
+        (first, _), *rest = path
+        m = mats[first]
+        for i, t in rest:
+            m = mat_mul(mats[i], m, p, shape=(dims[t], cols))
+        for acc, row in zip(total, m):
+            for j, x in enumerate(row):
+                acc[j] += c * x
+    return tuple(tuple(x % p for x in acc) for acc in total)
+
+
+def _relation_test(sp, dims, p):
+    """The Jacobian relations of sp over F_p at dimension vector dims, and
+    nilpotency, as a predicate on matrix tuples in the order of
+    sp.quiver.arrows: why a tuple breaks them, or None.  In place of the
+    predicate, None when no tuple can break them: every relation's block is
+    empty, and the quiver has no oriented cycle or dims is 0.
+
+    The relations are read mod p once.  Each is decided from the matrices
+    of only the arrows on its paths, and the verdict is memoised on those
+    matrices for as long as the predicate lives."""
+    quiver = sp.quiver
+    where = _positions(quiver)
+    relations = []
+    for name, s, t in quiver.arrows:
+        terms = _terms(cyclic_derivative(quiver, sp.potential, name), where, p)
+        rows, cols = dims[s - 1], dims[t - 1]
+        if terms and rows and cols:
+            reads = sorted({i for path, _ in terms for i, _ in path})
+            relations.append((name, terms, rows, cols, reads, {}))
+    # the size of the total arrow operator, when its nilpotency is tested:
+    # every representation of a quiver without an oriented cycle is nilpotent
+    n = sum(dims) if quiver.has_oriented_cycle() else 0
+    if not relations and not n:
+        return None
+    offs = list(itertools.accumulate(dims, initial=0))
+    blocks = [(offs[t - 1], offs[s - 1]) for _, s, t in quiver.arrows]
+
+    def failure(mats):
+        for name, terms, rows, cols, reads, memo in relations:
+            key = tuple(mats[i] for i in reads)
+            if key not in memo:
+                memo[key] = any(map(any, _path_sum(mats, dims, terms, rows, cols, p)))
+            if memo[key]:
+                return "Jacobian relation fails at %s" % name
+        if n:
+            # nilpotency of the total arrow operator
+            big = [[0] * n for _ in range(n)]
+            for m, (row0, col0) in zip(mats, blocks):
+                for i, row in enumerate(m):
+                    big[row0 + i][col0:col0 + len(row)] = row
+            power = big = tuple(tuple(r) for r in big)
+            for _ in range(n):    # A^k = 0 gives A^n = 0 for every n >= k
+                if not any(map(any, power)):
+                    break
+                power = mat_mul(big, power, p)
+            else:
+                return "path ideal does not act nilpotently"
+        return None
+
+    return failure
 
 
 def simple_rep(sp, p, i):
+    _check_vertex(i, sp.seed.rank, "i")
     dims = tuple(1 if j == i - 1 else 0 for j in range(sp.seed.rank))
     mats = {a[0]: zero_mat(dims[a[2] - 1], dims[a[1] - 1]) for a in sp.quiver.arrows}
     return make_rep(sp, p, dims, mats)
@@ -293,31 +329,24 @@ def simple_rep(sp, p, i):
 
 def enumerate_reps(sp, dims, p, budget=300000):
     """All matrix tuples of dimension vector dims over F_p that satisfy the
-    relations."""
+    relations, in the order of itertools.product over the arrows' matrices."""
     _check_prime(p)
-    dims = tuple(dims)
-    if len(dims) != sp.seed.rank or not all(isinstance(d, int) and d >= 0 for d in dims):
-        raise ValueError("a dimension vector needs %d non-negative integers, got %r"
-                         % (sp.seed.rank, dims))
-    quiver = sp.quiver
-    shapes = [(a[0], dims[a[2] - 1], dims[a[1] - 1]) for a in quiver.arrows]
+    dims = _check_dims(sp, dims)
+    arrows = sp.quiver.arrows
+    shapes = [(dims[t - 1], dims[s - 1]) for _, s, t in arrows]
     total = 1
-    for _, r, c in shapes:
+    for r, c in shapes:
         total *= p ** (r * c)
     if total > budget:
         raise BudgetExceeded("%d matrix tuples exceed the budget" % total)
-    out = []
-    relations = _relations(sp, p)
-    cyclic = quiver.has_oriented_cycle()
-    spaces = [list(itertools.product(range(p), repeat=r * c)) for _, r, c in shapes]
-    for combo in itertools.product(*spaces):
-        mats = {}
-        for (name, r, c), flat in zip(shapes, combo):
-            mats[name] = tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
-        rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
-        if _relation_failure(rep, relations, cyclic) is None:
-            out.append(rep)
-    return out
+    spaces = [[tuple(flat[i * c:(i + 1) * c] for i in range(r))
+               for flat in itertools.product(range(p), repeat=r * c)] for r, c in shapes]
+    test = _relation_test(sp, dims, p)
+    names = [name for name, _, _ in arrows]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return [Rep(sp, p, dims, tuple((names[i], mats[i]) for i in order))
+            for mats in itertools.product(*spaces)
+            if test is None or test(mats) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -405,49 +434,88 @@ def reflect(rep, k, sign):
     Only the reduction case whose substitutions never touch retained arrows
     is implemented; anything else raises UnsupportedReduction.
     """
-    sp, p, dims = rep.sp, rep.p, rep.dims
+    return _reflector(rep.sp, k, sign, rep.p)(rep)
+
+
+def _reflector(sp, k, sign, p):
+    """`reflect` at (k, sign) for the representations of sp over F_p, as a
+    function rep -> (image, mutated SP, basis change).  What does not depend
+    on the representation is prepared once: the mutation, the terms mod p
+    of gamma's pair derivatives, and the mutated potential's relation test
+    at each image dimension vector."""
     sp2, change = _mutate(sp, k, sign)
-    incoming = sp.quiver.arrows_into(k)
-    outgoing = sp.quiver.arrows_out_of(k)
-    in_off, din = {}, 0
-    for name, s, _ in incoming:
-        in_off[name], din = din, din + dims[s - 1]
-    out_off, dout = {}, 0
-    for name, _, t in outgoing:
-        out_off[name], dout = dout, dout + dims[t - 1]
-    dk = dims[k - 1]
-    alpha = _hcat([rep.matrix(a) for a, _, _ in incoming], dk)
-    beta = sum((rep.matrix(b) for b, _, _ in outgoing), ())
-    gamma = ()
-    for a, s, _ in incoming:
-        gamma += _hcat([_path_sum(rep, _mod_p(_pair_derivative(sp.potential, a, b), p),
-                                  dims[s - 1], dims[t - 1]) for b, _, t in outgoing],
-                       dims[s - 1])
-    if sign == 1:
-        into_k = tuple(kernel_basis(_transpose(beta, dk), dout, p))
-        out_of_k = _transpose(_solve(_transpose(into_k, dout), _transpose(gamma, dout),
-                                     len(into_k), din, p), din)
-    else:
-        kb = kernel_basis(alpha, din, p)
-        out_of_k = _transpose(kb, din)
-        into_k = _solve(out_of_k, gamma, len(kb), dout, p)
-    new_dims = dims[:k - 1] + (len(into_k),) + dims[k:]
-    comp_map = {composite_name(a, b): (a, b) for a in in_off for b in out_off}
-    new_mats = {}
-    for name, s, t in sp2.quiver.arrows:
-        base = name[:-1] if name.endswith("*") else None
-        if name in comp_map:
-            a, b = comp_map[name]
-            new_mats[name] = mat_mul(rep.matrix(b), rep.matrix(a), p,
-                                     shape=(new_dims[t - 1], new_dims[s - 1]))
-        elif base in out_off:    # beta*: j -> k
-            o = out_off[base]
-            new_mats[name] = tuple(row[o:o + dims[s - 1]] for row in into_k)
-        elif base in in_off:     # alpha*: k -> i
-            new_mats[name] = out_of_k[in_off[base]:in_off[base] + dims[t - 1]]
+    quiver = sp.quiver
+    names = [name for name, _, _ in quiver.arrows]
+    incoming = quiver.arrows_into(k)
+    outgoing = quiver.arrows_out_of(k)
+    where = _positions(quiver)
+    gamma_terms = [[_terms(_pair_derivative(sp.potential, a, b), where, p)
+                    for b, _, _ in outgoing] for a, _, _ in incoming]
+    comp_map = {composite_name(a, b): (a, b) for a, _, _ in incoming for b, _, _ in outgoing}
+    names2 = [name for name, _, _ in sp2.quiver.arrows]
+    relation_tests = {}    # image dims -> relation test of sp2
+
+    def apply(rep):
+        dims, by_name = rep.dims, dict(rep.mats)
+        mats = tuple(by_name[name] for name in names)
+        in_off, din = {}, 0
+        for name, s, _ in incoming:
+            in_off[name], din = din, din + dims[s - 1]
+        out_off, dout = {}, 0
+        for name, _, t in outgoing:
+            out_off[name], dout = dout, dout + dims[t - 1]
+        dk = dims[k - 1]
+        alpha = _hcat([by_name[a] for a, _, _ in incoming], dk)
+        beta = sum((by_name[b] for b, _, _ in outgoing), ())
+        gamma = ()
+        for (_, s, _), row_terms in zip(incoming, gamma_terms):
+            gamma += _hcat([_path_sum(mats, dims, terms, dims[s - 1], dims[t - 1], p)
+                            for (_, _, t), terms in zip(outgoing, row_terms)], dims[s - 1])
+        if sign == 1:
+            into_k = tuple(kernel_basis(_transpose(beta, dk), dout, p))
+            out_of_k = _transpose(_solve(_transpose(into_k, dout), _transpose(gamma, dout),
+                                         len(into_k), din, p), din)
         else:
-            new_mats[name] = rep.matrix(name)
-    return make_rep(sp2, p, new_dims, new_mats), sp2, change
+            kb = kernel_basis(alpha, din, p)
+            out_of_k = _transpose(kb, din)
+            into_k = _solve(out_of_k, gamma, len(kb), dout, p)
+        new_dims = dims[:k - 1] + (len(into_k),) + dims[k:]
+        new_mats = {}
+        for name, s, t in sp2.quiver.arrows:
+            base = name[:-1] if name.endswith("*") else None
+            if name in comp_map:
+                a, b = comp_map[name]
+                new_mats[name] = mat_mul(by_name[b], by_name[a], p,
+                                         shape=(new_dims[t - 1], new_dims[s - 1]))
+            elif base in out_off:    # beta*: j -> k
+                o = out_off[base]
+                new_mats[name] = tuple(row[o:o + dims[s - 1]] for row in into_k)
+            elif base in in_off:     # alpha*: k -> i
+                new_mats[name] = out_of_k[in_off[base]:in_off[base] + dims[t - 1]]
+            else:
+                new_mats[name] = by_name[name]
+        if new_dims not in relation_tests:
+            relation_tests[new_dims] = _relation_test(sp2, new_dims, p)
+        test = relation_tests[new_dims]
+        failure = test and test(tuple(new_mats[name] for name in names2))
+        if failure:
+            raise ValueError(failure)
+        return Rep(sp2, p, new_dims, tuple(sorted(new_mats.items()))), sp2, change
+
+    return apply
+
+
+def _loses_nothing(rep, k, sign):
+    """Whether rep lies in the subcategory on which F_k^sign loses nothing:
+    Hom(S_k, V) = ker beta is 0 for sign +, and Hom(V, S_k), dual to
+    coker alpha, is 0 for sign -, where beta stacks the arrows out of k and
+    alpha the arrows into k."""
+    quiver, dk, p = rep.sp.quiver, rep.dims[k - 1], rep.p
+    if sign > 0:
+        beta = sum((rep.matrix(b) for b, _, _ in quiver.arrows_out_of(k)), ())
+        return not kernel_basis(beta, dk, p)
+    alpha = _hcat([rep.matrix(a) for a, _, _ in quiver.arrows_into(k)], dk)
+    return len(rref_p(alpha, p)[1]) == dk
 
 
 def _mutate(sp, k, sign):
@@ -497,44 +565,6 @@ def _solve(a, b, n, r, p):
 
 
 # ---------------------------------------------------------------------------
-# hom spaces
-# ---------------------------------------------------------------------------
-
-def hom_dimension(rep1, rep2):
-    """dim Hom(V, W) by solving the intertwiner system over F_p."""
-    if rep1.p != rep2.p:
-        raise ValueError("representations over F_%d and F_%d" % (rep1.p, rep2.p))
-    if rep1.sp.quiver != rep2.sp.quiver:
-        raise ValueError("representations of different quivers")
-    p = rep1.p
-    quiver = rep1.sp.quiver
-    nvars = sum(a * b for a, b in zip(rep1.dims, rep2.dims))
-    var_off = []
-    acc = 0
-    for a, b in zip(rep1.dims, rep2.dims):
-        var_off.append(acc)
-        acc += a * b
-    rows = []
-    for name, s, t in quiver.arrows:
-        m1 = rep1.matrix(name)
-        m2 = rep2.matrix(name)
-        # f_t m1 = m2 f_s ; unknowns f_i as (rep2.dims[i] x rep1.dims[i])
-        for i in range(rep2.dims[t - 1]):
-            for j in range(rep1.dims[s - 1]):
-                row = [0] * nvars
-                # (f_t m1)_{ij} = sum_u f_t[i][u] m1[u][j]
-                for u in range(rep1.dims[t - 1]):
-                    row[var_off[t - 1] + i * rep1.dims[t - 1] + u] += m1[u][j]
-                # (m2 f_s)_{ij} = sum_u m2[i][u] f_s[u][j]
-                for u in range(rep2.dims[s - 1]):
-                    row[var_off[s - 1] + u * rep1.dims[s - 1] + j] -= m2[i][u]
-                row = [x % p for x in row]
-                if any(row):
-                    rows.append(tuple(row))
-    return len(kernel_basis(rows, nvars, p)) if nvars else 0
-
-
-# ---------------------------------------------------------------------------
 # semistability transport and the counting series
 # ---------------------------------------------------------------------------
 
@@ -543,6 +573,7 @@ class TransportReport:
     passed: bool
     checked: int
     failures: list
+    skipped: list    # the dimension vectors whose enumeration exceeded the budget
 
 
 def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
@@ -550,42 +581,46 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
 
     The functor F_k^+ kills copies of S_k (and F_k^- dually), so the
     equivalence quantifies over the subcategory where nothing is lost:
-    Hom(S_k, V) = 0 when m(s_k) > 0, Hom(V, S_k) = 0 when m(s_k) < 0.  A
-    semistable V lies there automatically.
+    Hom(S_k, V) = 0 when m(s_k) > 0, Hom(V, S_k) = 0 when m(s_k) < 0, read
+    off ker beta and the rank of alpha.  A semistable V lies there
+    automatically.  Every dimension vector of total 1..max_total_dim is
+    checked, except those whose enumeration exceeds its budget: the report
+    lists them as skipped.
     """
     check_covector(m, sp.seed.rank)
     n = sp.seed.rank
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise ValueError("k must be a vertex 1..%d, got %r" % (n, k))
+    _check_vertex(k, n, "k")
     _check_prime(p)
+    if (isinstance(max_total_dim, bool) or not isinstance(max_total_dim, int)
+            or max_total_dim < 1):
+        raise ValueError("max_total_dim must be a positive int, got %r" % (max_total_dim,))
     ek = tuple(1 if j == k - 1 else 0 for j in range(n))
     if pair(m, ek) == 0:
         raise ValueError("m must not vanish on s_k")
     sign = 1 if pair(m, ek) > 0 else -1
     _, change = _mutate(sp, k, sign)
     m2 = covector_to_new_basis(change, m)
-    failures = []
+    reflector = _reflector(sp, k, sign, p)
+    failures, skipped = [], []
     checked = 0
-    sk = simple_rep(sp, p, k)
     image_tests = {}    # reflected dims -> semistability test at m2
     for dims in _dimension_vectors(n, max_total_dim):
         try:
             reps = enumerate_reps(sp, dims, p)
         except BudgetExceeded:
+            skipped.append(dims)
             continue
         test = _semistable_test(sp, dims, m, p, False)
         for rep in reps:
-            if sign > 0 and hom_dimension(sk, rep) != 0:
+            if not _loses_nothing(rep, k, sign):
                 continue
-            if sign < 0 and hom_dimension(rep, sk) != 0:
-                continue
-            refl, sp2, _ = reflect(rep, k, sign)
+            refl, sp2, _ = reflector(rep)
             if refl.dims not in image_tests:
                 image_tests[refl.dims] = _semistable_test(sp2, refl.dims, m2, p, False)
             checked += 1
             if test(rep) != image_tests[refl.dims](refl):
                 failures.append((dims, rep.mats))
-    return TransportReport(not failures, checked, failures)
+    return TransportReport(not failures, checked, failures, skipped)
 
 
 def _dimension_vectors(n, max_total):

@@ -3,7 +3,9 @@
 Each one is slow and direct: Gaussian elimination over Fraction, cone
 membership by Caratheodory's theorem, cones cut out one constraint at a
 time, brute-force isomorphism of representations, King semistability by
-enumerating every subrepresentation, the sum of two coefficients by its
+enumerating every subrepresentation, the representations of a dimension
+vector by checking every matrix tuple on its own, Hom spaces by solving the
+intertwiner equations, the sum of two coefficients by its
 own denominator join, the truncated product that canonicalises after
 every term (with the DT twist (-v)^w and the Lie brackets written out per
 term), the power series that adds one canonical coefficient per power,
@@ -21,7 +23,9 @@ from fractions import Fraction
 from scatdiag import coeff, scattering, torus
 from scatdiag.coeff import CoeffFn
 from scatdiag.lattice import _cut, _ray_sum, _unit_basis, p_star, pair, skew, total_degree
-from scatdiag.reps import all_subspaces, is_semistable, make_rep, mat_mul, mat_vec, rref_p
+from scatdiag.qp import cyclic_derivative
+from scatdiag.reps import (Rep, all_subspaces, is_semistable, kernel_basis, make_rep, mat_mul,
+                           mat_vec, rref_p)
 from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement
 
 
@@ -210,6 +214,94 @@ def rebase_rep(rep, sp_to):
             arrow_map[a] = b
     mats = {arrow_map[name]: m for name, m in rep.mats}
     return make_rep(sp_to, rep.p, rep.dims, mats)
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def relation_failure(rep):
+    """Why rep breaks the Jacobian relations or the nilpotency of the path
+    ideal, or None: every path of every cyclic derivative multiplied out
+    from an identity matrix, and the total arrow operator raised to the
+    total dimension."""
+    p, dims, quiver = rep.p, rep.dims, rep.sp.quiver
+    for name, s, t in quiver.arrows:
+        total = [[0] * dims[t - 1] for _ in range(dims[s - 1])]
+        for path, c in cyclic_derivative(quiver, rep.sp.potential, name).items():
+            c = Fraction(c)
+            c = c.numerator * pow(c.denominator, -1, p)
+            m = _identity(dims[t - 1])
+            for a in path:
+                m = mat_mul(rep.matrix(a), m, p, shape=(dims[quiver.arrow(a)[2] - 1], dims[t - 1]))
+            for acc, row in zip(total, m):
+                for j, x in enumerate(row):
+                    acc[j] += c * x
+        if any(x % p for row in total for x in row):
+            return "Jacobian relation fails at %s" % name
+    n = sum(dims)
+    offs = list(itertools.accumulate(dims, initial=0))
+    big = [[0] * n for _ in range(n)]
+    for name, s, t in quiver.arrows:
+        for i, row in enumerate(rep.matrix(name)):
+            for j, x in enumerate(row):
+                big[offs[t - 1] + i][offs[s - 1] + j] = x
+    power = _identity(n)
+    for _ in range(n):
+        power = mat_mul(big, power, p, shape=(n, n))
+    if any(map(any, power)):
+        return "path ideal does not act nilpotently"
+    return None
+
+
+def enumerate_reps_per_tuple(sp, dims, p):
+    """Every matrix tuple of dimension vector dims over F_p, in the order of
+    itertools.product over the arrows' entries, that `relation_failure`
+    accepts."""
+    shapes = [(name, dims[t - 1], dims[s - 1]) for name, s, t in sp.quiver.arrows]
+    out = []
+    for combo in itertools.product(*(itertools.product(range(p), repeat=r * c)
+                                     for _, r, c in shapes)):
+        mats = {name: tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
+                for (name, r, c), flat in zip(shapes, combo)}
+        rep = Rep(sp, p, tuple(dims), tuple(sorted(mats.items())))
+        if relation_failure(rep) is None:
+            out.append(rep)
+    return out
+
+
+def hom_dimension(rep1, rep2):
+    """dim Hom(V, W) by solving the intertwiner system over F_p."""
+    if rep1.p != rep2.p:
+        raise ValueError("representations over F_%d and F_%d" % (rep1.p, rep2.p))
+    if rep1.sp.quiver != rep2.sp.quiver:
+        raise ValueError("representations of different quivers")
+    p = rep1.p
+    quiver = rep1.sp.quiver
+    nvars = sum(a * b for a, b in zip(rep1.dims, rep2.dims))
+    var_off = []
+    acc = 0
+    for a, b in zip(rep1.dims, rep2.dims):
+        var_off.append(acc)
+        acc += a * b
+    rows = []
+    for name, s, t in quiver.arrows:
+        m1 = rep1.matrix(name)
+        m2 = rep2.matrix(name)
+        # f_t m1 = m2 f_s ; unknowns f_i as (rep2.dims[i] x rep1.dims[i])
+        for i in range(rep2.dims[t - 1]):
+            for j in range(rep1.dims[s - 1]):
+                row = [0] * nvars
+                # (f_t m1)_{ij} = sum_u f_t[i][u] m1[u][j]
+                for u in range(rep1.dims[t - 1]):
+                    row[var_off[t - 1] + i * rep1.dims[t - 1] + u] += m1[u][j]
+                # (m2 f_s)_{ij} = sum_u m2[i][u] f_s[u][j]
+                for u in range(rep2.dims[s - 1]):
+                    row[var_off[s - 1] + u * rep1.dims[s - 1] + j] -= m2[i][u]
+                row = [x % p for x in row]
+                if any(row):
+                    rows.append(tuple(row))
+    return len(kernel_basis(rows, nvars, p)) if nvars else 0
 
 
 def is_isomorphic(rep1, rep2):

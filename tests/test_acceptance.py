@@ -25,9 +25,9 @@ from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
 from scatdiag.qp import Potential, SeedWithPotential, is_k_mutable, mutate_qp, quiver_from_seed
 from scatdiag.chambers import (dt_series, enumerate_chambers,
                                enumerate_green_to_red, find_green_to_red)
-from scatdiag.reps import (at_prime, enumerate_reps, hom_dimension, iq_wall_series,
+from scatdiag.reps import (at_prime, enumerate_reps, iq_wall_series,
                            reflect, semistable_transport_check, simple_rep)
-from oracles import is_isomorphic, rebase_rep
+from oracles import hom_dimension, is_isomorphic, rebase_rep
 
 F = Fraction
 

@@ -13,13 +13,13 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
 from scatdiag.qp import ReductionError, SeedWithPotential
 from scatdiag.torus import QUANTUM, dilog_group_element
 from scatdiag.scattering import quantum_cluster_sd
-from scatdiag.reps import (BudgetExceeded, _semistable_test, all_subspaces, at_prime,
-                           check_relations, enumerate_reps, euler_form, hom_dimension,
-                           iq_wall_series, iq_wall_series_brute, is_semistable,
-                           make_rep, path_matrix, reflect,
-                           semistable_transport_check, simple_rep,
-                           total_counting_element)
-from oracles import is_isomorphic, is_semistable_by_subreps, is_stable, rebase_rep
+from scatdiag.reps import (BudgetExceeded, _dimension_vectors, _loses_nothing,
+                           _semistable_test, all_subspaces, at_prime, check_relations,
+                           enumerate_reps, euler_form, iq_wall_series, iq_wall_series_brute,
+                           is_semistable, make_rep, mat_mul, reflect,
+                           semistable_transport_check, simple_rep, total_counting_element)
+from oracles import (enumerate_reps_per_tuple, hom_dimension, is_isomorphic,
+                     is_semistable_by_subreps, is_stable, rebase_rep)
 
 F = Fraction
 REFLECT_GOLDEN = Path(__file__).parent / "golden" / "reflect_f2.json"
@@ -46,6 +46,56 @@ def test_relations_enforced():
     with pytest.raises(ValueError):
         make_rep(cycsp(), 2, (1, 1, 1),
                  {"a1_2_1": ((1,),), "a2_3_1": ((1,),), "a3_1_1": ((1,),)})
+
+
+def test_make_rep_checks_its_input():
+    # each bad input was accepted: zip in the matrix operations truncated the
+    # 1 x 2 matrix, and the entry 2 gave a Rep unequal to the same module
+    # written with 0
+    sp = SeedWithPotential.make(a3_seed())
+    good = {"a1_2_1": ((1,),), "a2_3_1": ((0,),)}
+    assert make_rep(sp, 2, (1, 1, 1), good).mats == tuple(sorted(good.items()))
+    for mats in [{"a1_2_1": ((1,),)}, dict(good, a9_9_9=((1,),)),
+                 dict(good, a1_2_1=((1, 0),)), dict(good, a1_2_1=((1,), (0,))),
+                 dict(good, a2_3_1=((2,),)), dict(good, a2_3_1=((-1,),)),
+                 dict(good, a2_3_1=((True,),)), dict(good, a2_3_1=((1.0,),)),
+                 dict(good, a2_3_1=[[0]]), dict(good, a2_3_1=()), list(good.items())]:
+        with pytest.raises(ValueError):
+            make_rep(sp, 2, (1, 1, 1), mats)
+    with pytest.raises(ValueError, match="3 non-negative integers"):
+        make_rep(sp, 2, (True, 1, 1), good)
+    # a matrix with no rows is (), one with no columns has empty rows
+    assert make_rep(sp, 2, (1, 1, 0), {"a1_2_1": ((1,),), "a2_3_1": ()}).dims == (1, 1, 0)
+    assert make_rep(sp, 3, (0, 1, 1), {"a1_2_1": ((),), "a2_3_1": ((2,),)}).dims == (0, 1, 1)
+
+
+def test_simple_rep_needs_a_vertex():
+    # 0 and 4 gave the zero rep on A3, and True gave S_1
+    sp = SeedWithPotential.make(a3_seed())
+    for i in (0, 4, -1, True, 1.0):
+        with pytest.raises(ValueError, match="i must be a vertex 1..3"):
+            simple_rep(sp, 2, i)
+    assert simple_rep(sp, 2, 3).dims == (0, 0, 1)
+
+
+@pytest.mark.parametrize("p, max_total", [(2, 5), (3, 4)])
+def test_enumeration_matches_per_tuple_oracle(p, max_total):
+    # the same list in the same order as checking every tuple on its own,
+    # on A2, A3, Kronecker and the 3-cycle without and with potential
+    cycle = Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
+    cases = [SeedWithPotential.make(seed)
+             for seed in (a2_seed(), a3_seed(), kronecker_seed(), cycle)] + [cycsp()]
+    kept = dropped = 0
+    for sp in cases:
+        for dims in _dimension_vectors(sp.seed.rank, max_total):
+            exponent = sum(dims[s - 1] * dims[t - 1] for _, s, t in sp.quiver.arrows)
+            if p ** exponent > 5000:
+                continue
+            got = enumerate_reps(sp, dims, p)
+            assert got == enumerate_reps_per_tuple(sp, dims, p), (sp.potential, dims)
+            kept += len(got)
+            dropped += p ** exponent - len(got)
+    assert kept > 3000 and dropped > 500
 
 
 def test_nilpotency_enforced():
@@ -86,8 +136,27 @@ def test_nilpotency_index_n_accepted():
     # A^3 = 0, so the early stop must not reject it before the n-th power
     sp = SeedWithPotential.make(a3_seed())
     rep = make_rep(sp, 2, (1, 1, 1), {"a1_2_1": ((1,),), "a2_3_1": ((1,),)})
-    assert path_matrix(rep, ("a1_2_1", "a2_3_1")) == ((1,),)
+    assert mat_mul(rep.matrix("a2_3_1"), rep.matrix("a1_2_1"), 2) == ((1,),)
     check_relations(rep)
+
+
+def test_relation_test_only_where_a_tuple_can_fail(monkeypatch):
+    # the Kronecker quiver has no relations and no oriented cycle: the brute
+    # count checks no tuple (the per-tuple check ran 6,570 times at F_3)
+    calls = []
+    real = reps._relation_test
+
+    def spy(sp, dims, p):
+        test = real(sp, dims, p)
+        return test and (lambda mats: calls.append(mats) or test(mats))
+
+    monkeypatch.setattr(reps, "_relation_test", spy)
+    k2 = SeedWithPotential.make(kronecker_seed())
+    iq_wall_series_brute(k2, (F(1), F(-1)), [(1, 1), (2, 2)], 3)
+    assert calls == []
+    # positive control: each of the 3-cycle's 8 tuples at (1, 1, 1) is checked
+    assert len(enumerate_reps(cycsp(), (1, 1, 1), 2)) == 4
+    assert len(calls) == 8
 
 
 def test_semistability_examples():
@@ -220,15 +289,16 @@ def test_non_prime_p_rejected(p):
 def test_transport_rejects_a_vertex_out_of_range():
     # k = 3 on a rank-2 seed said "m must not vanish on s_k"
     k2 = SeedWithPotential.make(kronecker_seed())
-    for k in (0, 3, -1, 1.0):
+    for k in (0, 3, -1, 1.0, True):
         with pytest.raises(ValueError, match="k must be a vertex 1..2"):
             semistable_transport_check(k2, k, (F(1), F(-1)))
 
 
 def test_enumeration_rejects_bad_dimension_vectors():
-    # a negative entry raised inside itertools, a float one a TypeError
+    # a negative entry raised inside itertools, a float one a TypeError, and
+    # (True, 1) passed as (1, 1)
     k2 = SeedWithPotential.make(kronecker_seed())
-    for dims in [(-1, 1), (1.0, 1), (1, 1, 0), (1,)]:
+    for dims in [(-1, 1), (1.0, 1), (1, 1, 0), (1,), (True, 1)]:
         with pytest.raises(ValueError, match="2 non-negative integers"):
             enumerate_reps(k2, dims, 2)
         with pytest.raises(ValueError, match="2 non-negative integers"):
@@ -383,6 +453,71 @@ def test_transport_a2_and_cycle():
     rep = semistable_transport_check(cycsp(), 2, (F(-1), F(2), F(-1)),
                                      max_total_dim=3, p=2)
     assert rep.passed and rep.checked >= 15
+
+
+def test_reflection_domain_matches_hom_dimension():
+    # ker beta (sign +) and the rank of alpha (sign -) against solving for
+    # Hom(S_k, V) and Hom(V, S_k), on every rep that the benchmark's
+    # transport job enumerates
+    verdicts = Counter()
+    for sp in (SeedWithPotential.make(a3_seed()), cycsp()):
+        for dims in _dimension_vectors(3, 4):
+            try:
+                reps_of_dims = enumerate_reps(sp, dims, 2)
+            except BudgetExceeded:
+                continue
+            for k in (1, 2, 3):
+                sk = simple_rep(sp, 2, k)
+                for rep in reps_of_dims:
+                    for sign in (1, -1):
+                        hom = hom_dimension(sk, rep) if sign > 0 else hom_dimension(rep, sk)
+                        got = _loses_nothing(rep, k, sign)
+                        assert got == (hom == 0), (rep, k, sign)
+                        verdicts[sign, got] += 1
+    assert min(verdicts.values()) > 100
+
+
+def test_transport_job_counts(monkeypatch):
+    # the benchmark's transport job: 1,878 Hom solves (2,156 kernel_basis
+    # calls), 9,602 mat_mul and 2,748 cyclic_derivative calls before one
+    # prepared reflector per check and one relation test per dimension
+    # vector; 1,745, 1,826 and 1,538 after, pinned to within 10 %
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("kernel_basis", "mat_mul", "cyclic_derivative"):
+        monkeypatch.setattr(reps, name, spy(name, getattr(reps, name)))
+    for sp in (SeedWithPotential.make(a3_seed()), cycsp()):
+        for k in (1, 2, 3):
+            for sign in (1, -1):
+                m = tuple(F(sign * (3 if j == k - 1 else -1)) for j in range(3))
+                report = semistable_transport_check(sp, k, m, max_total_dim=4, p=2)
+                assert report.passed and report.checked and not report.skipped
+    assert not hasattr(reps, "hom_dimension")
+    assert calls["kernel_basis"] <= 1919
+    assert calls["mat_mul"] <= 2008
+    assert calls["cyclic_derivative"] <= 1691
+
+
+def test_transport_checks_its_budget(monkeypatch):
+    # 0 and -1 passed having checked nothing, and 2.5 raised TypeError
+    for bad in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_total_dim must be a positive int"):
+            semistable_transport_check(a2sp(), 1, (F(1), F(-1)), max_total_dim=bad)
+    # the dimension vectors whose enumeration exceeds the budget are listed
+    full = semistable_transport_check(a2sp(), 1, (F(1), F(-1)), max_total_dim=3)
+    assert full.skipped == []
+    real = reps.enumerate_reps
+    monkeypatch.setattr(reps, "enumerate_reps",
+                        lambda sp, dims, p: real(sp, dims, p, budget=3))
+    report = semistable_transport_check(a2sp(), 1, (F(1), F(-1)), max_total_dim=3)
+    assert report.skipped == [(1, 2), (2, 1)]
+    assert report.passed and 0 < report.checked < full.checked
 
 
 def test_transport_needs_nonvanishing_m():
