@@ -8,7 +8,9 @@ decided by searching only the subspaces of destabilizing dimension vectors,
 listed once per dimension vector, against a bitmask per arrow matrix of the
 subspace tuples it preserves.  Reflection functors follow the
 kernel/cokernel construction, with the mutation, the derivative terms and
-the mutated relation tests prepared once per (SP, k, sign).
+the mutated relation tests prepared once per (SP, k, sign); the derivative
+terms are read off `qp.cyclic_derivative`, and a QP that is not mutable at
+k raises `qp.ReductionError`, a ValueError.
 The wall-function counting series is the Harder-Narasimhan factor of the
 total counting element, built over Q(v) with q = v^2 like the rest of the
 package (so no point enumeration is needed at large dimensions); a prime
@@ -25,18 +27,13 @@ from math import prod
 
 from .coeff import ONE, CoeffFn, gl_count, q_power
 from .lattice import check_covector, covector_to_new_basis, pair
-from .qp import (SeedWithPotential, ReductionError, composite_name,
-                 cyclic_derivative, mutate_sp)
+from .qp import SeedWithPotential, composite_name, cyclic_derivative, mutate_sp
 from .torus import GROUP, QUANTUM, GradedElement
 from .scattering import ScatDiagram
 
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-class UnsupportedReduction(RuntimeError):
-    """reflect() met a trivial-part substitution outside the linear case."""
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +428,7 @@ def reflect(rep, k, sign):
     alpha* by its block of out_of_k, each composite [beta alpha] by
     beta alpha, and every other arrow as before.
 
-    Only the reduction case whose substitutions never touch retained arrows
-    is implemented; anything else raises UnsupportedReduction.
+    A QP that is not mutable at k raises qp.ReductionError, a ValueError.
     """
     return _reflector(rep.sp, k, sign, rep.p)(rep)
 
@@ -443,14 +439,16 @@ def _reflector(sp, k, sign, p):
     on the representation is prepared once: the mutation, the terms mod p
     of gamma's pair derivatives, and the mutated potential's relation test
     at each image dimension vector."""
-    sp2, change = _mutate(sp, k, sign)
+    sp2, change = mutate_sp(sp, k, sign)
     quiver = sp.quiver
     names = [name for name, _, _ in quiver.arrows]
     incoming = quiver.arrows_into(k)
     outgoing = quiver.arrows_out_of(k)
     where = _positions(quiver)
-    gamma_terms = [[_terms(_pair_derivative(sp.potential, a, b), where, p)
-                    for b, _, _ in outgoing] for a, _, _ in incoming]
+    # d/d(b a) is the part of d/da whose paths start with b, b dropped
+    derivs = [cyclic_derivative(quiver, sp.potential, a).items() for a, _, _ in incoming]
+    gamma_terms = [[_terms({path[1:]: c for path, c in deriv if path[0] == b}, where, p)
+                    for b, _, _ in outgoing] for deriv in derivs]
     comp_map = {composite_name(a, b): (a, b) for a, _, _ in incoming for b, _, _ in outgoing}
     names2 = [name for name, _, _ in sp2.quiver.arrows]
     relation_tests = {}    # image dims -> relation test of sp2
@@ -509,22 +507,13 @@ def _loses_nothing(rep, k, sign):
     """Whether rep lies in the subcategory on which F_k^sign loses nothing:
     Hom(S_k, V) = ker beta is 0 for sign +, and Hom(V, S_k), dual to
     coker alpha, is 0 for sign -, where beta stacks the arrows out of k and
-    alpha the arrows into k."""
-    quiver, dk, p = rep.sp.quiver, rep.dims[k - 1], rep.p
+    alpha the arrows into k.  Either way the map has rank dim V_k."""
+    quiver, dk = rep.sp.quiver, rep.dims[k - 1]
     if sign > 0:
-        beta = sum((rep.matrix(b) for b, _, _ in quiver.arrows_out_of(k)), ())
-        return not kernel_basis(beta, dk, p)
-    alpha = _hcat([rep.matrix(a) for a, _, _ in quiver.arrows_into(k)], dk)
-    return len(rref_p(alpha, p)[1]) == dk
-
-
-def _mutate(sp, k, sign):
-    """mutate_sp, with a reduction outside the linear case refused as
-    UnsupportedReduction."""
-    try:
-        return mutate_sp(sp, k, sign)
-    except ReductionError as exc:
-        raise UnsupportedReduction(str(exc)) from exc
+        mat = sum((rep.matrix(b) for b, _, _ in quiver.arrows_out_of(k)), ())
+    else:
+        mat = _hcat([rep.matrix(a) for a, _, _ in quiver.arrows_into(k)], dk)
+    return len(rref_p(mat, rep.p)[1]) == dk
 
 
 def _hcat(mats, rows):
@@ -534,22 +523,6 @@ def _hcat(mats, rows):
 
 def _transpose(m, cols):
     return tuple(tuple(row[j] for row in m) for j in range(cols))
-
-
-def _pair_derivative(potential, aname, bname):
-    """d/d(beta alpha): paths read from after beta around to before alpha."""
-    out = {}
-    for word, coeff in potential.terms:
-        L = len(word)
-        for i in range(L):
-            if word[i] == aname and word[(i + 1) % L] == bname:
-                path = tuple(word[(i + 1 + j) % L] for j in range(1, L - 1))
-                c = out.get(path, Fraction(0)) + coeff
-                if c:
-                    out[path] = c
-                else:
-                    out.pop(path, None)
-    return out
 
 
 def _solve(a, b, n, r, p):
@@ -582,7 +555,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     The functor F_k^+ kills copies of S_k (and F_k^- dually), so the
     equivalence quantifies over the subcategory where nothing is lost:
     Hom(S_k, V) = 0 when m(s_k) > 0, Hom(V, S_k) = 0 when m(s_k) < 0, read
-    off ker beta and the rank of alpha.  A semistable V lies there
+    off the ranks of beta and alpha.  A semistable V lies there
     automatically.  Every dimension vector of total 1..max_total_dim is
     checked, except those whose enumeration exceeds its budget: the report
     lists them as skipped.
@@ -598,7 +571,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     if pair(m, ek) == 0:
         raise ValueError("m must not vanish on s_k")
     sign = 1 if pair(m, ek) > 0 else -1
-    _, change = _mutate(sp, k, sign)
+    _, change = mutate_sp(sp, k, sign)
     m2 = covector_to_new_basis(change, m)
     reflector = _reflector(sp, k, sign, p)
     failures, skipped = [], []
@@ -664,8 +637,9 @@ def total_counting_element(sp, order):
 
 
 def at_prime(series, p):
-    """The series at q = p: each coefficient in its canonical a + b v form
-    at v = sqrt(p)."""
+    """The series at q = p, for a prime p: each coefficient in its
+    canonical a + b v form at v = sqrt(p)."""
+    _check_prime(p)
     out = {}
     for d, c in series.coeffs.items():
         a, b = c.eval_at_sqrt(p)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (check_covector, dedupe_primitive, face_enumerate, mutate_seed,
+from .lattice import (check_covector, face_enumerate, mutate_seed,
                       p_star, pair, primitive, rational_primitive, t_k, total_degree,
                       apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
 from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
@@ -219,9 +219,7 @@ def psi_extract(g):
     sd = g if isinstance(g, ScatDiagram) else ScatDiagram.from_group_element(g)
     carrier = sd.carrier
     seed, order = carrier.seed, carrier.order
-    support = _semigroup_closure(set(carrier.coeffs), order, seed.rank)
-    rays = sorted({primitive(d) for d in support})
-    ray_state = _ray_states(seed, order, rays, support)
+    ray_state = _ray_states(seed, order, sd.candidate_normals(), sd._support_closure())
     full = _full(carrier)
     logs = {}
     for state in dict.fromkeys(ray_state.values()):
@@ -373,7 +371,6 @@ class ScatDiagram:
         self._complex = None
         self._exposed = None
         self._wall_normals = None
-        self._support_normals = None
         self._closure = None
         self._keys = {}         # tops -> their down-set with the zero key
         self._middles = {}      # _sign_class(m) -> the middle factor at m
@@ -418,11 +415,6 @@ class ScatDiagram:
         if tops not in self._keys:
             self._keys[tops] = _down_set(self._support_closure(), tops, _zero_key(self.seed))
         return self._keys[tops]
-
-    def support_normals(self):
-        if self._support_normals is None:
-            self._support_normals = dedupe_primitive(sorted(self.carrier.log().coeffs))
-        return self._support_normals
 
     def _support_closure(self):
         """The support's closure: it holds each key of each factor at each m."""
@@ -547,9 +539,9 @@ def quantum_cluster_sd(seed, order):
 
 
 def dt_in_sd(seed, order):
-    eta = {n: dilog_group_element(seed, n, order, DT_TWIST)
-           for n in _unit_rays(seed)}
-    return complete_from_initial(eta, seed, order, DT_TWIST)
+    """The dt cluster diagram, a view of the quantum one: its initial data
+    is sigma of the quantum data, so it completes to the same carrier."""
+    return ScatDiagram(seed, order, DT_TWIST, quantum_cluster_sd(seed, order).carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +551,14 @@ def dt_in_sd(seed, order):
 def path_ordered_product(sd, a, b):
     """Product of wall crossings along the straight segment from a to b.
 
-    Endpoints must lie in open chambers; a segment through a cell of
-    codimension two or more is rejected (perturb and retry).  Consistency
-    says the result equals endpoint_product(sd, a, b).
+    The segment crosses the hyperplanes of `sd.wall_normals()`.  Endpoints
+    must lie off them; a segment through a cell of codimension two or more
+    is rejected (perturb and retry).  Consistency says the result equals
+    endpoint_product(sd, a, b).
     """
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
-    normals = sd.support_normals()
+    normals = sd.wall_normals()
     for point in (a, b):
         check_covector(point, sd.seed.rank)
         if any(pair(point, n) == 0 for n in normals):

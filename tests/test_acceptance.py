@@ -71,7 +71,7 @@ def _random_initial_data(rng, seed, order, conv, nrays=2):
 
 
 def _chamber_point(rng, sd, span=40):
-    normals = sd.support_normals()
+    normals = sd.wall_normals()
     while True:
         m = tuple(F(rng.randint(-span, span), rng.randint(1, 3))
                   for _ in range(sd.seed.rank))

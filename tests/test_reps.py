@@ -280,10 +280,27 @@ def test_non_prime_p_rejected(p):
              lambda: simple_rep(k2, p, 1),
              lambda: make_rep(k2, p, (1, 0), {"a1_2_1": (), "a1_2_2": ()}),
              lambda: iq_wall_series_brute(k2, m, [(1, 1)], p),
-             lambda: semistable_transport_check(a2sp(), 1, m, p=p)]
+             lambda: semistable_transport_check(a2sp(), 1, m, p=p),
+             # at p = 1 this raised PoleError, and at every other p here
+             # it evaluated the series
+             lambda: at_prime(total_counting_element(k2, 2), p)]
     for call in calls:
         with pytest.raises(ValueError, match="p must be a prime"):
             call()
+
+
+def test_non_mutable_qp_raises_reduction_error():
+    # the 3-cycle with zero potential is not mutable at 2: reflection and
+    # transport refuse it with qp.ReductionError, a ValueError, where they
+    # raised a RuntimeError
+    sp = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))
+    calls = [lambda: reflect(simple_rep(sp, 2, 1), 2, 1),
+             lambda: reflect(simple_rep(sp, 2, 2), 2, -1),
+             lambda: semistable_transport_check(sp, 2, (F(1), F(1), F(-2)))]
+    for call in calls:
+        with pytest.raises(ReductionError, match="not mutable at 2"):
+            call()
+    assert issubclass(ReductionError, ValueError)
 
 
 def test_transport_rejects_a_vertex_out_of_range():

@@ -139,6 +139,17 @@ def test_dt_equals_quantum_at_minus_v():
     assert {d: subst_neg_v(c) for d, c in gq.coeffs.items()} == gd.coeffs
 
 
+def test_dt_diagram_is_a_view_of_the_quantum_one():
+    # the DT initial data is sigma of the quantum data: completing it gives
+    # the carrier that dt_in_sd takes from quantum_cluster_sd
+    for seed, order in ((a2_seed(), 6), (a3_seed(), 4), (kronecker_seed(3), 4),
+                        (markov_seed(), 3)):
+        eta = {n: dilog_group_element(seed, n, order, DT_TWIST)
+               for n in scattering._unit_rays(seed)}
+        want = complete_from_initial(eta, seed, order, DT_TWIST).carrier
+        assert dt_in_sd(seed, order).carrier.coeffs == want.coeffs
+
+
 def test_diagram_needs_a_quantum_carrier():
     # a ValueError, not an assert that `python -O` strips
     a2 = a2_seed()
@@ -711,6 +722,38 @@ def test_endpoint_independence(rng):
                 continue
             assert p == endpoint_product(sd, a, b)
             done += 1
+
+
+def _across(mc, cell, n):
+    """Endpoints on the two sides of the wall cell of normal n, off every
+    wall: the witness of one of its faces, moved by +-eps n with eps small
+    enough that no other wall's sign changes."""
+    w = next(f.witness for f in mc.faces
+             if f.signs in cell.faces and f.dim == mc.rank - 1)
+    others = [x for x in mc.normals if x != n]
+    eps = F(1)
+    while True:
+        ends = [tuple(x + s * eps * y for x, y in zip(w, n)) for s in (1, -1)]
+        if all(pair(e, x) * pair(w, x) > 0 for e in ends for x in others):
+            return ends
+        eps /= 2
+
+
+def test_path_product_misses_a_dropped_wall():
+    # negative control for the path = endpoint check: with any one wall left
+    # out of wall_normals, the segment across that wall's cell no longer
+    # picks up its function
+    for seed in (a2_seed(), a3_seed(), markov_seed()):
+        sd = quantum_cluster_sd(seed, 4)
+        mc = sd.minimal_complex()
+        walls = sd.wall_normals()
+        for n in walls:
+            a, b = _across(mc, next(c for c in mc.walls() if c.normal == n), n)
+            want = endpoint_product(sd, a, b)
+            assert want.coeffs and path_ordered_product(sd, a, b) == want
+            sd._wall_normals = tuple(x for x in walls if x != n)
+            assert path_ordered_product(sd, a, b) != want, (seed, n)
+            sd._wall_normals = walls
 
 
 # ---------------------------------------------------------------------------
