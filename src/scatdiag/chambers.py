@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .lattice import Seed, mutate_seed
 from .torus import GradedElement, dilog_group_element
-from .scattering import expose, to_carrier
+from .scattering import Report, corrupted, expose, to_carrier, _first_difference
 
 
 @dataclass(frozen=True)
@@ -147,3 +147,19 @@ def dt_series(seed, sequence, order, convention):
     if result is None:
         result = to_carrier(GradedElement.one(seed, order, convention))
     return expose(result, convention)
+
+
+def pentagon_suite(seed, depth, order, convention, corrupt):
+    """A Report that every green-to-red sequence up to the depth gives the
+    DT series of the first, a failure naming both sequences, and the
+    sequences; fewer than two do not pass.  `corrupt` corrupts the last."""
+    seqs = enumerate_green_to_red(seed, depth)
+    series = [dt_series(seed, s, order, convention) for s in seqs]
+    if corrupt and len(seqs) > 1:
+        series[-1] = corrupted(series[-1])
+    failures = []
+    for s, x in zip(seqs[1:], series[1:]):
+        diff = _first_difference(series[0].coeffs, x.coeffs)
+        if diff is not None:
+            failures.append(("series", (seqs[0], s), *diff))
+    return Report(len(seqs) > 1 and not failures, len(seqs[1:]), [], failures), seqs

@@ -9,27 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from .coeff import CoeffFn, ONE
-from .lattice import Seed, mutate_seed, primitive
+from .lattice import Seed, mutate_seed
 from .qp import SeedWithPotential, mutate_sp
-from .torus import CLASSICAL, DT_TWIST, QUANTUM, LIE, GradedElement
-from . import scattering
+from . import scattering, torus
 from . import chambers as chambers_mod
 from . import reps as reps_mod
 from .reps import _MR_BOUND, _is_prime
 
 SCHEMA = "scatdiag/1"
-
-CONVENTIONS = {"quantum": QUANTUM, "classical": CLASSICAL, "dt": DT_TWIST}
-
-# the completed diagram of a seed's cluster initial data, by convention
-BUILDERS = {"quantum": scattering.quantum_cluster_sd,
-            "classical": scattering.cluster_sd,
-            "dt": scattering.dt_in_sd}
 
 
 def _load_seed(path):
@@ -54,7 +44,7 @@ def _emit(payload, out):
 
 def cmd_scatter(args):
     seed, _ = _load_seed(args.seed)
-    sd = BUILDERS[args.convention](seed, args.order)
+    sd = scattering.BUILDERS[args.convention](seed, args.order)
     mc = sd.minimal_complex()
     walls = []
     for cell in sorted(mc.walls(), key=lambda c: (c.normal, c.rays)):
@@ -108,12 +98,11 @@ def cmd_g2r(args):
 
 def cmd_dt(args):
     seed, _ = _load_seed(args.seed)
-    conv = CONVENTIONS[args.convention]
     seq = chambers_mod.find_green_to_red(seed, args.depth)
     if seq is None:
         _emit({"schema": SCHEMA, "command": "dt", "found": False}, args.out)
         return 1
-    series = chambers_mod.dt_series(seed, seq, args.order, conv)
+    series = chambers_mod.dt_series(seed, seq, args.order, args.convention)
     _emit({"schema": SCHEMA, "command": "dt", "found": True,
            "sequence": list(seq), "order": args.order,
            "convention": args.convention,
@@ -139,89 +128,46 @@ def cmd_reps(args):
     return 0
 
 
-def _corrupted(elem):
-    """The negative control: elem times exp(x^(1,...,1)) in its convention."""
-    bump = GradedElement.monomial(elem.seed, elem.order, elem.convention,
-                                  (1,) * elem.seed.rank, ONE)
-    return elem.mul(bump.exp())
+def _witnesses(failures):
+    """Report failures as [kind, where (a covector, a dimension vector or
+    two sequences), key, both coefficients]."""
+    return [[kind, list(where), list(key), [c.to_string() for c in values]]
+            for kind, where, key, values in failures]
 
 
-def _suite_psi_roundtrip(args, seed):
-    conv = CONVENTIONS[args.convention]
-    rng = random.Random(args.random_seed)
-    n = seed.rank
-    failures = []
-    trials = 0
-    for trial in range(args.trials):
-        eta = {}
-        for _ in range(2):
-            ray = tuple(rng.randint(0, 2) for _ in range(n))
-            if not any(ray) or sum(ray) > args.order:
-                continue
-            ray = primitive(ray)
-            lie = {}
-            for kk in range(1, args.order // sum(ray) + 1):
-                if rng.random() < 0.6:
-                    lie[tuple(kk * x for x in ray)] = \
-                        CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            lie = {d: c for d, c in lie.items() if not c.is_zero()}
-            if lie:
-                eta[ray] = GradedElement(seed, args.order, conv, LIE, lie).exp()
-        if not eta:
-            continue
-        trials += 1
-        sd = scattering.complete_from_initial(eta, seed, args.order, conv)
-        if args.corrupt:
-            sd = scattering.ScatDiagram.from_group_element(_corrupted(sd.group_element()))
-        back = scattering.psi_extract(sd)
-        if back != eta:
-            witness = sorted(set(back) ^ set(eta)) or sorted(
-                n0 for n0 in eta if back.get(n0) != eta[n0])
-            failures.append({"trial": trial, "witness_rays": [list(w) for w in witness]})
+# each suite reads its flags, runs the library check and shapes its JSON;
+# every failure entry holds its witnesses
+
+def _psi_roundtrip(args, seed):
+    reports = scattering.psi_roundtrip_suite(seed, args.order, args.convention, args.trials,
+                                             args.random_seed, args.corrupt)
+    failures = [{"trial": trial, "witness_rays": [list(f[1]) for f in r.failures],
+                 "witnesses": _witnesses(r.failures)}
+                for trial, r in reports.items() if not r.passed]
     # "trials" counts the trials that drew nonempty initial data; a run
     # that checks nothing does not pass
-    return {"suite": "psi-roundtrip", "trials": trials,
-            "passed": trials > 0 and not failures, "failures": failures}
+    return {"suite": "psi-roundtrip", "trials": len(reports),
+            "passed": bool(reports) and not failures, "failures": failures}
 
 
-def _suite_mutation(args, seed):
-    build = BUILDERS[args.convention]
-    sd = build(seed, args.order)
-    built, failures = {}, []
-    for k in range(1, seed.rank + 1):
-        for sign in (1, -1):
-            seed2, _ = mutate_seed(seed, k, sign)
-            if seed2 not in built:
-                built[seed2] = build(seed2, args.order)
-            sd2 = built[seed2]
-            if args.corrupt:
-                sd2 = scattering.ScatDiagram.from_group_element(_corrupted(sd2.group_element()))
-            report = scattering.mutate_sd_check(sd, k, sign, sd2)
-            if not report.passed:
-                failures.append({"k": k, "sign": sign, "witnesses": [
-                    [kind, list(m), list(key)]
-                    for kind, m, key in report.failures[:3]]})
+def _mutation(args, seed):
+    reports = scattering.mutation_suite(seed, args.order, args.convention, args.corrupt)
+    failures = [{"k": k, "sign": sign, "witnesses": _witnesses(r.failures[:3])}
+                for (k, sign), r in reports.items() if not r.passed]
     return {"suite": "mutation", "passed": not failures, "failures": failures}
 
 
-def _suite_pentagon(args, seed):
-    conv = CONVENTIONS[args.convention]
-    seqs = chambers_mod.enumerate_green_to_red(seed, args.depth)
-    if len(seqs) < 2:
-        return {"suite": "pentagon", "passed": False,
-                "failures": ["fewer than two green-to-red sequences"]}
-    series = [chambers_mod.dt_series(seed, s, args.order, conv) for s in seqs]
-    if args.corrupt:
-        series[-1] = _corrupted(series[-1])
-    ok = all(s == series[0] for s in series)
-    return {"suite": "pentagon", "passed": ok,
+def _pentagon(args, seed):
+    report, seqs = chambers_mod.pentagon_suite(seed, args.depth, args.order,
+                                               args.convention, args.corrupt)
+    return {"suite": "pentagon", "passed": report.passed,
             "sequences": [list(s) for s in seqs],
-            "failures": [] if ok else ["series differ between sequences"]}
+            "failures": [{"witnesses": _witnesses([f])} for f in report.failures]}
 
 
-SUITES = {"psi-roundtrip": _suite_psi_roundtrip,
-          "mutation": _suite_mutation,
-          "pentagon": _suite_pentagon}
+SUITES = {"psi-roundtrip": _psi_roundtrip,
+          "mutation": _mutation,
+          "pentagon": _pentagon}
 
 
 def cmd_verify(args):
@@ -259,7 +205,7 @@ def _prime(text):
 FLAGS = {
     "seed": dict(required=True, help="seed or QP JSON file"),
     "order": dict(type=lambda text: _integer(text, 1), default=6),
-    "convention": dict(choices=sorted(CONVENTIONS), default="quantum"),
+    "convention": dict(choices=sorted(torus.CONVENTIONS), default="quantum"),
     "depth": dict(type=lambda text: _integer(text, 0), default=6),
     "primes": dict(type=_prime, nargs="+", default=[2, 3, 5]),
     "m": dict(required=True, help="stability covector, e.g. 1,-1"),

@@ -29,7 +29,7 @@ from .coeff import ONE, CoeffFn, gl_count, q_power
 from .lattice import check_covector, covector_to_new_basis, pair
 from .qp import SeedWithPotential, composite_name, cyclic_derivative, mutate_sp
 from .torus import GROUP, QUANTUM, GradedElement
-from .scattering import ScatDiagram
+from .scattering import Report, ScatDiagram
 
 
 class BudgetExceeded(RuntimeError):
@@ -541,14 +541,6 @@ def _solve(a, b, n, r, p):
 # semistability transport and the counting series
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TransportReport:
-    passed: bool
-    checked: int
-    failures: list
-    skipped: list    # the dimension vectors whose enumeration exceeded the budget
-
-
 def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     """Semistability of V at m matches semistability of the reflected module.
 
@@ -557,8 +549,9 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     Hom(S_k, V) = 0 when m(s_k) > 0, Hom(V, S_k) = 0 when m(s_k) < 0, read
     off the ranks of beta and alpha.  A semistable V lies there
     automatically.  Every dimension vector of total 1..max_total_dim is
-    checked, except those whose enumeration exceeds its budget: the report
-    lists them as skipped.
+    checked, except those whose enumeration exceeds its budget: the Report
+    lists them as skipped.  A failure is (kind, dims, the representation's
+    matrices, its verdict and its reflection's).
     """
     check_covector(m, sp.seed.rank)
     n = sp.seed.rank
@@ -591,9 +584,10 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
             if refl.dims not in image_tests:
                 image_tests[refl.dims] = _semistable_test(sp2, refl.dims, m2, p, False)
             checked += 1
-            if test(rep) != image_tests[refl.dims](refl):
-                failures.append((dims, rep.mats))
-    return TransportReport(not failures, checked, failures, skipped)
+            verdicts = (test(rep), image_tests[refl.dims](refl))
+            if verdicts[0] != verdicts[1]:
+                failures.append(("transport", dims, rep.mats, verdicts))
+    return Report(not failures, checked, skipped, failures)
 
 
 def _dimension_vectors(n, max_total):

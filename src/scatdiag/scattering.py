@@ -20,6 +20,7 @@ choices reproduce the dilogarithm wall function on the outgoing A2 ray.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,35 @@ from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
 
 class DegenerateSegmentError(ValueError):
     """A straight path hits a codimension >= 2 cell; perturb the endpoints."""
+
+
+@dataclass
+class Report:
+    """An exact check's outcome: the cases it checked, those it could not,
+    and per failure a witness (kind, covector or dims, key, value), the
+    value holding what differs at the key."""
+
+    passed: bool
+    checked: int
+    skipped: list
+    failures: list
+
+
+def corrupted(elem):
+    """The negative control of every verify suite: elem times
+    exp(x^(1,...,1)) in its convention."""
+    if elem.order < elem.seed.rank:     # x^(1,...,1) would be truncated away
+        raise ValueError("the control needs order >= %d, the seed rank" % elem.seed.rank)
+    bump = GradedElement.monomial(elem.seed, elem.order, elem.convention,
+                                  (1,) * elem.seed.rank, ONE)
+    return elem.mul(bump.exp())
+
+
+def _first_difference(a, b):
+    """(least key where the coefficient dicts differ, both coefficients), or None."""
+    key = min((d for d in set(a) | set(b) if a.get(d, ZERO) != b.get(d, ZERO)),
+              default=None)
+    return None if key is None else (key, (a.get(key, ZERO), b.get(key, ZERO)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +312,44 @@ def complete_from_initial(eta, seed, order, convention):
         for state, upow in powers.items():
             upow[0].update(state.finish_layer(g_t, products[state]))
     return ScatDiagram(seed, order, convention, GradedElement(seed, order, QUANTUM, GROUP, g))
+
+
+def psi_roundtrip_suite(seed, order, convention, trials, random_seed, corrupt):
+    """Initial data drawn from random.Random(random_seed), completed and
+    read back by `psi_extract`: a Report per trial with nonempty data, in
+    which each ray whose data differ fails with its first differing key and
+    both coefficients (read back, drawn).  `corrupt` corrupts each diagram."""
+    rng = random.Random(random_seed)
+    reports = {}
+    for trial in range(trials):
+        eta = {}
+        for _ in range(2):
+            ray = tuple(rng.randint(0, 2) for _ in range(seed.rank))
+            if not any(ray) or sum(ray) > order:
+                continue
+            ray = primitive(ray)
+            lie = {}
+            for kk in range(1, order // sum(ray) + 1):
+                if rng.random() < 0.6:
+                    lie[tuple(kk * x for x in ray)] = \
+                        CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            lie = {d: c for d, c in lie.items() if not c.is_zero()}
+            if lie:
+                eta[ray] = GradedElement(seed, order, convention, LIE, lie).exp()
+        if not eta:
+            continue
+        sd = complete_from_initial(eta, seed, order, convention)
+        if corrupt:
+            sd = ScatDiagram.from_group_element(corrupted(sd.group_element()))
+        back = psi_extract(sd)
+        failures = []
+        if back != eta:     # witnesses cost nothing on a pass
+            for n in sorted(set(back) | set(eta)):
+                diff = _first_difference(*(e[n].coeffs if n in e else {} for e in (back, eta)))
+                if diff is not None:
+                    failures.append(("initial-data", n, *diff))
+        reports[trial] = Report(not failures, 1, [], failures)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +612,10 @@ def dt_in_sd(seed, order):
     return ScatDiagram(seed, order, DT_TWIST, quantum_cluster_sd(seed, order).carrier)
 
 
+# the completed diagram of a seed's cluster initial data, by convention
+BUILDERS = {QUANTUM: quantum_cluster_sd, CLASSICAL: cluster_sd, DT_TWIST: dt_in_sd}
+
+
 # ---------------------------------------------------------------------------
 # path-ordered products
 # ---------------------------------------------------------------------------
@@ -595,13 +667,6 @@ def endpoint_product(sd, a, b):
 # mutation of scattering diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MutationReport:
-    passed: bool
-    checked: int
-    failures: list          # (kind, face witness covector, first differing key)
-
-
 def _transvection(seed, k, s, d):
     """(T_k^vee)^s on dimension vectors: d -> d + s {s_k, d} s_k."""
     out = list(d)
@@ -618,11 +683,6 @@ def _pulled_back(seed, k, sign, change, normals):
                 for n in normals] for s in (0, sign)}
 
 
-def _first_difference(a, b):
-    return min((d for d in set(a) | set(b) if a.get(d, ZERO) != b.get(d, ZERO)),
-               default=None)
-
-
 def mutate_sd_check(sd, k, sign, sd_mut):
     """Check the mutation law (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394,
     Thm 1.24) relating sd, at seed s, and sd_mut, at mu_k^sign(s), exactly.
@@ -634,7 +694,8 @@ def mutate_sd_check(sd, k, sign, sd_mut):
     sd, its keys moved by (T_k^vee)^s, must equal that of sd_mut at image(m)
     on every key visible in both truncations; on each face of s_k-perp of
     dimension rank - 1 each side must be the dilogarithm of its own s_k.
-    Values come from the two minimal complexes; `checked` counts the faces.
+    Values come from the two minimal complexes; `checked` counts the faces,
+    and a failure is (kind, face witness, key, both coefficients there).
     """
     seed = sd.seed
     order = min(sd.order, sd_mut.order)
@@ -654,12 +715,13 @@ def mutate_sd_check(sd, k, sign, sd_mut):
         lat1 = {_transvection(seed, k, s, d): c for d, c in val1.items()}
         lat2 = {apply_change_to_dimvec(change, d): c for d, c in val2.items()}
         for key in sorted(set(lat1) | set(lat2)):
-            if lat1.get(key, ZERO) == lat2.get(key, ZERO):
+            both = (lat1.get(key, ZERO), lat2.get(key, ZERO))
+            if both[0] == both[1]:
                 continue
             src = _transvection(seed, k, -s, key)
             if min(src) < 0 or (within(src) and
                                 within(apply_change_to_dimvec(change_back, key))):
-                return key
+                return key, both
         return None
 
     def value(diagram, m):
@@ -686,31 +748,44 @@ def mutate_sd_check(sd, k, sign, sd_mut):
             else:
                 found = [(kind, _first_difference(val, want)) for kind, val, want
                          in zip(("wall", "wall-mutated"), got, dilogs)]
-            failures.extend((kind, m, key) for kind, key in found if key is not None)
-    return MutationReport(not failures, checked, failures)
+            failures.extend((kind, m, *diff) for kind, diff in found if diff is not None)
+    return Report(not failures, checked, [], failures)
+
+
+def mutation_suite(seed, order, convention, corrupt):
+    """`mutate_sd_check` of the seed's cluster diagram at each (k, sign),
+    building (and with `corrupt` corrupting) each mutated diagram once:
+    mutations often share a seed (all six of Markov give -B)."""
+    build = BUILDERS[convention]
+    sd = build(seed, order)
+    built, reports = {}, {}
+    for k in range(1, seed.rank + 1):
+        for sign in (1, -1):
+            seed2, _ = mutate_seed(seed, k, sign)
+            if seed2 not in built:
+                sd2 = build(seed2, order)
+                built[seed2] = ScatDiagram.from_group_element(
+                    corrupted(sd2.group_element())) if corrupt else sd2
+            reports[k, sign] = mutate_sd_check(sd, k, sign, built[seed2])
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # central comparison
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CentralReport:
-    central: bool
-    element: object        # the quotient group element (exposed convention)
-    witness: object        # (dimvec, coefficient) of the first non-central term
-
-
 def central_difference(sd1, sd2):
-    """c = g1^{-1} g2, accepted when log(c) is supported on ker p*."""
+    """c = g1^{-1} g2, accepted when log(c) is supported on ker p*: a Report
+    over the terms of log(c), each x^d off ker p* failing with p*(d), least
+    degree first, and c exposed when it is central, else None."""
     if (sd1.seed, sd1.order, sd1.convention) != (sd2.seed, sd2.order, sd2.convention):
         raise ValueError("diagrams live in different contexts")
     seed = sd1.seed
     c = sd1.carrier.group_inverse().mul(sd2.carrier)
     lie = expose(c.log(), sd1.convention)
-    bad = [d for d in lie.coeffs if any(p_star(seed, d))]
-    if bad:
-        d = min(bad, key=lambda x: (total_degree(x), x))
-        return CentralReport(False, None, (d, lie.coeffs[d]))
-    return CentralReport(True, expose(c, sd1.convention), None)
+    failures = [("non-central", p_star(seed, d), d, lie.coeffs[d])
+                for d in sorted(lie.coeffs, key=lambda x: (total_degree(x), x))
+                if any(p_star(seed, d))]
+    report = Report(not failures, len(lie.coeffs), [], failures)
+    return report, expose(c, sd1.convention) if report.passed else None
 

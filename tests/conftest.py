@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scatdiag.coeff import CoeffFn
-from scatdiag.lattice import Seed
+from scatdiag.lattice import Seed, primitive
 from scatdiag.torus import LIE, GradedElement
 
 
@@ -39,6 +39,25 @@ def random_lie(rng, seed, conv, order, nterms=4, maxdeg=2):
             continue
         coeffs[d] = CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 2))
     return GradedElement(seed, order, conv, LIE, coeffs)
+
+
+def random_initial_data(rng, seed, order, conv):
+    """Initial data on up to two random rays (possibly none)."""
+    eta = {}
+    for _ in range(2):
+        ray = tuple(rng.randint(0, 2) for _ in range(seed.rank))
+        if not any(ray) or sum(ray) > order:
+            continue
+        ray = primitive(ray)
+        lie = {}
+        for k in range(1, order // sum(ray) + 1):
+            if rng.random() < 0.7:
+                lie[tuple(k * x for x in ray)] = \
+                    CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        lie = {d: c for d, c in lie.items() if not c.is_zero()}
+        if lie:
+            eta[ray] = GradedElement(seed, order, conv, LIE, lie).exp()
+    return eta
 
 
 def random_rational_point(rng, n, span=9, den=4):

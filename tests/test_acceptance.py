@@ -5,28 +5,26 @@ budgets are asserted.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion lines.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 
-from scatdiag.coeff import CoeffFn
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
-                              kronecker_seed, markov_seed, mutate_seed, pair,
-                              primitive)
+                              kronecker_seed, markov_seed, pair)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             dilog_group_element)
 from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
                                  central_difference, cluster_sd,
                                  complete_from_initial, dt_in_sd,
-                                 endpoint_product, mutate_sd_check,
+                                 endpoint_product, mutation_suite,
                                  path_ordered_product, psi_extract,
                                  quantum_cluster_sd)
 from scatdiag.qp import Potential, SeedWithPotential, is_k_mutable, mutate_qp, quiver_from_seed
 from scatdiag.chambers import (dt_series, enumerate_chambers,
-                               enumerate_green_to_red, find_green_to_red)
-from scatdiag.reps import (at_prime, enumerate_reps, iq_wall_series,
+                               enumerate_green_to_red, find_green_to_red, pentagon_suite)
+from scatdiag.reps import (_dimension_vectors, at_prime, enumerate_reps, iq_wall_series,
                            reflect, semistable_transport_check, simple_rep)
+from conftest import random_initial_data, random_skew_seed
 from oracles import hom_dimension, is_isomorphic, rebase_rep
 
 F = Fraction
@@ -34,40 +32,9 @@ F = Fraction
 SEEDS = {"a2": a2_seed(), "a3": a3_seed(), "kronecker": kronecker_seed(),
          "markov": markov_seed()}
 
-BUILDERS = {QUANTUM: quantum_cluster_sd, CLASSICAL: cluster_sd,
-            DT_TWIST: dt_in_sd}
-
 
 def _report(name, elapsed, extra=""):
     print("ACCEPTANCE %-28s PASS  (%.1fs)%s" % (name, elapsed, extra))
-
-
-def _random_seed_matrix(rng, n, bound=3):
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i][j] = rng.randint(-bound, bound)
-            b[j][i] = -b[i][j]
-    return Seed(tuple(map(tuple, b)))
-
-
-def _random_initial_data(rng, seed, order, conv, nrays=2):
-    eta = {}
-    n = seed.rank
-    for _ in range(nrays):
-        ray = tuple(rng.randint(0, 2) for _ in range(n))
-        if not any(ray) or sum(ray) > order:
-            continue
-        ray = primitive(ray)
-        lie = {}
-        for k in range(1, order // sum(ray) + 1):
-            if rng.random() < 0.7:
-                lie[tuple(k * x for x in ray)] = \
-                    CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        lie = {d: c for d, c in lie.items() if not c.is_zero()}
-        if lie:
-            eta[ray] = GradedElement(seed, order, conv, LIE, lie).exp()
-    return eta
 
 
 def _chamber_point(rng, sd, span=40):
@@ -85,9 +52,9 @@ def test_criterion_01_psi_roundtrip():
     done = 0
     while done < 50:
         n = rng.choice([2, 2, 3])
-        seed = _random_seed_matrix(rng, n)
+        seed = random_skew_seed(rng, n)
         conv = rng.choice([QUANTUM, CLASSICAL, DT_TWIST])
-        eta = _random_initial_data(rng, seed, 8, conv)
+        eta = random_initial_data(rng, seed, 8, conv)
         if not eta:
             continue
         sd = complete_from_initial(eta, seed, 8, conv)
@@ -135,13 +102,11 @@ def test_criterion_03_a2_structure():
 
 def test_criterion_04_pentagon():
     t0 = time.time()
-    seqs = enumerate_green_to_red(a2_seed(), 4)
+    report, seqs = pentagon_suite(a2_seed(), 4, 10, CLASSICAL, False)
     assert sorted(len(s) for s in seqs) == [2, 3]
-    s1 = dt_series(a2_seed(), seqs[0], 10, CLASSICAL)
-    s2 = dt_series(a2_seed(), seqs[1], 10, CLASSICAL)
-    assert s1 == s2
+    assert report.passed and report.checked == 1, report.failures
     sd = cluster_sd(a2_seed(), 10)
-    assert s1 == sd.phi((F(0), F(0)))
+    assert dt_series(a2_seed(), seqs[0], 10, CLASSICAL) == sd.phi((F(0), F(0)))
     elapsed = time.time() - t0
     assert elapsed < 10.0, "pentagon exceeded 10 s: %.1fs" % elapsed
     _report("4 pentagon / dt_series (I_10)", elapsed)
@@ -150,15 +115,10 @@ def test_criterion_04_pentagon():
 def test_criterion_05_mutation_theorem():
     t0 = time.time()
     for name, seed in SEEDS.items():
-        sd = quantum_cluster_sd(seed, 6)
-        built = {}      # mutations often share a seed: all six of Markov give -B
-        for k in range(1, seed.rank + 1):
-            for sign in (1, -1):
-                seed2, _ = mutate_seed(seed, k, sign)
-                if seed2 not in built:
-                    built[seed2] = quantum_cluster_sd(seed2, 6)
-                report = mutate_sd_check(sd, k, sign, built[seed2])
-                assert report.passed, (name, k, sign, report.failures[:2])
+        reports = mutation_suite(seed, 6, QUANTUM, False)
+        assert len(reports) == 2 * seed.rank, name
+        for (k, sign), report in reports.items():
+            assert report.passed, (name, k, sign, report.failures[:2])
     elapsed = time.time() - t0
     assert elapsed < 120.0, "mutation checks exceeded 2 min: %.1fs" % elapsed
     _report("5 mutation theorem (D=6)", elapsed)
@@ -194,7 +154,7 @@ def test_criterion_08_qp_involution():
     done = 0
     while done < 100:
         n = rng.randint(2, 4)
-        seed = _random_seed_matrix(rng, n, bound=3)
+        seed = random_skew_seed(rng, n, bound=3)
         quiver = quiver_from_seed(seed)
         k = rng.randint(1, n)
         if not is_k_mutable(quiver, Potential.zero(), k):
@@ -238,14 +198,13 @@ def test_criterion_09_reflection_suite():
             out, _, _ = reflect(sk, k, -1)
             assert not any(out.dims)
             # (iv)+(v) on every rep of total dim <= 3 over F_2
-            for total in range(1, 4):
-                for dims in _dim_vectors(n, total):
-                    for r in enumerate_reps(sp, dims, 2):
-                        if hom_dimension(sk, r) == 0:
-                            fwd, _, ch = reflect(r, k, 1)
-                            assert apply_change_to_dimvec(ch, fwd.dims) == r.dims
-                            back, _, _ = reflect(fwd, k, -1)
-                            assert is_isomorphic(rebase_rep(back, sp), r)
+            for dims in _dimension_vectors(n, 3):
+                for r in enumerate_reps(sp, dims, 2):
+                    if hom_dimension(sk, r) == 0:
+                        fwd, _, ch = reflect(r, k, 1)
+                        assert apply_change_to_dimvec(ch, fwd.dims) == r.dims
+                        back, _, _ = reflect(fwd, k, -1)
+                        assert is_isomorphic(rebase_rep(back, sp), r)
             # Prop 4.13 transport, both side choices of m
             m = tuple(F(3) if j == k - 1 else F(-1) for j in range(n))
             rep = semistable_transport_check(sp, k, m, max_total_dim=3, p=2)
@@ -256,16 +215,6 @@ def test_criterion_09_reflection_suite():
     elapsed = time.time() - t0
     assert elapsed < 300.0, "reflection suite exceeded 5 min: %.1fs" % elapsed
     _report("9 reflection functors (F_2)", elapsed)
-
-
-def _dim_vectors(n, total):
-    for cuts in itertools.combinations(range(total + n - 1), n - 1):
-        prev = -1
-        dims = []
-        for c in cuts + (total + n - 1,):
-            dims.append(c - prev - 1)
-            prev = c
-        yield tuple(dims)
 
 
 def test_criterion_10_counting_oracle():
@@ -327,13 +276,13 @@ def test_criterion_12_centrality_tooling():
         seq = find_green_to_red(seed, depth)
         sd1 = dt_in_sd(seed, 6)
         sd2 = ScatDiagram.from_group_element(dt_series(seed, seq, 6, DT_TWIST))
-        rep = central_difference(sd1, sd2)
-        assert rep.central and rep.element.coeffs == {}
+        rep, quotient = central_difference(sd1, sd2)
+        assert rep.passed and quotient.coeffs == {}
     # negative control: a deliberately perturbed diagram
     sd1 = dt_in_sd(a2_seed(), 6)
     from scatdiag.coeff import ONE
     pert = GradedElement(a2_seed(), 6, DT_TWIST, LIE, {(2, 1): ONE}).exp()
     sd_bad = ScatDiagram.from_group_element(sd1.group_element().mul(pert))
-    rep = central_difference(sd1, sd_bad)
-    assert not rep.central and rep.witness[0] == (2, 1)
+    rep, quotient = central_difference(sd1, sd_bad)
+    assert not rep.passed and quotient is None and rep.failures[0][2] == (2, 1)
     _report("12 centrality tooling", time.time() - t0)

@@ -23,6 +23,13 @@ def a2_file(tmp_path):
 
 
 @pytest.fixture
+def a3_file(tmp_path):
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
+    return str(path)
+
+
+@pytest.fixture
 def markov_file(tmp_path):
     path = tmp_path / "markov.json"
     path.write_text(json.dumps(
@@ -151,19 +158,17 @@ def test_verify_mutation_suite(tmp_path, a2_file):
     assert code == 0 and payload["passed"]
 
 
-def test_verify_mutation_corrupt_fails(tmp_path, a2_file):
+def test_verify_mutation_corrupt_fails(tmp_path, a2_file, a3_file):
     # negative control: each mutated diagram times exp(x^(1,...,1)); every
-    # (k, sign) fails with witnesses [kind, face witness, key]
-    a3_file = tmp_path / "a3.json"
-    a3_file.write_text(json.dumps({"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
-    for seed, rank in ((a2_file, 2), (str(a3_file), 3)):
+    # (k, sign) fails with witnesses [kind, face witness, key, coefficients]
+    for seed, rank in ((a2_file, 2), (a3_file, 3)):
         code, payload = run(tmp_path, "verify", "--seed", seed, "--suite", "mutation",
                             "--order", "4", "--corrupt")
         assert code == 1 and not payload["passed"], seed
         assert len(payload["failures"]) == 2 * rank, seed
         for failure in payload["failures"]:
-            for kind, m, key in failure["witnesses"]:
-                assert isinstance(kind, str) and len(m) == len(key) == rank
+            for kind, m, key, (a, b) in failure["witnesses"]:
+                assert isinstance(kind, str) and len(m) == len(key) == rank and a != b
 
 
 def test_verify_pentagon_suite(tmp_path, a2_file):
@@ -173,12 +178,10 @@ def test_verify_pentagon_suite(tmp_path, a2_file):
     assert sorted(len(s) for s in payload["sequences"]) == [2, 3]
 
 
-def test_verify_pentagon_corrupt_fails(tmp_path, a2_file):
+def test_verify_pentagon_corrupt_fails(tmp_path, a2_file, a3_file):
     # negative control: the last series times exp(x^(1,...,1)) in its
     # convention no longer equals the others
-    a3_file = tmp_path / "a3.json"
-    a3_file.write_text(json.dumps({"rank": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
-    for seed, order, depth in ((a2_file, 6, 4), (str(a3_file), 4, 5)):
+    for seed, order, depth in ((a2_file, 6, 4), (a3_file, 4, 5)):
         for conv in ("quantum", "classical", "dt"):
             argv = ["verify", "--seed", seed, "--suite", "pentagon", "--order",
                     str(order), "--depth", str(depth), "--convention", conv]
@@ -186,7 +189,27 @@ def test_verify_pentagon_corrupt_fails(tmp_path, a2_file):
             assert code == 0 and payload["passed"], (seed, conv)
             code, payload = run(tmp_path, *argv, "--corrupt")
             assert code == 1 and not payload["passed"], (seed, conv)
-            assert payload["failures"] == ["series differ between sequences"]
+            # the first and the last sequence differ, first at x^(1,...,1)
+            seqs = payload["sequences"]
+            [[failure]] = [f["witnesses"] for f in payload["failures"]]
+            kind, where, key, (first, last) = failure
+            assert kind == "series" and where == [seqs[0], seqs[-1]] and first != last, \
+                (seed, conv)
+            assert key == [1] * len(key) and len(key) in (2, 3), (seed, conv)
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_every_suite_fails_its_control_with_a_keyed_witness(tmp_path, a2_file, a3_file,
+                                                            suite):
+    # each failure entry holds witnesses [kind, where, key, coefficients],
+    # and at least one key is a dimension vector of the seed's rank
+    for seed, rank in ((a2_file, 2), (a3_file, 3)):
+        code, payload = run(tmp_path, "verify", "--seed", seed, "--suite", suite,
+                            "--order", "4", "--depth", "5", "--trials", "2", "--corrupt")
+        assert code == 1 and not payload["passed"], seed
+        witnesses = [w for f in payload["failures"] for w in f["witnesses"]]
+        assert all(len(w) == 4 and w[3][0] != w[3][1] for w in witnesses), seed
+        assert any(len(w[2]) == rank for w in witnesses), seed
 
 
 def test_verify_unknown_suite(tmp_path, a2_file):

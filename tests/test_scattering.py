@@ -10,21 +10,19 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               primitive, rational_primitive, t_k)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
-from scatdiag.scattering import (DegenerateSegmentError, ScatDiagram,
+from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
                                  _factor, _group, central_difference, cluster_sd,
                                  complete_from_initial, dt_in_sd,
                                  endpoint_product, expose, factorize,
-                                 mutate_sd_check, path_ordered_product,
+                                 mutate_sd_check, mutation_suite, path_ordered_product,
                                  psi_extract,
                                  quantum_cluster_sd, to_carrier)
-from conftest import random_lie, random_rational_point, random_skew_seed
+from conftest import (random_initial_data, random_lie, random_rational_point,
+                      random_skew_seed)
 from oracles import cells_by_all_pairs, full_ray_states, is_face_of, nullspace
 
 F = Fraction
 v = CoeffFn.v_power
-
-BUILDERS = {QUANTUM: quantum_cluster_sd, CLASSICAL: cluster_sd,
-            DT_TWIST: dt_in_sd}
 
 
 def e1():
@@ -232,20 +230,7 @@ def _random_initial_data(rng, order=6):
     n = rng.choice([2, 2, 3])
     seed = random_skew_seed(rng, n)
     conv = rng.choice([QUANTUM, CLASSICAL, DT_TWIST])
-    eta = {}
-    for _ in range(2):
-        ray = tuple(rng.randint(0, 2) for _ in range(n))
-        if not any(ray) or sum(ray) > order:
-            continue
-        ray = primitive(ray)
-        lie = {}
-        for k in range(1, order // sum(ray) + 1):
-            if rng.random() < 0.7:
-                lie[tuple(k * x for x in ray)] = \
-                    CoeffFn.from_fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        lie = {d: c for d, c in lie.items() if not c.is_zero()}
-        if lie:
-            eta[ray] = GradedElement(seed, order, conv, LIE, lie).exp()
+    eta = random_initial_data(rng, seed, order, conv)
     return seed, conv, eta
 
 
@@ -762,13 +747,10 @@ def test_path_product_misses_a_dropped_wall():
 
 @pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
 def test_mutation_check_a2(conv):
-    sd = BUILDERS[conv](a2_seed(), 5)
-    for k in (1, 2):
-        for sign in (1, -1):
-            seed2, _ = mutate_seed(a2_seed(), k, sign)
-            sd2 = BUILDERS[conv](seed2, 5)
-            report = mutate_sd_check(sd, k, sign, sd2)
-            assert report.passed and report.checked, report.failures[:2]
+    reports = mutation_suite(a2_seed(), 5, conv, False)
+    assert list(reports) == [(1, 1), (1, -1), (2, 1), (2, -1)]
+    for report in reports.values():
+        assert report.passed and report.checked, report.failures[:2]
 
 
 @pytest.mark.parametrize("seed", [a2_seed(), a3_seed(), markov_seed()],
@@ -798,19 +780,19 @@ def test_pulled_back_normals_pair_as_their_images(seed, rng):
                          ids=["a2", "a3", "kronecker", "markov"])
 def test_mutation_check_rejects_a_corrupted_diagram(seed, order):
     # the mutated diagram times exp(x^(1,...,1)) fails at every (k, sign),
-    # each failure naming a face witness and a key where the sides differ
-    sd = quantum_cluster_sd(seed, order)
+    # each failure naming a face witness, a key where the sides differ and
+    # the two coefficients there
     kinds = {"equal-side", "transported-side", "wall", "wall-mutated"}
-    for k in range(1, seed.rank + 1):
-        for sign in (1, -1):
-            seed2, _ = mutate_seed(seed, k, sign)
-            g = quantum_cluster_sd(seed2, order).group_element()
-            bump = GradedElement.monomial(seed2, order, QUANTUM, (1,) * seed.rank, ONE)
-            report = mutate_sd_check(sd, k, sign,
-                                     ScatDiagram.from_group_element(g.mul(bump.exp())))
-            assert not report.passed and report.failures, (k, sign)
-            for kind, m, key in report.failures:
-                assert kind in kinds and len(m) == len(key) == seed.rank, (k, sign)
+    reports = mutation_suite(seed, order, QUANTUM, True)
+    assert len(reports) == 2 * seed.rank
+    for (k, sign), report in reports.items():
+        assert not report.passed and report.failures, (k, sign)
+        for kind, m, key, (a, b) in report.failures:
+            assert kind in kinds and len(m) == len(key) == seed.rank, (k, sign)
+            assert a != b, (k, sign)
+    # below the seed rank the control would multiply by 1
+    with pytest.raises(ValueError, match="the seed rank"):
+        mutation_suite(seed, seed.rank - 1, QUANTUM, True)
 
 
 def test_mutation_check_compares_each_wall_with_the_dilogarithm():
@@ -842,12 +824,12 @@ def test_mutation_check_rejects_wrong_seed():
 def test_central_difference():
     a2 = a2_seed()
     sd1 = quantum_cluster_sd(a2, 6)
-    rep = central_difference(sd1, quantum_cluster_sd(a2, 6))
-    assert rep.central and rep.element.coeffs == {}
+    rep, quotient = central_difference(sd1, quantum_cluster_sd(a2, 6))
+    assert rep.passed and quotient.coeffs == {}
     pert = GradedElement(a2, 6, QUANTUM, LIE, {(1, 2): ONE}).exp()
     sd3 = ScatDiagram.from_group_element(sd1.group_element().mul(pert))
-    rep = central_difference(sd1, sd3)
-    assert not rep.central and rep.witness[0] == (1, 2)
+    rep, quotient = central_difference(sd1, sd3)
+    assert not rep.passed and quotient is None and rep.failures[0][2] == (1, 2)
 
 
 def test_central_difference_markov_center():
@@ -855,8 +837,8 @@ def test_central_difference_markov_center():
     sd = quantum_cluster_sd(mk, 4)
     c = GradedElement(mk, 4, QUANTUM, LIE, {(1, 1, 1): ONE}).exp()
     sd2 = ScatDiagram.from_group_element(sd.group_element().mul(c))
-    rep = central_difference(sd, sd2)
-    assert rep.central and rep.element.coeffs == {(1, 1, 1): ONE}
+    rep, quotient = central_difference(sd, sd2)
+    assert rep.passed and quotient.coeffs == {(1, 1, 1): ONE}
 
 
 def test_mutation_invariance_of_central_comparison():
@@ -867,9 +849,9 @@ def test_mutation_invariance_of_central_comparison():
     for seed in (a2_seed(), a3_seed()):
         sd1 = quantum_cluster_sd(seed, 4)
         sd2 = quantum_cluster_sd(seed, 4)
-        assert central_difference(sd1, sd2).central
+        assert central_difference(sd1, sd2)[0].passed
         for k in range(1, seed.rank + 1):
             s2, _ = mutate_seed(seed, k, -1)
             m1 = quantum_cluster_sd(s2, 4)
             m2 = quantum_cluster_sd(s2, 4)
-            assert central_difference(m1, m2).central
+            assert central_difference(m1, m2)[0].passed
