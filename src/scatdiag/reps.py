@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import prod
 
 from .coeff import ONE, CoeffFn, gl_count, q_power
-from .lattice import check_covector, covector_to_new_basis, pair
+from .lattice import check_covector, covector_to_new_basis, pair, rational_primitive
 from .qp import SeedWithPotential, composite_name, cyclic_derivative, mutate_sp
 from .torus import GROUP, QUANTUM, GradedElement
 from .scattering import Report, ScatDiagram
@@ -368,6 +368,7 @@ def _semistable_test(sp, dims, m, p, strict):
     it lives as long as the predicate.  A rep has a subrepresentation of
     dimension e exactly when the masks of its arrows share a bit."""
     check_covector(m, sp.seed.rank)
+    m = rational_primitive(m)    # a positive multiple: integer sums, same signs
     if pair(m, dims) != 0:
         return lambda rep: False
     spaces = [tuple(itertools.product(*(all_subspaces(p, d)[k] for d, k in zip(dims, e))))

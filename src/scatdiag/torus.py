@@ -17,6 +17,13 @@ and live in the completed algebra truncated at total degree D.  In the
 quantum convention a Lie element is the plain series with the
 1/(v - 1/v) normalization already multiplied into its coefficients; the
 classical limit divides it back out before evaluating at v = 1.
+
+The Euler operator E(x^d) = |d| x^d is a derivation in every convention.
+Where the support of a commutes ({d1, d2} = 0: every classical element, and
+one ray, such as a dilogarithm), E(exp a) = E(a) exp a, so exp and log take
+one pass over degrees, one truncated product per degree:
+|d| g_d = sum_{d1 != 0} |d1| a_d1 g_d2.  The group inverse does so in every
+convention, from g h = 1.  Only exp and log of a noncommuting support sum powers.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from math import factorial
 
 from .coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, raw_product, subst_neg_v,
                     sum_terms)
-from .lattice import skew, total_degree
+from .lattice import primitive, skew, total_degree
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -51,17 +58,18 @@ class GradedElement:
             raise ValueError("unknown convention: %r" % (convention,))
         if flavor not in (LIE, GROUP):
             raise ValueError("unknown flavor: %r" % (flavor,))
+        if type(order) is not int or order < 0:
+            raise ValueError("order must be a non-negative int: %r" % (order,))
         self.seed = seed
         self.order = order
         self.convention = convention
         self.flavor = flavor
         clean = {}
         for d, c in coeffs.items():
-            if not any(x < 0 for x in d) and any(d) and total_degree(d) <= order:
-                if not c.is_zero():
-                    clean[tuple(d)] = c
-            elif any(x < 0 for x in d):
-                raise ValueError("dimension vector outside N+: %r" % (d,))
+            if len(d) != seed.rank or any(x < 0 for x in d):
+                raise ValueError("dimension vector outside N+ of rank %d: %r" % (seed.rank, d))
+            if any(d) and total_degree(d) <= order and not c.is_zero():
+                clean[tuple(d)] = c
         self.coeffs = clean
 
     # -- constructors --------------------------------------------------------
@@ -76,7 +84,7 @@ class GradedElement:
 
     @staticmethod
     def monomial(seed, order, convention, d, coeff):
-        return GradedElement(seed, order, convention, LIE, {tuple(d): coeff})
+        return GradedElement(seed, order, convention, LIE, {_int_vector(d): coeff})
 
     # -- helpers ---------------------------------------------------------------
 
@@ -123,30 +131,49 @@ class GradedElement:
 
     # -- series ----------------------------------------------------------------------
 
-    def _power_series(self, flavor, coef):
-        """The `flavor` element sum_{k >= 1} coef(k) u^k, u the stored terms."""
-        if self.convention == DT_TWIST:
-            return sigma(sigma(self)._power_series(flavor, coef))
-        out = _series(self.seed, self.order, self.convention == QUANTUM,
-                      self.coeffs, coef)
-        return GradedElement(self.seed, self.order, self.convention, flavor, out)
+    def _commutes(self):
+        """Whether the stored monomials, and so the algebra they generate, commute."""
+        keys = list(self.coeffs)
+        return self.convention == CLASSICAL or all(
+            skew(self.seed, d1, d2) == 0 for i, d1 in enumerate(keys) for d2 in keys[:i])
 
     def exp(self):
         """Group element exp(a), computed in the ambient associative algebra
         (the commutative algebra in the classical convention)."""
         if self.flavor != LIE:
             raise ValueError("exp needs a lie element")
-        return self._power_series(GROUP, _exp_coef)
+        if not self._commutes():
+            return _series(self, GROUP, lambda k: CoeffFn.from_fraction(1, factorial(k)))
+        ea = {d: c.scale(total_degree(d)) for d, c in self.coeffs.items()}
+        g = {_zero_key(self.seed): ONE}
+        for t in range(1, self.order + 1):      # t g_t = (E(a) g)_t
+            for d, c in _product(self.seed, self.order, ea, g, False, degree=t).items():
+                g[d] = c.scale(1, t)
+        return GradedElement(self.seed, self.order, self.convention, GROUP, g)
 
     def log(self):
         if self.flavor != GROUP:
             raise ValueError("log needs a group element")
-        return self._power_series(LIE, lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k))
+        if not self._commutes():
+            return _series(self, LIE, lambda k: CoeffFn.from_fraction((-1) ** (k - 1), k))
+        a, ea = {}, {}      # ea: -E(a) so far, and t at the zero key
+        for t in range(1, self.order + 1):      # t a_t = t g_t - (E(a) (g - 1))_t
+            ea[_zero_key(self.seed)] = CoeffFn.from_int(t)
+            for d, c in _product(self.seed, self.order, ea, self.coeffs, False, degree=t).items():
+                a[d], ea[d] = c.scale(1, t), -c
+        return GradedElement(self.seed, self.order, self.convention, LIE, a)
 
     def group_inverse(self):
+        """h = g^-1 from g h = 1, a degree at a time: h_t = -((g - 1) h)_t."""
         if self.flavor != GROUP:
             raise ValueError("inverse needs a group element")
-        return self._power_series(GROUP, lambda k: CoeffFn.from_int((-1) ** k))
+        if self.convention == DT_TWIST:
+            return sigma(sigma(self).group_inverse())
+        u = {d: -c for d, c in self.coeffs.items()}
+        h = {_zero_key(self.seed): ONE}
+        for t in range(1, self.order + 1):
+            h.update(_product(self.seed, self.order, u, h, self.convention == QUANTUM, degree=t))
+        return GradedElement(self.seed, self.order, self.convention, GROUP, h)
 
     # -- equality / serialization --------------------------------------------------------
 
@@ -229,19 +256,21 @@ def _product(seed, order, a, b, twisted, degree=None, keys=None):
     return _sum_keys(terms)
 
 
-def _series(seed, order, twisted, u, coef):
-    """The truncated power series sum_{k >= 1} coef(k) u^k of a dict u
-    without constant term.  The raw terms of every power are collected
-    under their key and each key is summed and canonicalised once."""
-    terms = {}
-    term, k = u, 1
+def _series(elem, flavor, coef):
+    """The `flavor` element sum_{k >= 1} coef(k) u^k, u the stored terms of
+    elem, by its powers in the quantum torus (dt: sigma of the quantum one).
+    The raw terms of every power are collected under their key and each key
+    is summed and canonicalised once."""
+    if elem.convention == DT_TWIST:
+        return sigma(_series(sigma(elem), flavor, coef))
+    terms, term, k = {}, elem.coeffs, 1
     while term:
         c = coef(k)
         for d, x in term.items():
             terms.setdefault(d, []).append(raw_product(x, c))
-        term = _product(seed, order, term, u, twisted)
+        term = _product(elem.seed, elem.order, term, elem.coeffs, True)
         k += 1
-    return _sum_keys(terms)
+    return GradedElement(elem.seed, elem.order, elem.convention, flavor, _sum_keys(terms))
 
 
 def _sum_keys(terms):
@@ -252,10 +281,6 @@ def _sum_keys(terms):
         if not c.is_zero():
             out[d] = c
     return out
-
-
-def _exp_coef(k):
-    return CoeffFn.from_fraction(1, factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +299,22 @@ def dilog_group_element(seed, n, order, convention):
     """
     if convention == DT_TWIST:
         return sigma(dilog_group_element(seed, n, order, QUANTUM))
-    n = tuple(n)
-    deg = total_degree(n)
-    if deg < 1:
-        raise ValueError("dilogarithm needs total degree >= 1: %r" % (n,))
-    kn = {k: tuple(k * x for x in n) for k in range(1, order // deg + 1)}
+    n = _int_vector(n)
+    if len(n) != seed.rank or total_degree(n) < 1 or primitive(n) != n:
+        raise ValueError("dilogarithm needs a primitive rank-%d vector: %r" % (seed.rank, n))
+    kn = {k: tuple(k * x for x in n) for k in range(1, order // total_degree(n) + 1)}
     if convention == CLASSICAL:
         lie = {d: CoeffFn.from_fraction((-1) ** (k - 1), k * k) for k, d in kn.items()}
-        coeffs = _series(seed, order, False, lie, _exp_coef)
-    else:
-        coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k) for k, d in kn.items()}
+        return GradedElement(seed, order, CLASSICAL, LIE, lie).exp()
+    coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k) for k, d in kn.items()}
     return GradedElement(seed, order, convention, GROUP, coeffs)
+
+
+def _int_vector(d):
+    d = tuple(d)
+    if any(type(x) is not int for x in d):
+        raise ValueError("dimension vector entries must be ints: %r" % (d,))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +341,7 @@ def classical_map(elem):
     if elem.convention != QUANTUM:
         raise ValueError("classical_map expects a quantum element")
     if elem.flavor == GROUP:
-        lie = elem.log()
-        return classical_map(lie).exp()
+        return classical_map(elem.log()).exp()
     fac = (CoeffFn.v_power(2) - ONE).mul_vpow(-1)  # v - 1/v
     out = {}
     for d, c in elem.coeffs.items():
