@@ -139,7 +139,7 @@ def rational_primitive(vec):
 
 
 # ---------------------------------------------------------------------------
-# seed mutation and the piecewise transforms T_k
+# seed mutation
 # ---------------------------------------------------------------------------
 
 def mutate_seed(seed, k, sign):
@@ -187,27 +187,6 @@ def covector_to_new_basis(change, m):
     """Dual coordinates of a covector with respect to the new basis."""
     n = len(change)
     return tuple(sum(change[i][j] * m[i] for i in range(n)) for j in range(n))
-
-
-def t_k(seed, k, sign, m):
-    """The piecewise-linear transform T_k^sign on covectors.
-
-    T_k^- applies m -> m + p*(s_k) m(s_k) on the half-space m(s_k) > 0 and
-    is the identity on m(s_k) < 0; T_k^+ is the inverse piecewise map.
-    The hyperplane s_k^perp is fixed pointwise either way.
-    """
-    kk = k - 1
-    mk = m[kk]
-    row = seed.b[kk]
-    if sign == -1:
-        if mk > 0:
-            return tuple(mi + row[i] * mk for i, mi in enumerate(m))
-        return tuple(m)
-    if sign == 1:
-        if mk < 0:
-            return tuple(mi - row[i] * mk for i, mi in enumerate(m))
-        return tuple(m)
-    raise ValueError("sign must be +1 or -1")
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffFn, ONE, ZERO
-from .lattice import (check_covector, face_enumerate, mutate_seed,
-                      p_star, pair, primitive, rational_primitive, t_k, total_degree,
-                      apply_change_to_dimvec, covector_to_new_basis, _cut, _unit_basis)
-from .torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
+from .lattice import (check_covector, face_enumerate, mutate_seed, p_star, pair, primitive,
+                      rational_primitive, total_degree, apply_change_to_dimvec, _cut,
+                      _unit_basis)
+from .torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
                     classical_map, dilog_group_element, lift_classical, sigma,
                     _acc, _by_degree, _full, _product, _zero_key)
 
@@ -214,7 +214,7 @@ def _ray_targets(eta, seed, order, convention):
         n = tuple(n)
         if primitive(n) != n:
             raise ValueError("initial data keys must be primitive: %r" % (n,))
-        if g.convention != convention or g.seed != seed:
+        if (g.convention, g.seed, g.order) != (convention, seed, order):
             raise ValueError("initial data entry in the wrong context")
         for d in g.coeffs:
             if primitive(d) != n:
@@ -418,12 +418,9 @@ class MinimalComplex:
         return [c for c in self.cells if c.dim == self.rank - 1
                 and c.function is not None]
 
-    def locate(self, m):
-        """The unique cell whose relative interior contains m."""
-        check_covector(m, self.rank)
-        sig = tuple(1 if pair(m, n) > 0 else (-1 if pair(m, n) < 0 else 0)
-                    for n in self.normals)
-        return self.cells[self._face_cell[sig]]
+    def cell(self, signs):
+        """The cell that holds the face of the given signs on `normals`."""
+        return self.cells[self._face_cell[signs]]
 
 
 class ScatDiagram:
@@ -432,6 +429,8 @@ class ScatDiagram:
     def __init__(self, seed, order, convention, carrier):
         if (carrier.convention, carrier.seed, carrier.order) != (QUANTUM, seed, order):
             raise ValueError("a diagram is carried in the quantum torus at its seed and order")
+        if convention not in CONVENTIONS:
+            raise ValueError("unknown convention: %r" % (convention,))
         self.seed = seed
         self.order = order
         self.convention = convention
@@ -678,7 +677,7 @@ def _pulled_back(seed, k, sign, change, normals):
     """The mutated seed's normals pulled back through T_k^sign, by half-space:
     s = 0 where sign * m(s_k) > 0 and s = sign where it is < 0.  There T_k is
     linear, and each pulled-back n of n' has pair(m, n) = pair(image(m), n'),
-    image(m) being covector_to_new_basis(change, t_k(seed, k, sign, m))."""
+    image(m) being the oracle `t_k` of m in the mutated seed's dual basis."""
     return {s: [_transvection(seed, k, -s, apply_change_to_dimvec(change, n))
                 for n in normals] for s in (0, sign)}
 
@@ -694,14 +693,14 @@ def mutate_sd_check(sd, k, sign, sd_mut):
     sd, its keys moved by (T_k^vee)^s, must equal that of sd_mut at image(m)
     on every key visible in both truncations; on each face of s_k-perp of
     dimension rank - 1 each side must be the dilogarithm of its own s_k.
-    Values come from the two minimal complexes; `checked` counts the faces,
+    Both cells are read off the face's signs; `checked` counts the faces,
     and a failure is (kind, face witness, key, both coefficients there).
     """
     seed = sd.seed
     order = min(sd.order, sd_mut.order)
     seed_mut, change = mutate_seed(seed, k, sign)
-    if sd_mut.seed != seed_mut:
-        raise ValueError("sd_mut is not the diagram of mu_k^sign(seed)")
+    if (sd_mut.seed, sd_mut.convention) != (seed_mut, sd.convention):
+        raise ValueError("sd_mut is not the diagram of mu_k^sign(seed) in sd's convention")
     _, change_back = mutate_seed(seed_mut, k, -sign)
     ek = _unit_rays(seed)[k - 1]
 
@@ -724,24 +723,29 @@ def mutate_sd_check(sd, k, sign, sd_mut):
                 return key, both
         return None
 
-    def value(diagram, m):
-        cell = diagram.minimal_complex().locate(m)
-        return cell.function.coeffs if cell.function else {}
-
     dilogs = [dilog_group_element(at, ek, order, sd.convention).coeffs
               for at in (seed, seed_mut)]
-    pulled = _pulled_back(seed, k, sign, change, sd_mut.wall_normals())
+    complexes = (sd.minimal_complex(), sd_mut.minimal_complex())
+    pulled = _pulled_back(seed, k, sign, change, complexes[1].normals)
     failures, checked = [], 0
     for s, side in ((0, sign), (sign, -sign)):
-        for face in face_enumerate((*sd.wall_normals(), ek, *pulled[s]), seed.rank):
-            on = face.signs[face.normals.index(ek)]
+        faces = face_enumerate((*complexes[0].normals, ek, *pulled[s]), seed.rank)
+        # each normal's column in the face signs (equal primitive normals
+        # share one); a pulled-back normal's sign at m is the sign of its
+        # normal of sd_mut at image(m)
+        column = {n: i for i, n in enumerate(faces[0].normals)}
+        columns = [[column[primitive(n)] for n in normals]
+                   for normals in (complexes[0].normals, pulled[s])]
+        for face in faces:
+            on = face.signs[column[ek]]
             # each face of s_k-perp is met on both half-spaces: check it once
             if 0 not in face.signs or on == -side or \
                     (on == 0 and (s or face.dim < seed.rank - 1)):
                 continue
             m = face.witness
-            got = (value(sd, m),
-                   value(sd_mut, covector_to_new_basis(change, t_k(seed, k, sign, m))))
+            cells = [mc.cell(tuple(face.signs[i] for i in cols))
+                     for mc, cols in zip(complexes, columns)]
+            got = [cell.function.coeffs if cell.function else {} for cell in cells]
             checked += 1
             if on:
                 found = [("transported-side" if s else "equal-side", compare(*got, s))]

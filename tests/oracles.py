@@ -10,8 +10,10 @@ own denominator join, the truncated product that canonicalises after
 every term (with the DT twist (-v)^w and the Lie brackets written out per
 term), the power series that adds one canonical coefficient per power,
 the log of the dilogarithm written down directly, the cells of the minimal
-complex by comparing every pair of faces, and completion states that each
-factor the whole support.  None of them runs in the package.
+complex by comparing every pair of faces, the cell of a covector by pairing
+it with every wall normal, the piecewise-linear transform T_k applied to a
+point, and completion states that each factor the whole support.  None of
+them runs in the package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
@@ -171,6 +173,37 @@ def cells_by_all_pairs(faces, values):
     for i in range(len(faces)):
         cells.setdefault(find(i), []).append(i)
     return list(cells.values())
+
+
+def locate(mc, m):
+    """The cell of the minimal complex mc whose relative interior holds the
+    covector m: the cell of the signs of m on every wall normal."""
+    return mc.cell(tuple((pair(m, n) > 0) - (pair(m, n) < 0) for n in mc.normals))
+
+
+# ---------------------------------------------------------------------------
+# the piecewise-linear transform of a mutation, point by point
+# ---------------------------------------------------------------------------
+
+def t_k(seed, k, sign, m):
+    """The piecewise-linear transform T_k^sign on covectors.
+
+    T_k^- applies m -> m + p*(s_k) m(s_k) on the half-space m(s_k) > 0 and
+    is the identity on m(s_k) < 0; T_k^+ is the inverse piecewise map.
+    The hyperplane s_k^perp is fixed pointwise either way.
+    """
+    kk = k - 1
+    mk = m[kk]
+    row = seed.b[kk]
+    if sign == -1:
+        if mk > 0:
+            return tuple(mi + row[i] * mk for i, mi in enumerate(m))
+        return tuple(m)
+    if sign == 1:
+        if mk < 0:
+            return tuple(mi - row[i] * mk for i, mi in enumerate(m))
+        return tuple(m)
+    raise ValueError("sign must be +1 or -1")
 
 
 # ---------------------------------------------------------------------------

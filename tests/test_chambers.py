@@ -186,6 +186,19 @@ def test_dt_series_rank1():
         dilog_group_element(seed, (1,), 6, QUANTUM)
 
 
+def test_dt_series_through_red_crossings():
+    # unrestricted sequences may cross a wall from red to green, which
+    # contributes the inverse of its dilogarithm
+    seed = a3_seed()
+    seqs = enumerate_green_to_red(seed, 6, green_restricted=False)
+    red = [s for s in seqs if any(eps < 0 for _, eps in crossing_data(seed, s))]
+    assert len(seqs) == 13 and len(red) == 4 and (1, 2, 1, 3, 1) in red
+    for conv in (QUANTUM, CLASSICAL, DT_TWIST):
+        want = dt_series(seed, seqs[0], 4, conv)
+        for s in red:
+            assert dt_series(seed, s, 4, conv) == want, (conv, s)
+
+
 def test_dt_series_a3_sequence_independent():
     seqs = enumerate_green_to_red(a3_seed(), 7)
     assert len(seqs) >= 2

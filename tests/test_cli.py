@@ -115,6 +115,12 @@ def test_dt(tmp_path, a2_file):
     assert payload["series"]
 
 
+def test_dt_without_a_sequence_exits_1(tmp_path, a3_file):
+    # A3 needs three mutations to reach C^-
+    code, payload = run(tmp_path, "dt", "--seed", a3_file, "--depth", "2", "--order", "3")
+    assert code == 1 and payload["command"] == "dt" and payload["found"] is False
+
+
 def test_reps(tmp_path, a2_file):
     code, payload = run(tmp_path, "reps", "--seed", a2_file, "--m", "0,1",
                         "--order", "3", "--primes", "2", "3")

@@ -7,10 +7,10 @@ import pytest
 from scatdiag.lattice import (Seed, a2_seed, covector_to_new_basis,
                               dedupe_primitive, face_enumerate, markov_seed,
                               mutate_seed, p_star, pair, primitive,
-                              rational_primitive, skew, t_k)
+                              rational_primitive, skew)
 from conftest import random_skew_seed, random_rational_point
 from oracles import (cone_generators, cone_interior_point, in_cone, mat_rank,
-                     nullspace, reduce_ray_generators)
+                     nullspace, reduce_ray_generators, t_k)
 
 F = Fraction
 

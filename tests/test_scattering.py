@@ -7,7 +7,7 @@ from scatdiag.coeff import CoeffFn, ONE, q_power, subst_neg_v
 from scatdiag import coeff, scattering
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               kronecker_seed, markov_seed, mutate_seed, pair,
-                              primitive, rational_primitive, t_k)
+                              primitive, rational_primitive)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
@@ -19,7 +19,7 @@ from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
                                  quantum_cluster_sd, to_carrier)
 from conftest import (random_initial_data, random_lie, random_rational_point,
                       random_skew_seed)
-from oracles import cells_by_all_pairs, full_ray_states, is_face_of, nullspace
+from oracles import cells_by_all_pairs, full_ray_states, is_face_of, locate, nullspace, t_k
 
 F = Fraction
 v = CoeffFn.v_power
@@ -170,6 +170,13 @@ def test_diagram_carrier_matches_its_seed_and_order():
         quantum_cluster_sd(a2_seed(), 6).wall_normals()
 
 
+def test_diagram_refuses_an_unknown_convention():
+    # `expose` would pass the carrier through as if it were quantum
+    carrier = quantum_cluster_sd(a2_seed(), 3).carrier
+    with pytest.raises(ValueError, match="unknown convention"):
+        ScatDiagram(a2_seed(), 3, "bogus", carrier)
+
+
 def test_rank1_single_wall():
     from scatdiag.lattice import Seed
     seed = Seed(((0,),))
@@ -222,6 +229,15 @@ def test_single_ray_completion_is_itself():
     # all-identity data gives the identity
     assert complete_from_initial({}, a2, 6, QUANTUM).group_element() == \
         GradedElement.one(a2, 6, QUANTUM)
+
+
+def test_completion_refuses_data_of_another_order():
+    # data truncated below the order would read its missing degrees as zero
+    a2 = a2_seed()
+    for built, order in ((3, 6), (8, 4)):
+        eta = {n: dilog_group_element(a2, n, built, QUANTUM) for n in ((1, 0), (0, 1))}
+        with pytest.raises(ValueError, match="wrong context"):
+            complete_from_initial(eta, a2, order, QUANTUM)
 
 
 def _random_initial_data(rng, order=6):
@@ -414,7 +430,7 @@ def test_cell_rays_are_the_located_edges(case):
     edge = len(mc.faces[0].lineality) + 1
     for cell in mc.cells:
         assert cell.rays == tuple(sorted({r for s in cell.faces for r in by_signs[s].rays
-                                          if mc.locate(r).dim == edge}))
+                                          if locate(mc, r).dim == edge}))
 
 
 @pytest.mark.parametrize("seed, conv", [(A3, QUANTUM), (CYCLE3, QUANTUM),
@@ -533,7 +549,7 @@ def test_full_dimensional_faces_are_identity(seed, conv, order):
     assert full
     for f in full:
         assert sd.phi(f.witness).coeffs == {}
-        assert mc.locate(f.witness).function is None
+        assert locate(mc, f.witness).function is None
 
 
 def _down_set(sd, m):
@@ -593,7 +609,7 @@ def test_minimal_complex_partition(rng):
     mc = sd.minimal_complex()
     for _ in range(150):
         m = random_rational_point(rng, 2)
-        cell = mc.locate(m)
+        cell = locate(mc, m)
         val = sd.phi(m)
         if cell.function is None:
             assert val.coeffs == {}
@@ -683,9 +699,6 @@ def test_covector_of_wrong_length_rejected():
         with pytest.raises(ValueError, match="covector has"):
             sd.phi(m)
     good = (F(2), F(3), F(1))
-    for m in ((F(1), F(2)), (F(1), F(2), F(3), F(4))):
-        with pytest.raises(ValueError, match="covector has"):
-            sd.minimal_complex().locate(m)
     for a, b in (((1, 1, 1, 1), (2, 3, 1, 1)), ((1, 1, 1, 1), good),
                  (good, (2, 3))):
         with pytest.raises(ValueError, match="covector has"):
@@ -775,6 +788,56 @@ def test_pulled_back_normals_pair_as_their_images(seed, rng):
                     done += 1
 
 
+@pytest.mark.parametrize("seed, order", [
+    (a2_seed(), 6), (a3_seed(), 4), (kronecker_seed(), 5), (markov_seed(), 3),
+    *((random_skew_seed(random.Random(i), 3), 3) for i in range(2))],
+    ids=["a2", "a3", "kronecker", "markov", "random-0", "random-1"])
+def test_sign_read_cells_are_the_located_cells(seed, order, monkeypatch):
+    # the mutation check reads both cells off the signs of each face it
+    # checks; locating the face witness m in sd, and its image under T_k in
+    # sd_mut, by pairing with every wall normal is the oracle
+    sd = quantum_cluster_sd(seed, order)
+    sd.minimal_complex()
+    checks, mutated = [], {}
+    for k in range(1, seed.rank + 1):
+        for sign in (1, -1):
+            seed2, change = mutate_seed(seed, k, sign)
+            if seed2 not in mutated:
+                mutated[seed2] = quantum_cluster_sd(seed2, order)
+                mutated[seed2].minimal_complex()
+            checks.append((k, sign, change, mutated[seed2]))
+    at, calls = [], []
+
+    class Watched(list):
+        def __iter__(self):     # records the face the check is at
+            for face in list.__iter__(self):
+                at.append(face)
+                yield face
+
+    enumerate_faces, cell = scattering.face_enumerate, scattering.MinimalComplex.cell
+
+    def spy(mc, signs):
+        calls.append((at[-1], mc, cell(mc, signs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(scattering, "face_enumerate", lambda *a: Watched(enumerate_faces(*a)))
+    monkeypatch.setattr(scattering.MinimalComplex, "cell", spy)
+    runs = []
+    for k, sign, _, sd2 in checks:
+        del calls[:]
+        report = mutate_sd_check(sd, k, sign, sd2)
+        assert report.passed and report.checked, (k, sign)
+        runs.append((report.checked, list(calls)))
+    monkeypatch.undo()
+    for (k, sign, change, sd2), (checked, pairs) in zip(checks, runs):
+        assert len(pairs) == 2 * checked, (k, sign)
+        for (face, mc, got), (face2, mc2, got2) in zip(pairs[::2], pairs[1::2]):
+            m = face.witness
+            assert face is face2 and mc is sd.minimal_complex() and mc2 is sd2.minimal_complex()
+            image = covector_to_new_basis(change, t_k(seed, k, sign, m))
+            assert got is locate(mc, m) and got2 is locate(mc2, image), (k, sign, m)
+
+
 @pytest.mark.parametrize("seed,order", [(a2_seed(), 6), (a3_seed(), 5),
                                         (kronecker_seed(), 6), (markov_seed(), 4)],
                          ids=["a2", "a3", "kronecker", "markov"])
@@ -819,6 +882,15 @@ def test_mutation_check_rejects_wrong_seed():
     sd = quantum_cluster_sd(a2_seed(), 4)
     with pytest.raises(ValueError):
         mutate_sd_check(sd, 1, 1, sd)
+
+
+def test_mutation_check_rejects_another_convention():
+    # quantum coefficients compared with classical ones would fail the law
+    # at keys where both diagrams agree
+    sd = quantum_cluster_sd(a2_seed(), 4)
+    sd2 = cluster_sd(mutate_seed(a2_seed(), 1, 1)[0], 4)
+    with pytest.raises(ValueError, match="in sd's convention"):
+        mutate_sd_check(sd, 1, 1, sd2)
 
 
 def test_central_difference():
