@@ -1,7 +1,9 @@
 """Command-line front door producing reproducible JSON artifacts.
 
-Subcommands: scatter, mutate, g2r, dt, reps, verify.  Every payload is
-schema-versioned, deterministically ordered and timestamp-free, so a fixed
+Subcommands: scatter, mutate, g2r, dt, reps, verify.  Each handler returns
+its payload and exit code and writes nothing; `main` adds the schema and
+the command and writes the payload once, to stdout or `--out`.  Every
+payload is deterministically ordered and timestamp-free, so a fixed
 configuration gives byte-identical output across runs.
 """
 
@@ -56,58 +58,42 @@ def cmd_scatter(args):
         })
     chambers = [{"generator_rays": [list(r) for r in cell.rays]}
                 for cell in sorted(mc.chambers(), key=lambda c: c.rays)]
-    _emit({"schema": SCHEMA, "command": "scatter",
-           "seed": seed.to_json(), "order": args.order,
-           "convention": args.convention,
-           "group_element": sd.group_element().serialize(),
-           "walls": walls, "chambers": chambers}, args.out)
-    return 0
+    return {"seed": seed.to_json(), "order": args.order,
+            "convention": args.convention,
+            "group_element": sd.group_element().serialize(),
+            "walls": walls, "chambers": chambers}, 0
 
 
 def cmd_mutate(args):
     seed, sp = _load_seed(args.seed)
     sign = 1 if args.sign == "+" else -1
     if sp is None:
-        new_seed, change = mutate_seed(seed, args.vertex, sign)
-        payload = {"schema": SCHEMA, "command": "mutate",
-                   "vertex": args.vertex, "sign": args.sign,
-                   "seed": new_seed.to_json(),
-                   "basis_change": [list(r) for r in change]}
+        key, (new, change) = "seed", mutate_seed(seed, args.vertex, sign)
     else:
-        sp2, change = mutate_sp(sp, args.vertex, sign)
-        payload = {"schema": SCHEMA, "command": "mutate",
-                   "vertex": args.vertex, "sign": args.sign,
-                   "seed_with_potential": sp2.to_json(),
-                   "basis_change": [list(r) for r in change]}
-    _emit(payload, args.out)
-    return 0
+        key, (new, change) = "seed_with_potential", mutate_sp(sp, args.vertex, sign)
+    return {"vertex": args.vertex, "sign": args.sign, key: new.to_json(),
+            "basis_change": [list(r) for r in change]}, 0
 
 
 def cmd_g2r(args):
     seed, _ = _load_seed(args.seed)
     seq = chambers_mod.find_green_to_red(seed, args.depth,
                                          green_restricted=not args.unrestricted)
-    payload = {"schema": SCHEMA, "command": "g2r", "seed": seed.to_json(),
-               "depth": args.depth,
+    payload = {"seed": seed.to_json(), "depth": args.depth,
                "found": seq is not None,
                "sequence": list(seq) if seq is not None else None,
                "length": len(seq) if seq is not None else None}
-    _emit(payload, args.out)
-    return 0 if seq is not None or args.allow_missing else 1
+    return payload, 0 if seq is not None or args.allow_missing else 1
 
 
 def cmd_dt(args):
     seed, _ = _load_seed(args.seed)
     seq = chambers_mod.find_green_to_red(seed, args.depth)
     if seq is None:
-        _emit({"schema": SCHEMA, "command": "dt", "found": False}, args.out)
-        return 1
+        return {"found": False}, 1
     series = chambers_mod.dt_series(seed, seq, args.order, args.convention)
-    _emit({"schema": SCHEMA, "command": "dt", "found": True,
-           "sequence": list(seq), "order": args.order,
-           "convention": args.convention,
-           "series": series.serialize()}, args.out)
-    return 0
+    return {"found": True, "sequence": list(seq), "order": args.order,
+            "convention": args.convention, "series": series.serialize()}, 0
 
 
 def cmd_reps(args):
@@ -121,11 +107,8 @@ def cmd_reps(args):
     series = reps_mod.iq_wall_series(sp, m, args.order)
     rows = [{"p": p, "series": reps_mod.at_prime(series, p).serialize()}
             for p in args.primes]
-    payload = {"schema": SCHEMA, "command": "reps",
-               "m": [str(x) for x in m], "order": args.order,
-               "primes": list(args.primes), "series": rows}
-    _emit(payload, args.out)
-    return 0
+    return {"m": [str(x) for x in m], "order": args.order,
+            "primes": list(args.primes), "series": rows}, 0
 
 
 def _witnesses(failures):
@@ -176,10 +159,7 @@ def cmd_verify(args):
         # x^(1,...,1) would be truncated away
         raise ValueError("--corrupt needs --order >= %d, the seed rank" % seed.rank)
     report = SUITES[args.suite](args, seed)
-    payload = {"schema": SCHEMA, "command": "verify"}
-    payload.update(report)
-    _emit(payload, args.out)
-    return 0 if report["passed"] else 1
+    return report, 0 if report["passed"] else 1
 
 
 def _integer(text, low):
@@ -257,7 +237,9 @@ def main(argv=None):
     except SystemExit as exc:   # argparse rejected the arguments (2) or printed help (0)
         return exc.code
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit({"schema": SCHEMA, "command": args.command, **payload}, args.out)
+        return code
     except (ValueError, OSError, reps_mod.BudgetExceeded) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

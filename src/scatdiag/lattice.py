@@ -149,9 +149,10 @@ def mutate_seed(seed, k, sign):
     the old one: column j of change is s'_j written in old coordinates.
     """
     n = seed.rank
-    if not 1 <= k <= n:
+    # True == 1 and 1.0 == 1, but neither is an int vertex or sign
+    if type(k) is not int or not 1 <= k <= n:
         raise ValueError("vertex out of range")
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     kk = k - 1
     cols = []

@@ -90,7 +90,7 @@ class _FactorizationState:
     """Degree-by-degree factorization g = L * Z * P at a covector m, with L,
     Z and P supported on m < 0, m = 0 and m > 0 and LZ caching L * Z.  Layer
     t of g is L_t + Z_t + P_t plus `products(t)` of the settled layers.  It
-    keeps no log of Z: its two readers, completion and `psi_extract`, take it.
+    keeps no log of Z: completion takes it layer by layer.
     With a down-set `keys` of N^r it factors modulo the ideal the monomials
     outside span: factorization keeps supports, so entries on `keys` agree."""
 
@@ -226,10 +226,11 @@ def _ray_targets(eta, seed, order, convention):
 
 
 def _ray_states(seed, order, rays, support):
-    """The factorization state at p*(n) for each ray n; rays whose p*(n)
-    takes the same signs on the support share one state.  It factors modulo
-    the monomials outside the down-set of the support keys on its rays: a
-    ray key reads only the entries below it."""
+    """Completion's factorization state at p*(n) for each ray n; rays whose
+    p*(n) takes the same signs on the support share one state, so completion
+    solves their layers in one factorization.  It factors modulo the monomials
+    outside the down-set of the support keys on its rays: a ray key reads
+    only the entries below it."""
     support = sorted(support)
     sign_of, by_sign = {}, {}
     for n in rays:
@@ -245,22 +246,14 @@ def _ray_states(seed, order, rays, support):
 
 def psi_extract(g):
     """The initial data of the consistent diagram of g: for each primitive n,
-    the ray component of the middle factor at p*(n), as a group element."""
+    exp of the ray-of-n part of log phi(p*(n))."""
     sd = g if isinstance(g, ScatDiagram) else ScatDiagram.from_group_element(g)
-    carrier = sd.carrier
-    seed, order = carrier.seed, carrier.order
-    ray_state = _ray_states(seed, order, sd.candidate_normals(), sd._support_closure())
-    full = _full(carrier)
-    logs = {}
-    for state in dict.fromkeys(ray_state.values()):
-        state.run(full)
-        logs[state] = _group(carrier, state.Z).log().coeffs
     out = {}
-    for n, state in ray_state.items():
-        lie = {d: c for d, c in logs[state].items() if primitive(d) == n}
+    for n in sd.candidate_normals():
+        lie = {d: c for d, c in sd.phi(p_star(sd.seed, n)).log().coeffs.items()
+               if primitive(d) == n}
         if lie:
-            elem = GradedElement(seed, order, QUANTUM, LIE, lie).exp()
-            out[n] = expose(elem, sd.convention)
+            out[n] = GradedElement(sd.seed, sd.order, sd.convention, LIE, lie).exp()
     return out
 
 
@@ -528,8 +521,8 @@ class ScatDiagram:
         normals = self.wall_normals()
         faces = face_enumerate(normals, rank)
         # a face of full dimension meets no wall: its value is the identity
-        values = [tuple(sorted(self.phi(f.witness).coeffs.items())) if 0 in f.signs else ()
-                  for f in faces]
+        one = GradedElement.one(self.seed, self.order, self.convention)
+        values = [self.phi(f.witness) if 0 in f.signs else one for f in faces]
         by_value = {}
         for i, z in enumerate(values):
             by_value.setdefault(z, []).append(i)
@@ -566,15 +559,12 @@ class ScatDiagram:
         face_cell = {}
         for root, members in groups.items():
             top = next(i for i in members if faces[i].dim == dims[root])
-            func = None
-            if values[top]:
-                func = GradedElement(self.seed, self.order,
-                                     self.convention, GROUP, dict(values[top]))
+            func = values[top] if values[top].coeffs else None
             normal = None
             if dims[root] == rank - 1:
                 f = faces[top]
                 zn = [n for n, s in zip(f.normals, f.signs) if s == 0]
-                normal = primitive(zn[0]) if zn else None
+                normal = zn[0] if zn else None
             rays = tuple(sorted({r for i in members for r in faces[i].rays if r in edge_rays}))
             for i in members:
                 face_cell[faces[i].signs] = len(cells)
@@ -588,20 +578,15 @@ class ScatDiagram:
 # standard diagrams
 # ---------------------------------------------------------------------------
 
-def _unit_rays(seed):
-    n = seed.rank
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-
 def cluster_sd(seed, order):
     eta = {n: dilog_group_element(seed, n, order, CLASSICAL)
-           for n in _unit_rays(seed)}
+           for n in _unit_basis(seed.rank)}
     return complete_from_initial(eta, seed, order, CLASSICAL)
 
 
 def quantum_cluster_sd(seed, order):
     eta = {n: dilog_group_element(seed, n, order, QUANTUM)
-           for n in _unit_rays(seed)}
+           for n in _unit_basis(seed.rank)}
     return complete_from_initial(eta, seed, order, QUANTUM)
 
 
@@ -702,7 +687,7 @@ def mutate_sd_check(sd, k, sign, sd_mut):
     if (sd_mut.seed, sd_mut.convention) != (seed_mut, sd.convention):
         raise ValueError("sd_mut is not the diagram of mu_k^sign(seed) in sd's convention")
     _, change_back = mutate_seed(seed_mut, k, -sign)
-    ek = _unit_rays(seed)[k - 1]
+    ek = _unit_basis(seed.rank)[k - 1]
 
     def within(d):
         return min(d) >= 0 and total_degree(d) <= order

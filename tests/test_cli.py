@@ -37,6 +37,20 @@ def markov_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def qp_file(tmp_path):
+    # the 3-cycle with its potential abc
+    path = tmp_path / "qp.json"
+    path.write_text(json.dumps(
+        {"seed": {"rank": 3, "B": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]},
+         "quiver": {"vertices": 3,
+                    "arrows": [{"name": "a", "source": 1, "target": 2},
+                               {"name": "b", "source": 2, "target": 3},
+                               {"name": "c", "source": 3, "target": 1}]},
+         "potential": [{"word": ["a", "b", "c"], "coeff": "1"}]}))
+    return str(path)
+
+
 def run(tmp_path, *argv):
     # a command that writes nothing returns payload None, not an older payload
     out = tmp_path / "out.json"
@@ -156,6 +170,40 @@ def test_run_returns_no_stale_payload(tmp_path, a2_file):
     assert code == 0 and payload is not None
     code, payload = run(tmp_path, "scatter", "--seed", a2_file, "--depth", "5")
     assert code == 2 and payload is None
+
+
+@pytest.mark.parametrize("command, seed, flags, code", [
+    pytest.param("scatter", "a2", ("--order", "4"), 0, id="scatter"),
+    pytest.param("mutate", "a2", ("--vertex", "1", "--sign", "+"), 0, id="mutate-seed"),
+    pytest.param("mutate", "qp", ("--vertex", "2"), 0, id="mutate-qp"),
+    pytest.param("g2r", "a2", ("--depth", "5"), 0, id="g2r-found"),
+    pytest.param("g2r", "markov", ("--depth", "5"), 1, id="g2r-missing"),
+    pytest.param("dt", "a2", ("--order", "4", "--depth", "5"), 0, id="dt-found"),
+    pytest.param("dt", "a3", ("--order", "3", "--depth", "2"), 1, id="dt-missing"),
+    pytest.param("reps", "a2", ("--m", "0,1", "--order", "3", "--primes", "2"), 0,
+                 id="reps"),
+    pytest.param("verify", "a2", ("--suite", "psi-roundtrip", "--order", "4",
+                                  "--trials", "2"), 0, id="verify-pass"),
+    pytest.param("verify", "a2", ("--suite", "psi-roundtrip", "--order", "4",
+                                  "--trials", "2", "--corrupt"), 1, id="verify-corrupt"),
+    pytest.param("mutate", "a2", ("--vertex", "3"), 2, id="error"),
+])
+def test_main_writes_each_payload_once(tmp_path, capsysbinary, request,
+                                       command, seed, flags, code):
+    # the same bytes to stdout and to --out, framed with schema and command;
+    # a run that exits 2 writes neither
+    argv = [command, "--seed", request.getfixturevalue(seed + "_file"), *flags]
+    assert main(argv) == code
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsysbinary.readouterr().out == b""
+    if code == 2:
+        assert stdout == b"" and not out.exists()
+    else:
+        assert out.read_bytes() == stdout
+        payload = json.loads(stdout)
+        assert (payload["schema"], payload["command"]) == ("scatdiag/1", command)
 
 
 def test_verify_mutation_suite(tmp_path, a2_file):
@@ -314,14 +362,18 @@ def _args_read(func):
 
 
 def test_every_flag_is_read_by_its_handler():
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    for name, parser in commands.items():
-        handlers = [parser.get_default("func")]
+    # the code that runs for a subcommand is `main`, which writes --out, and
+    # the handler; past the flags, they read only the subcommand's name and
+    # its handler
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        handlers = [cli.main, parser.get_default("func")]
         if name == "verify":
             handlers += cli.SUITES.values()
         flags = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
-        assert flags == set().union(*map(_args_read, handlers)), name
+        framing = {sub.dest, *parser._defaults}
+        assert flags | framing == set().union(*map(_args_read, handlers)), name
 
 
 def test_large_prime_is_accepted_quickly(tmp_path, a2_file):

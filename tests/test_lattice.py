@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from scatdiag.lattice import (Seed, a2_seed, covector_to_new_basis,
+from scatdiag.chambers import chamber_from_sequence
+from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               dedupe_primitive, face_enumerate, markov_seed,
                               mutate_seed, p_star, pair, primitive,
                               rational_primitive, skew)
+from scatdiag.scattering import cluster_sd, mutate_sd_check
 from conftest import random_skew_seed, random_rational_point
 from oracles import (cone_generators, cone_interior_point, in_cone, mat_rank,
                      nullspace, reduce_ray_generators, t_k)
@@ -61,6 +63,19 @@ def test_mutate_seed_a2():
     assert ch == ((-1, 1), (0, 1))          # s'_1 = -s_1, s'_2 = s_1 + s_2
     s, ch = mutate_seed(a2_seed(), 1, -1)
     assert ch == ((-1, 0), (0, 1))          # s''_1 = -s_1, s''_2 = s_2
+
+
+def test_mutate_seed_rejects_a_vertex_or_sign_that_is_not_an_int():
+    # True and 1.0 compare equal to 1, but neither is a vertex or a sign
+    for k, sign in ((True, 1), (1, True), (1, 1.0), (2, -1.0), (1.0, 1)):
+        with pytest.raises(ValueError):
+            mutate_seed(a3_seed(), k, sign)
+    with pytest.raises(ValueError):
+        chamber_from_sequence(a3_seed(), (True,))
+    sd = cluster_sd(a2_seed(), 3)
+    sd_mut = cluster_sd(mutate_seed(a2_seed(), 1, 1)[0], 3)
+    with pytest.raises(ValueError):
+        mutate_sd_check(sd, True, 1, sd_mut)
 
 
 def test_mutate_seed_roundtrip(rng):

@@ -7,7 +7,7 @@ from scatdiag.coeff import CoeffFn, ONE, q_power, subst_neg_v
 from scatdiag import coeff, scattering
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               kronecker_seed, markov_seed, mutate_seed, pair,
-                              primitive, rational_primitive)
+                              primitive, rational_primitive, _unit_basis)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
@@ -143,7 +143,7 @@ def test_dt_diagram_is_a_view_of_the_quantum_one():
     for seed, order in ((a2_seed(), 6), (a3_seed(), 4), (kronecker_seed(3), 4),
                         (markov_seed(), 3)):
         eta = {n: dilog_group_element(seed, n, order, DT_TWIST)
-               for n in scattering._unit_rays(seed)}
+               for n in _unit_basis(seed.rank)}
         want = complete_from_initial(eta, seed, order, DT_TWIST).carrier
         assert dt_in_sd(seed, order).carrier.coeffs == want.coeffs
 
@@ -205,7 +205,7 @@ def test_psi_extract_cluster_data():
 def test_psi_extract_cluster_diagrams(seed, order, conv):
     # psi inverts completion on the cluster diagrams, B with a kernel included
     eta = {n: dilog_group_element(seed, n, order, conv)
-           for n in scattering._unit_rays(seed)}
+           for n in _unit_basis(seed.rank)}
     assert psi_extract(BUILDERS[conv](seed, order)) == eta
 
 
