@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,9 @@ def primitive(vec):
 
 def rational_primitive(vec):
     """Clear denominators and divide by the content; direction is kept."""
-    den = 1
-    for x in vec:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    return primitive(tuple(int(Fraction(x) * den) for x in vec))
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    return primitive(tuple(x.numerator * (den // x.denominator) for x in vec))
 
 
 # ---------------------------------------------------------------------------

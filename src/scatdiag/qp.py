@@ -436,8 +436,10 @@ class SeedWithPotential:
         return SeedWithPotential(seed, quiver, pot)
 
 
-# reps.reflect mutates once per representation; a ReductionError is not cached
-@functools.lru_cache(maxsize=256)
+# reps.reflect mutates once per representation; a ReductionError is not
+# cached.  typed, so that True and 1.0 do not hit the entry of 1: mutate_seed
+# refuses them
+@functools.lru_cache(maxsize=256, typed=True)
 def mutate_sp(sp, k, sign):
     """Mutate the seed with the chosen sign and the potential by DWZ."""
     mutated = _k_mutation(sp.quiver, sp.potential, k)

@@ -171,10 +171,10 @@ class Rep:
     sp: SeedWithPotential
     p: int
     dims: tuple
-    mats: tuple   # of (arrow name, matrix) sorted by name
+    mats: tuple   # one matrix per arrow, in the order of sp.quiver.arrows
 
     def matrix(self, name):
-        for a, m in self.mats:
+        for (a, _, _), m in zip(self.sp.quiver.arrows, self.mats):
             if a == name:
                 return m
         raise KeyError(name)
@@ -215,7 +215,7 @@ def make_rep(sp, p, dims, mats):
                         and all(type(x) is int and 0 <= x < p for x in row) for row in m)):
             raise ValueError("arrow %s needs a %d x %d tuple of row tuples with entries "
                              "0..%d, got %r" % (name, rows, cols, p - 1, m))
-    rep = Rep(sp, p, dims, tuple(sorted(mats.items())))
+    rep = Rep(sp, p, dims, tuple(mats[name] for name, _, _ in arrows))
     check_relations(rep)
     return rep
 
@@ -224,7 +224,7 @@ def check_relations(rep):
     """Raise ValueError unless rep satisfies the Jacobian relations and the
     path ideal acts nilpotently."""
     test = _relation_test(rep.sp, rep.dims, rep.p)
-    failure = test and test(tuple(rep.matrix(name) for name, _, _ in rep.sp.quiver.arrows))
+    failure = test and test(rep.mats)
     if failure:
         raise ValueError(failure)
 
@@ -339,10 +339,7 @@ def enumerate_reps(sp, dims, p, budget=300000):
     spaces = [[tuple(flat[i * c:(i + 1) * c] for i in range(r))
                for flat in itertools.product(range(p), repeat=r * c)] for r, c in shapes]
     test = _relation_test(sp, dims, p)
-    names = [name for name, _, _ in arrows]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    return [Rep(sp, p, dims, tuple((names[i], mats[i]) for i in order))
-            for mats in itertools.product(*spaces)
+    return [Rep(sp, p, dims, mats) for mats in itertools.product(*spaces)
             if test is None or test(mats) is None]
 
 
@@ -377,7 +374,7 @@ def _semistable_test(sp, dims, m, p, strict):
     # the basis vectors at each vertex of the listed subspaces
     vectors = [{v for group in spaces for combo in group for v in combo[i][0]}
                for i in range(len(dims))]
-    ends = [(name, s - 1, t - 1) for name, s, t in sp.quiver.arrows]
+    ends = [(s - 1, t - 1) for _, s, t in sp.quiver.arrows]
     masks = {}    # (source, target, matrix) -> one mask per e
 
     def arrow_masks(s, t, mat):
@@ -390,7 +387,7 @@ def _semistable_test(sp, dims, m, p, strict):
         return masks[key]
 
     def test(rep):
-        per_arrow = [arrow_masks(s, t, rep.matrix(name)) for name, s, t in ends]
+        per_arrow = [arrow_masks(s, t, mat) for (s, t), mat in zip(ends, rep.mats)]
         for i, common in enumerate(full):
             for mask in per_arrow:
                 common &= mask[i]
@@ -431,18 +428,18 @@ def reflect(rep, k, sign):
 
     A QP that is not mutable at k raises qp.ReductionError, a ValueError.
     """
-    return _reflector(rep.sp, k, sign, rep.p)(rep)
+    apply, sp2, change = _reflector(rep.sp, k, sign, rep.p)
+    return apply(rep), sp2, change
 
 
 def _reflector(sp, k, sign, p):
-    """`reflect` at (k, sign) for the representations of sp over F_p, as a
-    function rep -> (image, mutated SP, basis change).  What does not depend
-    on the representation is prepared once: the mutation, the terms mod p
-    of gamma's pair derivatives, and the mutated potential's relation test
-    at each image dimension vector."""
+    """`reflect` at (k, sign) for the representations of sp over F_p, as
+    (rep -> image, mutated SP, basis change).  What does not depend on the
+    representation is prepared once: the mutation, the terms mod p of
+    gamma's pair derivatives, and the mutated potential's relation test at
+    each image dimension vector."""
     sp2, change = mutate_sp(sp, k, sign)
     quiver = sp.quiver
-    names = [name for name, _, _ in quiver.arrows]
     incoming = quiver.arrows_into(k)
     outgoing = quiver.arrows_out_of(k)
     where = _positions(quiver)
@@ -450,13 +447,12 @@ def _reflector(sp, k, sign, p):
     derivs = [cyclic_derivative(quiver, sp.potential, a).items() for a, _, _ in incoming]
     gamma_terms = [[_terms({path[1:]: c for path, c in deriv if path[0] == b}, where, p)
                     for b, _, _ in outgoing] for deriv in derivs]
-    comp_map = {composite_name(a, b): (a, b) for a, _, _ in incoming for b, _, _ in outgoing}
-    names2 = [name for name, _, _ in sp2.quiver.arrows]
+    comp_map = {composite_name(a, b): (where[a][0], where[b][0])
+                for a, _, _ in incoming for b, _, _ in outgoing}
     relation_tests = {}    # image dims -> relation test of sp2
 
     def apply(rep):
-        dims, by_name = rep.dims, dict(rep.mats)
-        mats = tuple(by_name[name] for name in names)
+        dims, mats = rep.dims, rep.mats
         in_off, din = {}, 0
         for name, s, _ in incoming:
             in_off[name], din = din, din + dims[s - 1]
@@ -464,8 +460,8 @@ def _reflector(sp, k, sign, p):
         for name, _, t in outgoing:
             out_off[name], dout = dout, dout + dims[t - 1]
         dk = dims[k - 1]
-        alpha = _hcat([by_name[a] for a, _, _ in incoming], dk)
-        beta = sum((by_name[b] for b, _, _ in outgoing), ())
+        alpha = _hcat([mats[where[a][0]] for a, _, _ in incoming], dk)
+        beta = sum((mats[where[b][0]] for b, _, _ in outgoing), ())
         gamma = ()
         for (_, s, _), row_terms in zip(incoming, gamma_terms):
             gamma += _hcat([_path_sum(mats, dims, terms, dims[s - 1], dims[t - 1], p)
@@ -479,29 +475,30 @@ def _reflector(sp, k, sign, p):
             out_of_k = _transpose(kb, din)
             into_k = _solve(out_of_k, gamma, len(kb), dout, p)
         new_dims = dims[:k - 1] + (len(into_k),) + dims[k:]
-        new_mats = {}
+        new_mats = []    # in the order of sp2.quiver.arrows
         for name, s, t in sp2.quiver.arrows:
             base = name[:-1] if name.endswith("*") else None
             if name in comp_map:
                 a, b = comp_map[name]
-                new_mats[name] = mat_mul(by_name[b], by_name[a], p,
-                                         shape=(new_dims[t - 1], new_dims[s - 1]))
+                new_mats.append(mat_mul(mats[b], mats[a], p,
+                                        shape=(new_dims[t - 1], new_dims[s - 1])))
             elif base in out_off:    # beta*: j -> k
                 o = out_off[base]
-                new_mats[name] = tuple(row[o:o + dims[s - 1]] for row in into_k)
+                new_mats.append(tuple(row[o:o + dims[s - 1]] for row in into_k))
             elif base in in_off:     # alpha*: k -> i
-                new_mats[name] = out_of_k[in_off[base]:in_off[base] + dims[t - 1]]
+                new_mats.append(out_of_k[in_off[base]:in_off[base] + dims[t - 1]])
             else:
-                new_mats[name] = by_name[name]
+                new_mats.append(mats[where[name][0]])
+        new_mats = tuple(new_mats)
         if new_dims not in relation_tests:
             relation_tests[new_dims] = _relation_test(sp2, new_dims, p)
         test = relation_tests[new_dims]
-        failure = test and test(tuple(new_mats[name] for name in names2))
+        failure = test and test(new_mats)
         if failure:
             raise ValueError(failure)
-        return Rep(sp2, p, new_dims, tuple(sorted(new_mats.items()))), sp2, change
+        return Rep(sp2, p, new_dims, new_mats)
 
-    return apply
+    return apply, sp2, change
 
 
 def _loses_nothing(rep, k, sign):
@@ -509,11 +506,12 @@ def _loses_nothing(rep, k, sign):
     Hom(S_k, V) = ker beta is 0 for sign +, and Hom(V, S_k), dual to
     coker alpha, is 0 for sign -, where beta stacks the arrows out of k and
     alpha the arrows into k.  Either way the map has rank dim V_k."""
-    quiver, dk = rep.sp.quiver, rep.dims[k - 1]
+    dk = rep.dims[k - 1]
+    arrows = zip(rep.sp.quiver.arrows, rep.mats)
     if sign > 0:
-        mat = sum((rep.matrix(b) for b, _, _ in quiver.arrows_out_of(k)), ())
+        mat = sum((m for (_, s, _), m in arrows if s == k), ())
     else:
-        mat = _hcat([rep.matrix(a) for a, _, _ in quiver.arrows_into(k)], dk)
+        mat = _hcat([m for (_, _, t), m in arrows if t == k], dk)
     return len(rref_p(mat, rep.p)[1]) == dk
 
 
@@ -565,9 +563,8 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
     if pair(m, ek) == 0:
         raise ValueError("m must not vanish on s_k")
     sign = 1 if pair(m, ek) > 0 else -1
-    _, change = mutate_sp(sp, k, sign)
+    reflector, sp2, change = _reflector(sp, k, sign, p)
     m2 = covector_to_new_basis(change, m)
-    reflector = _reflector(sp, k, sign, p)
     failures, skipped = [], []
     checked = 0
     image_tests = {}    # reflected dims -> semistability test at m2
@@ -581,7 +578,7 @@ def semistable_transport_check(sp, k, m, max_total_dim=3, p=2):
         for rep in reps:
             if not _loses_nothing(rep, k, sign):
                 continue
-            refl, sp2, _ = reflector(rep)
+            refl = reflector(rep)
             if refl.dims not in image_tests:
                 image_tests[refl.dims] = _semistable_test(sp2, refl.dims, m2, p, False)
             checked += 1

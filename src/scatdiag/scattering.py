@@ -108,20 +108,20 @@ class _FactorizationState:
         self.LZ = {zero: ONE}
 
     def products(self, t):
-        """Layer t of L * Z and of L * Z * P, formed from the settled layers."""
+        """Layer t of L * Z * P formed from the settled layers; LZ gains
+        layer t of L * Z formed from them first."""
         lz_t = _product(self.seed, self.order, self.L, self.Z, True,
                         degree=t, keys=self.keys)
-        r_t = _product(self.seed, self.order, self.LZ, self.P, True,
-                       degree=t, keys=self.keys)
         for d, c in lz_t.items():
-            _acc(r_t, d, c)
-        return lz_t, r_t
+            _acc(self.LZ, d, c)
+        return _product(self.seed, self.order, self.LZ, self.P, True,
+                        degree=t, keys=self.keys)
 
-    def finish_layer(self, g_t, products):
+    def finish_layer(self, g_t, r_t):
         """Assign the layer-t factor entries from the final layer-t entries
-        g_t of g and the layer's `products`; return the new Z entries."""
-        lz_t, r_t = products
-        new_l, new_z = {}, {}
+        g_t of g and r_t, the layer's `products`; return the new Z entries.
+        LZ gains each new L and Z entry."""
+        new_z = {}
         keys = set(g_t).union(r_t)
         for d in keys if self.keys is None else keys & self.keys:
             delta = g_t.get(d, ZERO) - r_t.get(d, ZERO)
@@ -132,14 +132,11 @@ class _FactorizationState:
                 self.P[d] = delta
             elif s < 0:
                 self.L[d] = delta
-                new_l[d] = delta
+                _acc(self.LZ, d, delta)
             else:
                 self.Z[d] = delta
                 new_z[d] = delta
-        # close the minus*zero cache at layer t
-        for part in (lz_t, new_l, new_z):
-            for d, c in part.items():
-                _acc(self.LZ, d, c)
+                _acc(self.LZ, d, delta)
         return new_z
 
     def run(self, g):
@@ -298,7 +295,7 @@ def complete_from_initial(eta, seed, order, convention):
             # [log Z]_t = Z_t + corr_t must equal the target, and on the ray
             # g_t = Z_t + [L * Z * P of settled layers]_t: solve for g_t
             val = (targets.get(n, {}).get(kn, ZERO) - corr[state].get(kn, ZERO)
-                   + products[state][1].get(kn, ZERO))
+                   + products[state].get(kn, ZERO))
             if not val.is_zero():
                 g_t[kn] = val
         g.update(g_t)

@@ -245,7 +245,7 @@ def rebase_rep(rep, sp_to):
     for key in groups_from:
         for a, b in zip(sorted(groups_from[key]), sorted(groups_to[key])):
             arrow_map[a] = b
-    mats = {arrow_map[name]: m for name, m in rep.mats}
+    mats = {arrow_map[name]: m for (name, _, _), m in zip(rep.sp.quiver.arrows, rep.mats)}
     return make_rep(sp_to, rep.p, rep.dims, mats)
 
 
@@ -291,13 +291,13 @@ def enumerate_reps_per_tuple(sp, dims, p):
     """Every matrix tuple of dimension vector dims over F_p, in the order of
     itertools.product over the arrows' entries, that `relation_failure`
     accepts."""
-    shapes = [(name, dims[t - 1], dims[s - 1]) for name, s, t in sp.quiver.arrows]
+    shapes = [(dims[t - 1], dims[s - 1]) for _, s, t in sp.quiver.arrows]
     out = []
     for combo in itertools.product(*(itertools.product(range(p), repeat=r * c)
-                                     for _, r, c in shapes)):
-        mats = {name: tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
-                for (name, r, c), flat in zip(shapes, combo)}
-        rep = Rep(sp, p, tuple(dims), tuple(sorted(mats.items())))
+                                     for r, c in shapes)):
+        mats = tuple(tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
+                     for (r, c), flat in zip(shapes, combo))
+        rep = Rep(sp, p, tuple(dims), mats)
         if relation_failure(rep) is None:
             out.append(rep)
     return out

@@ -307,3 +307,13 @@ def test_primitive_and_dedupe():
     assert primitive((2, 4, 6)) == (1, 2, 3)
     assert primitive((0, 0)) == (0, 0)
     assert dedupe_primitive([(2, 0), (1, 0), (3, 3)]) == ((1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Seed(((0, 1),)), "B must be square"),
+    (lambda: Seed(((0, 1, 0), (-1, 0, 0))), "B must be square"),
+    (lambda: Seed.from_json({"rank": 3, "B": [[0, 1], [-1, 0]]}), "rank field disagrees"),
+])
+def test_seed_refuses_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

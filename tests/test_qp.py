@@ -249,7 +249,33 @@ def test_mutate_sp_requires_mutability():
         mutate_sp(sp, 2, -1)
 
 
+def test_mutate_sp_cache_tells_an_int_from_a_bool_or_a_float():
+    # True and 1.0 hashed as 1: once mutate_sp(sp, 1, 1) had run, these
+    # calls got its cached mutation, though mutate_seed refuses them
+    sp = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))),
+                                {("a1_2_1", "a2_3_1", "a3_1_1"): 1})
+    mutate_sp(sp, 1, 1)
+    mutate_sp(sp, 1, -1)
+    for k, sign in ((True, 1), (1, True), (1.0, 1), (1, 1.0), (1, -1.0)):
+        with pytest.raises(ValueError):
+            mutate_sp(sp, k, sign)
+
+
 def test_sp_json_roundtrip():
     sp = markov_sp()
     back = SeedWithPotential.from_json(sp.to_json())
     assert back == sp
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Quiver(2, (("a", 1, 3),)), "endpoint out of range"),
+    (lambda: Quiver(2, (("a", 0, 2),)), "endpoint out of range"),
+    (lambda: w_abc(cap=2), "above the degree cap"),
+    (lambda: tilde_mutate(Quiver(2, (("a", 1, 2), ("b", 2, 1))), Potential(()), 1),
+     "needs a 2-acyclic quiver"),
+    (lambda: SeedWithPotential(a2_seed(), Quiver(2, (("a", 2, 1),)), Potential(())),
+     "does not match the seed"),
+])
+def test_qp_refuses_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

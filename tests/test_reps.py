@@ -54,7 +54,8 @@ def test_make_rep_checks_its_input():
     # written with 0
     sp = SeedWithPotential.make(a3_seed())
     good = {"a1_2_1": ((1,),), "a2_3_1": ((0,),)}
-    assert make_rep(sp, 2, (1, 1, 1), good).mats == tuple(sorted(good.items()))
+    assert make_rep(sp, 2, (1, 1, 1), good).mats == \
+        tuple(good[name] for name, _, _ in sp.quiver.arrows)
     for mats in [{"a1_2_1": ((1,),)}, dict(good, a9_9_9=((1,),)),
                  dict(good, a1_2_1=((1, 0),)), dict(good, a1_2_1=((1,), (0,))),
                  dict(good, a2_3_1=((2,),)), dict(good, a2_3_1=((-1,),)),
@@ -128,7 +129,18 @@ def test_acyclic_enumeration_skips_nilpotency(monkeypatch):
     ones = {"a1_2_1": ((1,),), "a2_3_1": ((1,),), "a3_1_1": ((1,),)}
     reps = enumerate_reps(sp, (1, 1, 1), 2)
     assert len(reps) == 7
-    assert tuple(sorted(ones.items())) not in [r.mats for r in reps]
+    assert tuple(ones[name] for name, _, _ in sp.quiver.arrows) not in [r.mats for r in reps]
+
+
+def test_rep_matrix_looks_up_an_arrow_by_name():
+    # the 3-cycle lists its arrows a1_2_1, a3_1_1, a2_3_1: not by name
+    sp = cycsp()
+    rep = make_rep(sp, 2, (1, 1, 1), {"a1_2_1": ((1,),), "a2_3_1": ((0,),), "a3_1_1": ((0,),)})
+    assert [name for name, _, _ in sp.quiver.arrows] == ["a1_2_1", "a3_1_1", "a2_3_1"]
+    assert rep.mats == (((1,),), ((0,),), ((0,),))
+    assert rep.matrix("a1_2_1") == ((1,),) and rep.matrix("a2_3_1") == ((0,),)
+    with pytest.raises(KeyError):
+        rep.matrix("a9_9_9")
 
 
 def test_nilpotency_index_n_accepted():
@@ -412,6 +424,9 @@ def reflect_golden_text():
     with both signs: one JSON line per input with its images' dimensions and
     matrices.  To regenerate after an intended change, write this text to
     tests/golden/reflect_f2.json."""
+    def named(rep):
+        return {name: m for (name, _, _), m in zip(rep.sp.quiver.arrows, rep.mats)}
+
     lines = []
     for name, sp in (("a3", SeedWithPotential.make(a3_seed())), ("cycle", cycsp())):
         for dims in itertools.product(range(4), repeat=3):
@@ -422,8 +437,8 @@ def reflect_golden_text():
                 for k in (1, 2, 3):
                     for sign in (1, -1):
                         out, _, _ = reflect(rep, k, sign)
-                        images["%d%s" % (k, "+-"[sign < 0])] = [out.dims, dict(out.mats)]
-                lines.append(json.dumps([name, rep.dims, dict(rep.mats), images],
+                        images["%d%s" % (k, "+-"[sign < 0])] = [out.dims, named(out)]
+                lines.append(json.dumps([name, rep.dims, named(rep), images],
                                         sort_keys=True))
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
@@ -470,6 +485,28 @@ def test_transport_a2_and_cycle():
     rep = semistable_transport_check(cycsp(), 2, (F(-1), F(2), F(-1)),
                                      max_total_dim=3, p=2)
     assert rep.passed and rep.checked >= 15
+
+
+def test_transport_check_fails_on_a_wrong_image_covector(monkeypatch):
+    # negative control: with the image covector negated, each verdict that
+    # then differs is a ("transport", dims, matrices, verdicts) failure
+    # whose matrices are a representation's, in the order of the arrows
+    cases = [(cycsp(), k, tuple(F((j == k % 3) - (j == k - 1)) for j in range(3)), 3, 21)
+             for k in (1, 2, 3)]
+    cases += [(SeedWithPotential.make(a3_seed()), 2, m, 1, 15)
+              for m in ((F(-1), F(2), F(-1)), (F(1), F(-2), F(1)))]
+    for sp, k, m, _, _ in cases:
+        assert semistable_transport_check(sp, k, m).passed
+    real = reps.covector_to_new_basis
+    monkeypatch.setattr(reps, "covector_to_new_basis",
+                        lambda change, m: tuple(-x for x in real(change, m)))
+    for sp, k, m, count, checked in cases:
+        report = semistable_transport_check(sp, k, m)
+        assert not report.passed and len(report.failures) == count, (k, m)
+        assert report.checked == checked
+        for kind, dims, mats, verdicts in report.failures:
+            assert kind == "transport" and verdicts[0] != verdicts[1]
+            assert mats in [r.mats for r in enumerate_reps(sp, dims, 2)]
 
 
 def test_reflection_domain_matches_hom_dimension():

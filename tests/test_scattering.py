@@ -927,3 +927,18 @@ def test_mutation_invariance_of_central_comparison():
             m1 = quantum_cluster_sd(s2, 4)
             m2 = quantum_cluster_sd(s2, 4)
             assert central_difference(m1, m2)[0].passed
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: factorize(dilog_group_element(a2_seed(), (1, 0), 3, QUANTUM).log(),
+                       (F(1), F(-1))), "needs a group element"),
+    (lambda: complete_from_initial({(2, 0): dilog_group_element(a2_seed(), (1, 0), 3, QUANTUM)},
+                                   a2_seed(), 3, QUANTUM), "keys must be primitive"),
+    (lambda: complete_from_initial({(1, 0): dilog_group_element(a2_seed(), (0, 1), 3, QUANTUM)},
+                                   a2_seed(), 3, QUANTUM), "not supported on its ray"),
+    (lambda: central_difference(quantum_cluster_sd(a2_seed(), 3),
+                                quantum_cluster_sd(a2_seed(), 4)), "different contexts"),
+])
+def test_scattering_refuses_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -400,3 +400,20 @@ def test_dilog_of_the_zero_vector_raises_value_error():
     for conv in CONVENTIONS:
         with pytest.raises(ValueError):
             dilog_group_element(a2_seed(), (0, 0), 4, conv)
+
+
+def _dilog(convention=QUANTUM):
+    return dilog_group_element(a2_seed(), (1, 0), 3, convention)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _dilog().add(_dilog()), "can only add lie elements"),
+    (lambda: _dilog().exp(), "exp needs a lie element"),
+    (lambda: _dilog().log().log(), "log needs a group element"),
+    (lambda: _dilog().log().group_inverse(), "inverse needs a group element"),
+    (lambda: classical_map(_dilog(CLASSICAL)), "expects a quantum element"),
+    (lambda: lift_classical(_dilog()), "expects a classical element"),
+])
+def test_graded_element_refuses_the_wrong_flavor_or_convention(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
