@@ -21,8 +21,10 @@ choices reproduce the dilogarithm wall function on the outgoing A2 ray.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .coeff import CoeffFn, ONE, ZERO
 from .lattice import (check_covector, face_enumerate, mutate_seed, p_star, pair, primitive,
@@ -367,15 +369,6 @@ def _open_face_witnesses(n, keys):
                         for i in range(len(n)))
 
 
-def _carries_wall(sd, n):
-    """Whether the middle factor modulo the box of n, exposed, is nontrivial
-    at the witness of one open face of the box arrangement in n-perp."""
-    k = sd.order // total_degree(n)
-    box = sd._below((tuple(k * x for x in n),))
-    return any(expose(_group(sd.carrier, _factor(sd.carrier, m, box)[1]),
-                      sd.convention).coeffs for m in _open_face_witnesses(n, box))
-
-
 # ---------------------------------------------------------------------------
 # the diagram object and its minimal cone complex
 # ---------------------------------------------------------------------------
@@ -383,14 +376,20 @@ def _carries_wall(sd, n):
 @dataclass
 class Cell:
     """One cell of the minimal complex: a union of arrangement faces on
-    which the diagram function is constant."""
+    which the diagram function is constant, which `value` gives if called."""
 
     dim: int
     faces: tuple            # member SignedFace sign vectors
-    function: object        # exposed GradedElement, or None for the identity
     rays: tuple
     lineality: tuple
     normal: tuple = None    # primitive wall normal for codimension-one cells
+    value: object = field(default=None, repr=False, compare=False)     # None on chambers
+
+    @cached_property
+    def function(self):
+        """The exposed function, or None for the identity, once asked."""
+        value = self.value and self.value()
+        return value if value and value.coeffs else None
 
 
 class MinimalComplex:
@@ -431,6 +430,7 @@ class ScatDiagram:
         self._closure = None
         self._keys = {}         # tops -> their down-set with the zero key
         self._middles = {}      # _sign_class(m) -> the middle factor at m
+        self._box_values = {}   # (n, signs of m on n's box) -> R_n(m)
 
     @staticmethod
     def from_group_element(g):
@@ -467,6 +467,21 @@ class ScatDiagram:
         keys = self._below(tuple(s for s, x in zip(closure, pairs) if x == 0))
         return keys, tuple((x > 0) - (x < 0) for s, x in zip(closure, pairs) if s in keys)
 
+    def _box(self, n):
+        """The box of n: the closure keys below k*n, the last multiple of n
+        within the order, and the zero key."""
+        return self._below((tuple(self.order // total_degree(n) * x for x in n),))
+
+    def _box_value(self, n, m):
+        """R_n(m), m on n-perp, kept per n and the signs of m on the box keys:
+        the factorization modulo the box reads nothing more (`wall_normals`)."""
+        box = self._box(n)
+        key = n, tuple((x > 0) - (x < 0) for x in (pair(m, d) for d in box))
+        if key not in self._box_values:
+            self._box_values[key] = expose(_group(self.carrier, _factor(self.carrier, m, box)[1]),
+                                           self.convention)
+        return self._box_values[key]
+
     def _below(self, tops):
         """The down-set of `tops` in the support closure, with the zero key."""
         if tops not in self._keys:
@@ -502,27 +517,48 @@ class ScatDiagram:
         of n, so R_n(m) is the ray-of-n part of the middle factor, up to the
         degree of k*n, beyond which the ray has no term.  A wall of normal n
         is a cone of dimension rank - 1 in n-perp, so it meets an open face:
-        n is a wall exactly when R_n is nontrivial at the witness of one.  The
-        test does not go through `phi`: a witness may lie on the hyperplane of
-        a closure key outside the box, which S(m) would then hold.
+        n is a wall exactly when R_n is nontrivial at the witness of one.
+        R_n is kept per n and signs (`_box_value`), a table the minimal
+        complex shares.  It does not go through `phi`, whose S(m) may hold a
+        closure key outside the box where a witness lies on its hyperplane.
         """
         if self._wall_normals is None:
-            self._wall_normals = tuple(n for n in self.candidate_normals()
-                                       if _carries_wall(self, n))
+            self._wall_normals = tuple(n for n in self.candidate_normals() if any(
+                self._box_value(n, m).coeffs for m in _open_face_witnesses(n, self._box(n))))
         return self._wall_normals
 
     def minimal_complex(self):
+        """The faces of the wall arrangement merged into cells.  A face of
+        codimension one has the value R_n at its witness, n its zero sign's
+        normal.  The value at a lower face is the product of the walls
+        through it, so faces merge by their star: the (n, value) pairs of the
+        nontrivial codimension-one faces whose closure holds them.  A lower
+        cell's function is `phi` at a witness, computed only when asked."""
         if self._complex is not None:
             return self._complex
         rank = self.seed.rank
         normals = self.wall_normals()
         faces = face_enumerate(normals, rank)
-        # a face of full dimension meets no wall: its value is the identity
-        one = GradedElement.one(self.seed, self.order, self.convention)
-        values = [self.phi(f.witness) if 0 in f.signs else one for f in faces]
-        by_value = {}
-        for i, z in enumerate(values):
-            by_value.setdefault(z, []).append(i)
+        # a face lies in the closure of another when its positive and its
+        # negative signs are among the other's
+        masks = [tuple(sum(1 << k for k, s in enumerate(f.signs) if s == t) for t in (1, -1))
+                 for f in faces]
+        # (n, value) -> its bit in a star; the index of a zero sign -> the
+        # masks and bits of the nontrivial codimension-one faces zero there,
+        # the only ones whose closure can hold a face zero there too
+        bits, walls = {}, {}
+        for f, mask in zip(faces, masks):
+            if f.dim == rank - 1:
+                z = f.signs.index(0)
+                value = self._box_value(normals[z], f.witness)
+                if value.coeffs:
+                    bit = 1 << bits.setdefault((normals[z], value), len(bits))
+                    walls.setdefault(z, []).append((mask, bit))
+        by_star = {}
+        for i, (f, (pi, ni)) in enumerate(zip(faces, masks)):
+            star = sum({bit for z, s in enumerate(f.signs) if s == 0
+                        for (pj, nj), bit in walls.get(z, ()) if not (pi & ~pj or ni & ~nj)})
+            by_star.setdefault(star, []).append(i)
         parent = list(range(len(faces)))
 
         def find(i):
@@ -531,11 +567,7 @@ class ScatDiagram:
                 i = parent[i]
             return i
 
-        # faces of equal value join when one lies in the closure of the other:
-        # its positive and its negative signs are among the other's
-        masks = [tuple(sum(1 << k for k, s in enumerate(f.signs) if s == t) for t in (1, -1))
-                 for f in faces]
-        for group in by_value.values():
+        for group in by_star.values():
             for a, i in enumerate(group):
                 pi, ni = masks[i]
                 for j in group[a + 1:]:
@@ -554,19 +586,22 @@ class ScatDiagram:
                      for r in f.rays}
         cells = []
         face_cell = {}
+        # the cells hold a copy of the diagram that shares its memos but not
+        # its complex: a cycle would keep a dropped diagram until a collection
+        sd = copy(self)
         for root, members in groups.items():
-            top = next(i for i in members if faces[i].dim == dims[root])
-            func = values[top] if values[top].coeffs else None
-            normal = None
-            if dims[root] == rank - 1:
-                f = faces[top]
-                zn = [n for n, s in zip(f.normals, f.signs) if s == 0]
-                normal = zn[0] if zn else None
+            f = faces[next(i for i in members if faces[i].dim == dims[root])]
+            normal, value = None, None
+            if f.dim == rank - 1:
+                normal = normals[f.signs.index(0)]
+                value = partial(sd._box_value, normal, f.witness)
+            elif f.dim < rank:
+                value = partial(sd.phi, f.witness)
             rays = tuple(sorted({r for i in members for r in faces[i].rays if r in edge_rays}))
             for i in members:
                 face_cell[faces[i].signs] = len(cells)
-            cells.append(Cell(dims[root], tuple(faces[i].signs for i in members),
-                              func, rays, lineality, normal))
+            cells.append(Cell(f.dim, tuple(faces[i].signs for i in members),
+                              rays, lineality, normal, value))
         self._complex = MinimalComplex(rank, normals, faces, cells, face_cell)
         return self._complex
 

@@ -1,4 +1,7 @@
+import gc
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -506,9 +509,9 @@ def test_wall_detection_factorization_count(seed, order, cap, walls, monkeypatch
 
 
 def test_minimal_complex_factorization_count(monkeypatch):
-    # Markov quantum order 6: 1,375 factorizations on the faces of the
-    # complex with one per face, 835 with one per sign class
-    sd = quantum_cluster_sd(markov_seed(), 6)
+    # Markov quantum: at order 6 the complex made 1,375 factorizations with
+    # one per face and 835 with one per sign class of `phi`; the box values
+    # of its codimension-one faces make 96.  At order 3 they make 6, not 97
     runs = []
     run = scattering._FactorizationState.run
 
@@ -516,11 +519,36 @@ def test_minimal_complex_factorization_count(monkeypatch):
         runs.append(self.m)
         return run(self, g)
     monkeypatch.setattr(scattering._FactorizationState, "run", counted)
-    assert sd.wall_normals() == MARKOV6_WALLS
-    assert len(runs) <= 189
-    del runs[:]
-    assert len(sd.minimal_complex().cells) == 255
-    assert len(runs) <= 900
+    for order, cells, wall_cap, complex_cap in ((3, 81, 21, 10), (6, 255, 189, 120)):
+        sd = quantum_cluster_sd(markov_seed(), order)
+        del runs[:]
+        sd.wall_normals()
+        walls = len(runs)
+        assert walls <= wall_cap
+        assert len(sd.minimal_complex().cells) == cells
+        assert len(runs) - walls <= complex_cap
+        assert len(runs) <= 400
+
+
+def test_scatter_computes_no_lower_cell_function(tmp_path, monkeypatch):
+    # the Markov quantum order-6 `scatter` lists walls and chambers only, so
+    # no lower cell's function is computed: no `_middle` at all.  It made
+    # 35,063 polynomial gcds with `phi` on every face, 7,269 without
+    from scatdiag import cli
+    spies = {}
+    for owner, name in ((coeff, "_pgcd"), (ScatDiagram, "_middle")):
+        real, calls = getattr(owner, name), []
+        spies[name] = calls
+
+        def spy(*args, real=real, calls=calls):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    path = tmp_path / "markov.json"
+    path.write_text(json.dumps(markov_seed().to_json()))
+    assert cli.main(["scatter", "--seed", str(path), "--order", "6"]) == 0
+    assert len(spies["_middle"]) == 0
+    assert len(spies["_pgcd"]) <= 9000
 
 
 def test_completion_gcd_count(monkeypatch):
@@ -569,9 +597,9 @@ def _down_set(sd, m):
 def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv,
                                                               monkeypatch):
     # the wall function factors modulo the monomials outside the down-set
-    # of the closure keys on m-perp, once per sign class of m on it: at the
-    # face witnesses `_middle` reads what the complex left in the memo.  The
-    # full factorization is its oracle
+    # of the closure keys on m-perp, once per sign class of m on it, here at
+    # the face witnesses of the complex and at points of the wall planes.
+    # The full factorization is its oracle
     from scatdiag.lattice import pair
     rng = random.Random(17)
     sd = BUILDERS[conv](seed, order)
@@ -617,21 +645,80 @@ def test_minimal_complex_partition(rng):
             assert val == cell.function
 
 
+def _slow_path_differences(sd):
+    """Where the complex differs from its slow path, `phi` at every face
+    witness merged over every ordered pair of faces: the cells, each
+    codimension-one face's box value and each member face's function."""
+    mc = sd.minimal_complex()
+    values = [sd.phi(f.witness) for f in mc.faces]
+    cells = [tuple(mc.faces[i].signs for i in cell) for cell in
+             cells_by_all_pairs(mc.faces, [tuple(sorted(z.coeffs.items())) for z in values])]
+    out = [] if [c.faces for c in mc.cells] == cells else [("cells",)]
+    for f, z in zip(mc.faces, values):
+        if f.dim == sd.seed.rank - 1 and sd._box_value(mc.normals[f.signs.index(0)],
+                                                       f.witness) != z:
+            out.append(("box", f.signs))
+        function = mc.cell(f.signs).function
+        if (function.coeffs if function else {}) != z.coeffs:
+            out.append(("function", f.signs))
+    return out
+
+
+RANDOM_SEEDS = [(random_skew_seed(random.Random(i), 3), 4) for i in (1, 2)] + \
+    [(random_skew_seed(random.Random(1), 4, bound=1), 3)]
+
+
 @pytest.mark.parametrize("build, seed, order", [
     (quantum_cluster_sd, A3, 5), (cluster_sd, A3, 5),
     (quantum_cluster_sd, kronecker_seed(2), 6), (dt_in_sd, kronecker_seed(3), 5),
-    (quantum_cluster_sd, markov_seed(), 5), (cluster_sd, markov_seed(), 4)],
+    (quantum_cluster_sd, markov_seed(), 5), (cluster_sd, markov_seed(), 4),
+    *((BUILDERS[conv], seed, order) for seed, order in RANDOM_SEEDS
+      for conv in (QUANTUM, CLASSICAL, DT_TWIST))],
     ids=["a3-quantum-5", "a3-classical-5", "kronecker2-quantum-6",
-         "kronecker3-dt-5", "markov-quantum-5", "markov-classical-4"])
+         "kronecker3-dt-5", "markov-quantum-5", "markov-classical-4",
+         *("random%d-rank%d-%s" % (i, seed.rank, conv) for i, (seed, _) in enumerate(RANDOM_SEEDS)
+           for conv in (QUANTUM, CLASSICAL, DT_TWIST))])
 def test_cells_match_the_all_pairs_merge(build, seed, order):
-    # the complex joins faces of one value by bitmasks on their signs; the
-    # merge over every ordered pair of faces is the oracle
-    sd = build(seed, order)
+    # the complex values codimension-one faces by their boxes and joins
+    # faces of one star by bitmasks on their signs; `phi` on every face and
+    # the merge over every ordered pair of faces are the oracle
+    assert _slow_path_differences(build(seed, order)) == []
+
+
+def test_box_memo_keyed_on_the_normal_alone_is_caught(monkeypatch):
+    # negative control: a box memo without the signs of the witness gives
+    # every face of a wall hyperplane the value of the first one asked
+    real = ScatDiagram._box_value
+
+    def by_normal(self, n, m):
+        return self._box_values.setdefault(n, real(self, n, m))
+
+    found = []
+    for build, seed, order in [(quantum_cluster_sd, A3, 5), (cluster_sd, markov_seed(), 4)]:
+        sd = build(seed, order)
+        sd.wall_normals()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScatDiagram, "_box_value", by_normal)
+            sd.minimal_complex()
+            found.append(_slow_path_differences(sd))
+    assert all(("cells",) in diffs for diffs in found)
+
+
+def test_a_dropped_diagram_is_freed_at_once():
+    # the cells compute lower functions later without holding the diagram
+    # in a cycle, which only the collector would free: across the rounds of
+    # one process the garbage raised the peak memory of `scatter`
+    sd = quantum_cluster_sd(markov_seed(), 3)
     mc = sd.minimal_complex()
-    values = [tuple(sorted(sd.phi(f.witness).coeffs.items())) if 0 in f.signs else ()
-              for f in mc.faces]
-    assert [c.faces for c in mc.cells] == \
-        [tuple(mc.faces[i].signs for i in cell) for cell in cells_by_all_pairs(mc.faces, values)]
+    ref = weakref.ref(sd)
+    gc.disable()
+    try:
+        del sd
+        assert ref() is None
+    finally:
+        gc.enable()
+    lower = [c for c in mc.cells if c.dim < 2]
+    assert lower and all(c.function is not None for c in lower)
 
 
 def test_identity_diagram_complex():
