@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .lattice import Seed, mutate_seed
+from .lattice import Seed, check_depth, mutate_seed
 from .torus import GradedElement, dilog_group_element
 from .scattering import Report, corrupted, expose, to_carrier, _first_difference
 
@@ -76,6 +76,7 @@ def chamber_from_sequence(seed, sequence):
 def enumerate_chambers(seed, max_depth):
     """Breadth-first walk of the mutation tree, deduplicating chambers by
     their generator sets; immediate backtracking is skipped."""
+    check_depth(max_depth)
     root = chamber_from_sequence(seed, ())
     seen = {root.key(): root}
     queue = deque([root])
@@ -103,6 +104,7 @@ def _green_to_red(seed, max_depth, green_restricted):
     The restricted mode mutates only at green vertices (positive c-vector);
     the unrestricted mode searches every sequence.
     """
+    check_depth(max_depth)
     target = negative_chamber_key(seed)
     queue = deque([chamber_from_sequence(seed, ())])
     while queue:

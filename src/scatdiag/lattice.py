@@ -116,6 +116,12 @@ def check_covector(m, rank):
         raise ValueError("covector has %d entries, the seed rank is %d" % (len(m), rank))
 
 
+def check_depth(depth):
+    """Reject a search depth that is not a non-negative int (a bool is none)."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValueError("depth must be a non-negative integer, got %r" % (depth,))
+
+
 def total_degree(d):
     return sum(d)
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Seed, mutate_seed
+from .lattice import Seed, check_depth, mutate_seed
 
 DEFAULT_CAP = 12
 
@@ -390,6 +390,7 @@ def is_k_mutable(quiver, potential, k):
 
 def nondegenerate_to_depth(quiver, potential, depth):
     """Check k-mutability along every mutation sequence of length <= depth."""
+    check_depth(depth)
     if depth == 0:
         return True
     for k in range(1, quiver.nvertices + 1):

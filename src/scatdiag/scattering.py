@@ -218,7 +218,7 @@ def _ray_targets(eta, seed, order, convention):
         for d in g.coeffs:
             if primitive(d) != n:
                 raise ValueError("entry at %r not supported on its ray" % (n,))
-        lie = to_carrier(g).log()
+        lie = to_carrier(g.log())
         if lie.coeffs:
             targets[n] = dict(lie.coeffs)
     return targets
@@ -376,7 +376,8 @@ def _open_face_witnesses(n, keys):
 @dataclass
 class Cell:
     """One cell of the minimal complex: a union of arrangement faces on
-    which the diagram function is constant, which `value` gives if called."""
+    which the diagram function is constant.  `value`, if called, gives it as
+    the pair (in the carrier, exposed)."""
 
     dim: int
     faces: tuple            # member SignedFace sign vectors
@@ -388,7 +389,7 @@ class Cell:
     @cached_property
     def function(self):
         """The exposed function, or None for the identity, once asked."""
-        value = self.value and self.value()
+        value = self.value and self.value()[1]
         return value if value and value.coeffs else None
 
 
@@ -424,13 +425,8 @@ class ScatDiagram:
         self.order = order
         self.convention = convention
         self.carrier = carrier
-        self._complex = None
-        self._exposed = None
-        self._wall_normals = None
-        self._closure = None
         self._keys = {}         # tops -> their down-set with the zero key
-        self._middles = {}      # _sign_class(m) -> the middle factor at m
-        self._box_values = {}   # (n, signs of m on n's box) -> R_n(m)
+        self._middles = {}      # (down-set, signs of m on it) -> (carrier, exposed)
 
     @staticmethod
     def from_group_element(g):
@@ -438,76 +434,65 @@ class ScatDiagram:
             raise ValueError("a diagram needs a group element")
         return ScatDiagram(g.seed, g.order, g.convention, to_carrier(g))
 
+    @cached_property
+    def _exposed(self):
+        return expose(self.carrier, self.convention)
+
     def group_element(self):
-        if self._exposed is None:
-            self._exposed = expose(self.carrier, self.convention)
         return self._exposed
 
     def phi(self, m):
-        return expose(self._middle(m), self.convention)
+        return self._middle(m)[1]
 
-    def _middle(self, m):
-        """The middle factor at m in the carrier.  Its keys lie in S(m), the
-        closure keys on m-perp, so it is factored modulo the monomials outside
-        the down-set of S(m).  That factorization reads m only through its
-        signs on the down-set (`_FactorizationState.finish_layer`), so it is
-        kept per sign class."""
-        key = self._sign_class(m)
-        if key not in self._middles:
-            self._middles[key] = _group(self.carrier, _factor(self.carrier, m, key[0])[1])
-        return self._middles[key]
-
-    def _sign_class(self, m):
-        """The down-set of S(m) and the signs of m on it.  The length of m is
+    def _middle(self, m, tops=None):
+        """The middle factor at m, in the carrier and exposed, modulo the
+        monomials outside the down-set of `tops` in the support closure; by
+        default `tops` is S(m), the closure keys on m-perp, which hold its
+        keys.  This factorization reads m only through its signs on the
+        down-set (`_FactorizationState.finish_layer`), so it is kept per
+        down-set and signs, read in closure order.  The length of m is
         checked first: pairing through zip would give a covector with a
         missing or an extra coordinate the class of another."""
         check_covector(m, self.seed.rank)
-        closure = self._support_closure()
-        pairs = [pair(m, s) for s in closure]
-        keys = self._below(tuple(s for s, x in zip(closure, pairs) if x == 0))
-        return keys, tuple((x > 0) - (x < 0) for s, x in zip(closure, pairs) if s in keys)
+        if tops is None:
+            tops = tuple(s for s in self._closure if pair(m, s) == 0)
+        keys = self._below(tops)
+        key = keys, tuple((x > 0) - (x < 0) for x in
+                          (pair(m, s) for s in self._closure if s in keys))
+        if key not in self._middles:
+            middle = _group(self.carrier, _factor(self.carrier, m, keys)[1])
+            self._middles[key] = middle, expose(middle, self.convention)
+        return self._middles[key]
 
-    def _box(self, n):
-        """The box of n: the closure keys below k*n, the last multiple of n
-        within the order, and the zero key."""
-        return self._below((tuple(self.order // total_degree(n) * x for x in n),))
-
-    def _box_value(self, n, m):
-        """R_n(m), m on n-perp, kept per n and the signs of m on the box keys:
-        the factorization modulo the box reads nothing more (`wall_normals`)."""
-        box = self._box(n)
-        key = n, tuple((x > 0) - (x < 0) for x in (pair(m, d) for d in box))
-        if key not in self._box_values:
-            self._box_values[key] = expose(_group(self.carrier, _factor(self.carrier, m, box)[1]),
-                                           self.convention)
-        return self._box_values[key]
+    def _top(self, n):
+        """The top of n's box: k*n, the last multiple of n within the order."""
+        return (tuple(self.order // total_degree(n) * x for x in n),)
 
     def _below(self, tops):
         """The down-set of `tops` in the support closure, with the zero key."""
         if tops not in self._keys:
-            self._keys[tops] = _down_set(self._support_closure(), tops, _zero_key(self.seed))
+            self._keys[tops] = _down_set(self._closure, tops, _zero_key(self.seed))
         return self._keys[tops]
 
-    def _support_closure(self):
+    @cached_property
+    def _closure(self):
         """The support's closure: it holds each key of each factor at each m."""
-        if self._closure is None:
-            self._closure = tuple(sorted(_semigroup_closure(
-                set(self.carrier.coeffs), self.order, self.seed.rank)))
-        return self._closure
+        return tuple(sorted(_semigroup_closure(
+            set(self.carrier.coeffs), self.order, self.seed.rank)))
 
     def candidate_normals(self):
         """Primitive directions of the support closure; every wall normal
         is among them."""
-        return tuple(sorted({primitive(d) for d in self._support_closure()}))
+        return tuple(sorted({primitive(d) for d in self._closure}))
 
     def wall_normals(self):
         """Normals whose hyperplane carries a nontrivial wall somewhere.
 
         Candidates come from the support closure, and each is decided alone,
         from its box: the zero key and the closure keys below k*n, for k*n
-        the last multiple of n within the order.  Write R_n(m) for the middle
-        factor at m on n-perp, factored modulo the monomials outside the box
-        and exposed in the diagram's convention.
+        the last multiple of n within the order (`_top`).  Write R_n(m) for
+        the middle factor at m on n-perp, factored modulo the monomials
+        outside the box and exposed in the diagram's convention.
 
         The box is a down-set, so on its keys this factorization agrees with
         the unrestricted one, and it reads m only through the signs of m on
@@ -518,14 +503,17 @@ class ScatDiagram:
         degree of k*n, beyond which the ray has no term.  A wall of normal n
         is a cone of dimension rank - 1 in n-perp, so it meets an open face:
         n is a wall exactly when R_n is nontrivial at the witness of one.
-        R_n is kept per n and signs (`_box_value`), a table the minimal
-        complex shares.  It does not go through `phi`, whose S(m) may hold a
-        closure key outside the box where a witness lies on its hyperplane.
+        R_n is `_middle` at the box top, in the table the minimal complex
+        and `phi` share.  It is not `phi`, whose S(m) may hold a closure key
+        outside the box where a witness lies on its hyperplane.
         """
-        if self._wall_normals is None:
-            self._wall_normals = tuple(n for n in self.candidate_normals() if any(
-                self._box_value(n, m).coeffs for m in _open_face_witnesses(n, self._box(n))))
         return self._wall_normals
+
+    @cached_property
+    def _wall_normals(self):
+        return tuple(n for n in self.candidate_normals() if any(
+            self._middle(m, self._top(n))[1].coeffs
+            for m in _open_face_witnesses(n, self._below(self._top(n)))))
 
     def minimal_complex(self):
         """The faces of the wall arrangement merged into cells.  A face of
@@ -534,8 +522,10 @@ class ScatDiagram:
         through it, so faces merge by their star: the (n, value) pairs of the
         nontrivial codimension-one faces whose closure holds them.  A lower
         cell's function is `phi` at a witness, computed only when asked."""
-        if self._complex is not None:
-            return self._complex
+        return self._complex
+
+    @cached_property
+    def _complex(self):
         rank = self.seed.rank
         normals = self.wall_normals()
         faces = face_enumerate(normals, rank)
@@ -550,7 +540,7 @@ class ScatDiagram:
         for f, mask in zip(faces, masks):
             if f.dim == rank - 1:
                 z = f.signs.index(0)
-                value = self._box_value(normals[z], f.witness)
+                value = self._middle(f.witness, self._top(normals[z]))[1]
                 if value.coeffs:
                     bit = 1 << bits.setdefault((normals[z], value), len(bits))
                     walls.setdefault(z, []).append((mask, bit))
@@ -594,27 +584,20 @@ class ScatDiagram:
             normal, value = None, None
             if f.dim == rank - 1:
                 normal = normals[f.signs.index(0)]
-                value = partial(sd._box_value, normal, f.witness)
+                value = partial(sd._middle, f.witness, sd._top(normal))
             elif f.dim < rank:
-                value = partial(sd.phi, f.witness)
+                value = partial(sd._middle, f.witness)
             rays = tuple(sorted({r for i in members for r in faces[i].rays if r in edge_rays}))
             for i in members:
                 face_cell[faces[i].signs] = len(cells)
             cells.append(Cell(f.dim, tuple(faces[i].signs for i in members),
                               rays, lineality, normal, value))
-        self._complex = MinimalComplex(rank, normals, faces, cells, face_cell)
-        return self._complex
+        return MinimalComplex(rank, normals, faces, cells, face_cell)
 
 
 # ---------------------------------------------------------------------------
 # standard diagrams
 # ---------------------------------------------------------------------------
-
-def cluster_sd(seed, order):
-    eta = {n: dilog_group_element(seed, n, order, CLASSICAL)
-           for n in _unit_basis(seed.rank)}
-    return complete_from_initial(eta, seed, order, CLASSICAL)
-
 
 def quantum_cluster_sd(seed, order):
     eta = {n: dilog_group_element(seed, n, order, QUANTUM)
@@ -626,6 +609,12 @@ def dt_in_sd(seed, order):
     """The dt cluster diagram, a view of the quantum one: its initial data
     is sigma of the quantum data, so it completes to the same carrier."""
     return ScatDiagram(seed, order, DT_TWIST, quantum_cluster_sd(seed, order).carrier)
+
+
+def cluster_sd(seed, order):
+    """The classical cluster diagram, a view of the quantum one: its carrier
+    is the quantum diagram's, exposed by the classical limit."""
+    return ScatDiagram(seed, order, CLASSICAL, quantum_cluster_sd(seed, order).carrier)
 
 
 # the completed diagram of a seed's cluster initial data, by convention
@@ -665,7 +654,7 @@ def path_ordered_product(sd, a, b):
     for t in sorted(crossings):
         n, downward = crossings[t]
         point = tuple(x + t * (y - x) for x, y in zip(a, b))
-        value = sd._middle(point)
+        value = sd._middle(point)[0]
         if not downward:
             value = value.group_inverse()
         result = result.mul(value)

@@ -12,8 +12,9 @@ term), the power series that adds one canonical coefficient per power,
 the log of the dilogarithm written down directly, the cells of the minimal
 complex by comparing every pair of faces, the cell of a covector by pairing
 it with every wall normal, the piecewise-linear transform T_k applied to a
-point, and completion states that each factor the whole support.  None of
-them runs in the package.
+point, completion states that each factor the whole support, and the
+classical cluster diagram completed from its own lifted initial data.  None
+of them runs in the package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
@@ -28,7 +29,7 @@ from scatdiag.lattice import _cut, _ray_sum, _unit_basis, p_star, pair, skew, to
 from scatdiag.qp import cyclic_derivative
 from scatdiag.reps import (Rep, all_subspaces, is_semistable, kernel_basis, make_rep, mat_mul,
                            mat_vec, rref_p)
-from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement
+from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement, dilog_group_element
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,18 @@ def t_k(seed, k, sign, m):
             return tuple(mi - row[i] * mk for i, mi in enumerate(m))
         return tuple(m)
     raise ValueError("sign must be +1 or -1")
+
+
+# ---------------------------------------------------------------------------
+# the classical cluster diagram, completed on its own
+# ---------------------------------------------------------------------------
+
+def lifted_cluster_sd(seed, order):
+    """The classical cluster diagram completed from the classical dilogarithms
+    at the unit vectors, carried by their canonical quantum lifts: it shares
+    no completion with the quantum diagram that `cluster_sd` views."""
+    eta = {n: dilog_group_element(seed, n, order, CLASSICAL) for n in _unit_basis(seed.rank)}
+    return scattering.complete_from_initial(eta, seed, order, CLASSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from scatdiag.lattice import Seed, a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import CLASSICAL, DT_TWIST, QUANTUM
 from scatdiag.chambers import (chamber_from_sequence, crossing_data,
                                dt_series, enumerate_chambers,
                                enumerate_green_to_red, find_green_to_red)
+from scatdiag.qp import SeedWithPotential, nondegenerate_to_depth
 from scatdiag.scattering import cluster_sd, dt_in_sd, quantum_cluster_sd
 
 F = Fraction
@@ -204,3 +207,21 @@ def test_dt_series_a3_sequence_independent():
     assert len(seqs) >= 2
     values = {dt_series(a3_seed(), s, 5, QUANTUM) for s in seqs[:4]}
     assert len(values) == 1
+
+
+def _nondegenerate_a2(depth):
+    sp = SeedWithPotential.make(a2_seed())
+    return nondegenerate_to_depth(sp.quiver, sp.potential, depth)
+
+
+@pytest.mark.parametrize("search", [
+    lambda depth: enumerate_chambers(a2_seed(), depth),
+    lambda depth: find_green_to_red(a2_seed(), depth),
+    lambda depth: enumerate_green_to_red(a2_seed(), depth),
+    _nondegenerate_a2], ids=["chambers", "find-g2r", "enumerate-g2r", "nondegenerate"])
+@pytest.mark.parametrize("depth", [-1, 1.5, 2.0, True, "2", None])
+def test_a_bad_depth_is_refused(search, depth):
+    # a depth that is no non-negative int was read as another depth (True as
+    # 1, a negative one as 0) or recursed without end
+    with pytest.raises(ValueError, match="depth"):
+        search(depth)

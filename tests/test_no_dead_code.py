@@ -1,8 +1,10 @@
-"""No dead code in the package: every import is used, and every private
+"""No dead code in the package: every import is used, every private
 module-level function or class is referenced somewhere in src/ or tests/,
-outside its own def.  The package holds what it runs: a public module-level
-function is used in src/ or exported from `__init__`, and a public method is
-used in src/ unless its class is exported, when a use in tests/ will do.
+outside its own def, and every private method of a class is looked up as
+an attribute there, outside its own def.  The package holds what it runs:
+a public module-level function is used in src/ or exported from
+`__init__`, and a public method is used in src/ unless its class is
+exported, when a use in tests/ will do.
 Every function of the test oracles is called by some test.  A module-level
 function counts as used only where its name is read, imported or looked up
 on a module, so a method call of the same name does not keep it alive; a
@@ -106,6 +108,19 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced):
                 dead.append("%s: %s" % (path.name, node.name))
+    assert not dead
+
+
+def test_every_private_method_is_referenced():
+    lookups, _ = _uses(SRC + TESTS)
+    dead = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                dead.extend("%s: %s.%s" % (path.name, node.name, fn.name) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                            and not fn.name.startswith("__")
+                            and lookups[fn.name] == list(_attribute_uses(fn)).count(fn.name))
     assert not dead
 
 

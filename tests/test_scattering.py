@@ -15,14 +15,15 @@ from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
                             classical_map, dilog_group_element)
 from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
                                  _factor, _group, central_difference, cluster_sd,
-                                 complete_from_initial, dt_in_sd,
+                                 complete_from_initial, corrupted, dt_in_sd,
                                  endpoint_product, expose, factorize,
                                  mutate_sd_check, mutation_suite, path_ordered_product,
                                  psi_extract,
                                  quantum_cluster_sd, to_carrier)
 from conftest import (random_initial_data, random_lie, random_rational_point,
                       random_skew_seed)
-from oracles import cells_by_all_pairs, full_ray_states, is_face_of, locate, nullspace, t_k
+from oracles import (cells_by_all_pairs, full_ray_states, is_face_of, lifted_cluster_sd, locate,
+                     nullspace, t_k)
 
 F = Fraction
 v = CoeffFn.v_power
@@ -126,10 +127,11 @@ def test_a2_classical_and_dt_walls():
 
 
 def test_e_map_compatibility():
-    # classical_map(quantum cluster diagram) = classical cluster diagram
+    # classical_map(quantum cluster diagram) = classical cluster diagram,
+    # completed on its own from the lifted classical data
     a2 = a2_seed()
     q = quantum_cluster_sd(a2, 6).group_element()
-    c = cluster_sd(a2, 6).group_element()
+    c = lifted_cluster_sd(a2, 6).group_element()
     assert classical_map(q) == c
 
 
@@ -354,6 +356,41 @@ D4 = Seed(((0, 1, 0, 0), (-1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0)))
 CYCLE3 = Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
 
 
+def _diagram_view(sd):
+    """The group element and the minimal complex: its normals, its cells
+    with their member faces, its walls with their functions and its
+    chambers."""
+    mc = sd.minimal_complex()
+    return (sd.group_element(), mc.normals,
+            [(c.dim, c.faces, c.rays, c.lineality, c.normal) for c in mc.cells],
+            [(c.normal, c.rays, c.function) for c in mc.walls()],
+            [c.rays for c in mc.chambers()])
+
+
+CLASSICAL_VIEW_CASES = [
+    (a2_seed(), 6), (A3, 5), (kronecker_seed(2), 6), (kronecker_seed(3), 5),
+    (markov_seed(), 4), (A4, 3),
+    *((random_skew_seed(random.Random(i), 3), 4) for i in (1, 2, 3))]
+
+
+@pytest.mark.parametrize("seed, order", CLASSICAL_VIEW_CASES,
+                         ids=["a2-6", "a3-5", "kronecker2-6", "kronecker3-5", "markov-4",
+                              "a4-3", "random1-4", "random2-4", "random3-4"])
+def test_classical_diagram_is_a_view_of_the_quantum_one(seed, order):
+    # cluster_sd exposes the quantum carrier by its classical limit; the
+    # classical completion of the lifted classical data is its oracle
+    want = _diagram_view(lifted_cluster_sd(seed, order))
+    sd = cluster_sd(seed, order)
+    assert _diagram_view(sd) == want
+    if order >= seed.rank:
+        # negative control: the view of a carrier whose classical limit is
+        # corrupted.  Corrupting the quantum carrier itself would not show:
+        # the classical limit multiplies the log coefficient of its bump
+        # exp(x^(1,...,1)) by v - 1/v, which vanishes at v = 1
+        bad = ScatDiagram.from_group_element(corrupted(sd.group_element()))
+        assert _diagram_view(bad) != want
+
+
 def test_a4_walls_are_the_positive_roots():
     # the candidates of degree <= 2 are the 4 simple and 6 pair sums; only
     # the 7 positive roots carry walls
@@ -372,24 +409,26 @@ def _two_rays_sd(seed, order):
     return complete_from_initial(eta, seed, order, QUANTUM)
 
 
+# the classical cases complete the lifted classical data, which the package
+# still completes for user initial data: `cluster_sd` views the quantum carrier
 WALL_CASES = [
     (quantum_cluster_sd, Seed(((0,),)), 4),
     (quantum_cluster_sd, a2_seed(), 5),
-    (cluster_sd, a2_seed(), 4),
+    (lifted_cluster_sd, a2_seed(), 4),
     (quantum_cluster_sd, A3, 3),
     (quantum_cluster_sd, markov_seed(), 3),
     (quantum_cluster_sd, Seed(((0, 1, 0), (-1, 0, 0), (0, 0, 0))), 4),
-    (cluster_sd, CYCLE3, 3),
+    (lifted_cluster_sd, CYCLE3, 3),
     (quantum_cluster_sd, A4, 2),
     # walls above the lowest degree, whose planes later walls may cut
     (quantum_cluster_sd, A3, 4),
     (quantum_cluster_sd, CYCLE3, 4),
-    (cluster_sd, Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0))), 4),
+    (lifted_cluster_sd, Seed(((0, 1, 1), (-1, 0, 1), (-1, -1, 0))), 4),
     (quantum_cluster_sd, D4, 2),
-    (cluster_sd, A3, 5),
+    (lifted_cluster_sd, A3, 5),
     (quantum_cluster_sd, markov_seed(), 5),
-    (cluster_sd, markov_seed(), 4),
-    (cluster_sd, kronecker_seed(3), 7),
+    (lifted_cluster_sd, markov_seed(), 4),
+    (lifted_cluster_sd, kronecker_seed(3), 7),
     (_two_rays_sd, a2_seed(), 6),
 ]
 
@@ -532,8 +571,9 @@ def test_minimal_complex_factorization_count(monkeypatch):
 
 def test_scatter_computes_no_lower_cell_function(tmp_path, monkeypatch):
     # the Markov quantum order-6 `scatter` lists walls and chambers only, so
-    # no lower cell's function is computed: no `_middle` at all.  It made
-    # 35,063 polynomial gcds with `phi` on every face, 7,269 without
+    # no lower cell's function is computed: `_middle` is asked at box tops
+    # only, never at its default S(m).  It made 35,063 polynomial gcds with
+    # `phi` on every face, 7,269 without
     from scatdiag import cli
     spies = {}
     for owner, name in ((coeff, "_pgcd"), (ScatDiagram, "_middle")):
@@ -547,7 +587,7 @@ def test_scatter_computes_no_lower_cell_function(tmp_path, monkeypatch):
     path = tmp_path / "markov.json"
     path.write_text(json.dumps(markov_seed().to_json()))
     assert cli.main(["scatter", "--seed", str(path), "--order", "6"]) == 0
-    assert len(spies["_middle"]) == 0
+    assert spies["_middle"] and [a for a in spies["_middle"] if len(a) < 3] == []
     assert len(spies["_pgcd"]) <= 9000
 
 
@@ -583,10 +623,24 @@ def test_full_dimensional_faces_are_identity(seed, conv, order):
 def _down_set(sd, m):
     """The zero key and the support-closure keys below a closure key on m-perp."""
     from scatdiag.lattice import pair
-    on_perp = [s for s in sd._support_closure() if pair(m, s) == 0]
+    on_perp = [s for s in sd._closure if pair(m, s) == 0]
     return {(0,) * sd.seed.rank} | {
-        d for d in sd._support_closure()
+        d for d in sd._closure
         if any(all(a <= b for a, b in zip(d, s)) for s in on_perp)}
+
+
+class _DownSetOnly(dict):
+    """A middle-factor table that reads each (down-set, signs) key by its
+    down-set alone."""
+
+    def __contains__(self, key):
+        return super().__contains__(key[0])
+
+    def __getitem__(self, key):
+        return super().__getitem__(key[0])
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
 
 
 @pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
@@ -594,8 +648,7 @@ def _down_set(sd, m):
                          [(a2_seed(), 6), (A3, 4), (kronecker_seed(), 5),
                           (markov_seed(), 3)],
                          ids=["a2", "a3", "kronecker", "markov"])
-def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv,
-                                                              monkeypatch):
+def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv):
     # the wall function factors modulo the monomials outside the down-set
     # of the closure keys on m-perp, once per sign class of m on it, here at
     # the face witnesses of the complex and at points of the wall planes.
@@ -615,7 +668,7 @@ def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv,
     for m in points:
         want = _factor(sd.carrier, m)[1]
         wants.append(want)
-        assert sd._middle(m).coeffs == want
+        assert sd._middle(m)[0].coeffs == want
         keys = _down_set(sd, m)
         assert _factor(sd.carrier, m, keys)[1] == want
         # negative control: drop one key below a key of the middle factor,
@@ -625,11 +678,11 @@ def test_middle_factor_matches_the_unrestricted_factorization(seed, order, conv,
         control = control or any(_factor(sd.carrier, m, keys - {d})[1] != want
                                  for d in below)
     assert control
-    # negative control: a memo key without the signs of m joins sign classes
-    real = ScatDiagram._sign_class
-    monkeypatch.setattr(ScatDiagram, "_sign_class", lambda self, m: (real(self, m)[0], ()))
+    # negative control: a table that reads its keys without the signs of m
+    # joins sign classes
     blind = BUILDERS[conv](seed, order)
-    assert any(blind._middle(m).coeffs != want for m, want in zip(points, wants))
+    blind._middles = _DownSetOnly()
+    assert any(blind._middle(m)[0].coeffs != want for m, want in zip(points, wants))
 
 
 def test_minimal_complex_partition(rng):
@@ -655,8 +708,8 @@ def _slow_path_differences(sd):
              cells_by_all_pairs(mc.faces, [tuple(sorted(z.coeffs.items())) for z in values])]
     out = [] if [c.faces for c in mc.cells] == cells else [("cells",)]
     for f, z in zip(mc.faces, values):
-        if f.dim == sd.seed.rank - 1 and sd._box_value(mc.normals[f.signs.index(0)],
-                                                       f.witness) != z:
+        if f.dim == sd.seed.rank - 1 and \
+                sd._middle(f.witness, sd._top(mc.normals[f.signs.index(0)]))[1] != z:
             out.append(("box", f.signs))
         function = mc.cell(f.signs).function
         if (function.coeffs if function else {}) != z.coeffs:
@@ -686,19 +739,21 @@ def test_cells_match_the_all_pairs_merge(build, seed, order):
 
 
 def test_box_memo_keyed_on_the_normal_alone_is_caught(monkeypatch):
-    # negative control: a box memo without the signs of the witness gives
-    # every face of a wall hyperplane the value of the first one asked
-    real = ScatDiagram._box_value
+    # negative control: a table keyed on the box top k*n alone, without the
+    # signs of the witness, gives every face of a wall hyperplane the value
+    # of the first one asked
+    real = ScatDiagram._middle
 
-    def by_normal(self, n, m):
-        return self._box_values.setdefault(n, real(self, n, m))
+    def by_top(self, m, tops=None):
+        return real(self, m) if tops is None else \
+            self._middles.setdefault(tops, real(self, m, tops))
 
     found = []
     for build, seed, order in [(quantum_cluster_sd, A3, 5), (cluster_sd, markov_seed(), 4)]:
         sd = build(seed, order)
         sd.wall_normals()
         with monkeypatch.context() as patch:
-            patch.setattr(ScatDiagram, "_box_value", by_normal)
+            patch.setattr(ScatDiagram, "_middle", by_top)
             sd.minimal_complex()
             found.append(_slow_path_differences(sd))
     assert all(("cells",) in diffs for diffs in found)
