@@ -2,7 +2,7 @@
 
 from .lattice import Seed, a2_seed, a3_seed, kronecker_seed, markov_seed
 from .torus import (CLASSICAL, DT_TWIST, QUANTUM, GradedElement,
-                    classical_map, dilog_group_element)
+                    classical_map, dilog_group_element, lift_classical)
 from .scattering import (ScatDiagram, central_difference, cluster_sd,
                          complete_from_initial, dt_in_sd, endpoint_product,
                          factorize, mutate_sd_check, path_ordered_product,

@@ -13,7 +13,7 @@ oracles) stores its coefficients as CoeffFn values; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 class PoleError(ArithmeticError):
@@ -310,14 +310,24 @@ class CoeffFn:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_at_v1(self):
-        """Exact value at v = 1 (the classical limit); PoleError at a pole."""
+    def eval_at_v1(self, k=0):
+        """Exact value at v = 1 of self / (v - 1/v)^k for an int k >= 0 (the
+        classical limit; `torus.framed_limit` reads x^d with k = |d| - 1);
+        PoleError at a pole.
+
+        With self = v^shift num/den in lowest terms and v - 1/v =
+        (v - 1)(v + 1)/v, the value is T_k / (den(1) 2^k), T_j the Taylor
+        coefficients of num at v = 1, when den(1) != 0 and T_j = 0 for
+        j < k.  It forms no product and no gcd."""
+        if k < 0:
+            raise ValueError("the power of v - 1/v must be >= 0: %r" % (k,))
         if not self.num:
             return Fraction(0)
-        dv = _pval(self.den, Fraction(1))
-        if dv == 0:
+        dv = _pval(self.den, 1)
+        taylor = [sum(c * comb(i, j) for i, c in enumerate(self.num)) for j in range(k + 1)]
+        if dv == 0 or any(taylor[:k]):
             raise PoleError("pole at v = 1")
-        return _pval(self.num, Fraction(1)) / dv
+        return Fraction(taylor[k], dv * 2 ** k)
 
     def eval_at_sqrt(self, q0):
         """Value at v = sqrt(q0) as a pair (a, b) meaning a + b*sqrt(q0)."""

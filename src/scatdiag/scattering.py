@@ -4,10 +4,12 @@ A diagram is stored as the group element g it corresponds to; walls and
 chambers are derived views.  Everything runs in one carrier, the quantum
 torus: quantum elements are their own carriers, dt elements are carried by
 sigma (v -> -v) and exposed by it again, and classical elements are carried
-by their canonical quantum lift and exposed through the classical limit.
-Factorization keeps supports and sigma is a field automorphism, so the
-noncommutative group structure (and hence the scattering corrections) is
-computed exactly in every convention.
+by the frame image x^d -> (v - 1/v)^|d| x^d of their canonical quantum lift
+(`torus.framed_lift`, whose coefficients are Laurent polynomials) and
+exposed through the classical limit in that frame (`torus.framed_limit`).
+Factorization keeps supports, and sigma and the frame map are
+automorphisms, so the noncommutative group structure (and hence the
+scattering corrections) is computed exactly in every convention.
 
 Sign conventions.  Factorization splits g = g_minus * g_zero * g_plus
 with supports on m < 0, m = 0, m > 0; the wall function phi(m) is the
@@ -31,7 +33,7 @@ from .lattice import (check_covector, face_enumerate, mutate_seed, p_star, pair,
                       rational_primitive, total_degree, apply_change_to_dimvec, _cut,
                       _unit_basis)
 from .torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
-                    classical_map, dilog_group_element, lift_classical, sigma,
+                    dilog_group_element, framed_lift, framed_limit, rescale, sigma,
                     _acc, _by_degree, _full, _product, _zero_key)
 
 
@@ -74,13 +76,13 @@ def _first_difference(a, b):
 
 def to_carrier(elem):
     if elem.convention == CLASSICAL:
-        return lift_classical(elem)
+        return framed_lift(elem)
     return sigma(elem) if elem.convention == DT_TWIST else elem
 
 
 def expose(elem, convention):
     if convention == CLASSICAL:
-        return classical_map(elem)
+        return framed_limit(elem)
     return sigma(elem) if convention == DT_TWIST else elem
 
 
@@ -613,8 +615,10 @@ def dt_in_sd(seed, order):
 
 def cluster_sd(seed, order):
     """The classical cluster diagram, a view of the quantum one: its carrier
-    is the quantum diagram's, exposed by the classical limit."""
-    return ScatDiagram(seed, order, CLASSICAL, quantum_cluster_sd(seed, order).carrier)
+    is the frame image of the quantum diagram's, exposed by the classical
+    limit."""
+    return ScatDiagram(seed, order, CLASSICAL,
+                       rescale(quantum_cluster_sd(seed, order).carrier, 1))
 
 
 # the completed diagram of a seed's cluster initial data, by convention

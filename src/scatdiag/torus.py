@@ -18,6 +18,16 @@ quantum convention a Lie element is the plain series with the
 1/(v - 1/v) normalization already multiplied into its coefficients; the
 classical limit divides it back out before evaluating at v = 1.
 
+The frame map x^d -> (v - 1/v)^(k|d|) x^d (`rescale`) is an automorphism
+of the quantum torus, since the twist reads only the keys and total
+degrees add.  In the frame (k = 1) the lift of a classical lie coefficient
+c at x^d is c (v - 1/v)^(|d|-1), a Laurent polynomial, so the products,
+exps, inverses and logs of lifted classical elements keep integer
+denominators and need no polynomial gcd.  `framed_lift` and
+`framed_limit` carry classical elements in and out of the frame;
+`lift_classical` and `classical_map` are the same maps in the standard
+frame, k = 0.
+
 The Euler operator E(x^d) = |d| x^d is a derivation in every convention.
 Where the support of a commutes ({d1, d2} = 0: every classical element, and
 one ray, such as a dilogarithm), E(exp a) = E(a) exp a, so exp and log take
@@ -28,6 +38,7 @@ convention, from g h = 1.  Only exp and log of a noncommuting support sum powers
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, raw_product, subst_neg_v,
@@ -318,7 +329,7 @@ def _int_vector(d):
 
 
 # ---------------------------------------------------------------------------
-# sigma, the classical limit and the classical <-> quantum lift
+# sigma, the frame map, the classical limit and the classical <-> quantum lift
 # ---------------------------------------------------------------------------
 
 _SIGMA = {QUANTUM: DT_TWIST, DT_TWIST: QUANTUM}
@@ -332,33 +343,75 @@ def sigma(elem):
                          {d: subst_neg_v(c) for d, c in elem.coeffs.items()})
 
 
-def classical_map(elem):
-    """Evaluate a quantum element at q^(1/2) = 1 (x-hat^d -> x^d).
+_EPS = (CoeffFn.v_power(2) - ONE).mul_vpow(-1)     # v - 1/v
 
-    Group elements go through log and exp so the result is a genuine
-    classical group element; a pole at v = 1 raises PoleError with its key.
-    """
+
+@lru_cache(maxsize=None)
+def _eps_power(k):
+    """(v - 1/v)^k for an int k of either sign."""
+    if k < 0:
+        return _eps_power(-k).inverse()
+    return ONE if k == 0 else _eps_power(k - 1) * _EPS
+
+
+def rescale(elem, k):
+    """The frame map x^d -> (v - 1/v)^(k|d|) x^d of the quantum torus.
+
+    The twist v^{d1,d2} reads only the keys and total degrees add, so it is
+    an automorphism: it commutes with products, exp, log, the group inverse
+    and factorization, and rescale(., -k) undoes rescale(., k)."""
     if elem.convention != QUANTUM:
-        raise ValueError("classical_map expects a quantum element")
+        raise ValueError("rescale expects a quantum element")
+    if type(k) is not int:
+        raise ValueError("rescale needs an int power: %r" % (k,))
+    return GradedElement(elem.seed, elem.order, QUANTUM, elem.flavor,
+                         {d: c * _eps_power(k * total_degree(d))
+                          for d, c in elem.coeffs.items()})
+
+
+def framed_lift(elem):
+    """The lift of a classical element into the frame, rescale(., 1) of the
+    canonical lift: a lie coefficient c at x^d becomes c (v - 1/v)^(|d|-1),
+    a Laurent polynomial; group elements lift through log/exp."""
+    if elem.convention != CLASSICAL:
+        raise ValueError("lift expects a classical element")
     if elem.flavor == GROUP:
-        return classical_map(elem.log()).exp()
-    fac = (CoeffFn.v_power(2) - ONE).mul_vpow(-1)  # v - 1/v
+        return framed_lift(elem.log()).exp()
+    out = {d: c * _eps_power(total_degree(d) - 1) for d, c in elem.coeffs.items()}
+    return GradedElement(elem.seed, elem.order, QUANTUM, LIE, out)
+
+
+def framed_limit(elem):
+    """The classical limit of an element in the frame, the inverse of
+    `framed_lift`: a lie coefficient a at x^d becomes (v - 1/v)^(1-|d|) a at
+    v = 1.  Group elements go through log and exp; a pole at v = 1 raises
+    PoleError with its key."""
+    if elem.convention != QUANTUM:
+        raise ValueError("the classical limit expects a quantum element")
+    if elem.flavor == GROUP:
+        return framed_limit(elem.log()).exp()
     out = {}
     for d, c in elem.coeffs.items():
         try:
-            out[d] = CoeffFn.from_fraction((c * fac).eval_at_v1())
+            out[d] = CoeffFn.from_fraction(c.eval_at_v1(total_degree(d) - 1))
         except PoleError:
             raise PoleError("pole at v = 1 at x^%s" % (list(d),)) from None
     return GradedElement(elem.seed, elem.order, CLASSICAL, LIE, out)
 
 
+def classical_map(elem):
+    """Evaluate a quantum element at q^(1/2) = 1 (x-hat^d -> x^d): its lie
+    coefficients are multiplied by v - 1/v first.  This is `framed_limit`
+    of its frame image.
+
+    Group elements go through log and exp so the result is a genuine
+    classical group element; a pole at v = 1 raises PoleError with its key.
+    """
+    return framed_limit(rescale(elem, 1))
+
+
 def lift_classical(elem):
     """Canonical quantum lift: a classical lie coefficient c becomes
-    c/(v - 1/v); group elements lift through log/exp."""
-    if elem.convention != CLASSICAL:
-        raise ValueError("lift expects a classical element")
-    if elem.flavor == GROUP:
-        return lift_classical(elem.log()).exp()
-    fac = CoeffFn(1, (1,), (-1, 0, 1))    # 1/(v - 1/v) = v/(v^2 - 1)
-    out = {d: c * fac for d, c in elem.coeffs.items()}
-    return GradedElement(elem.seed, elem.order, QUANTUM, LIE, out)
+    c/(v - 1/v); group elements lift through log/exp.  This is
+    `framed_lift` taken out of the frame."""
+    return rescale(framed_lift(elem), -1)

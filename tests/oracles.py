@@ -12,9 +12,11 @@ term), the power series that adds one canonical coefficient per power,
 the log of the dilogarithm written down directly, the cells of the minimal
 complex by comparing every pair of faces, the cell of a covector by pairing
 it with every wall normal, the piecewise-linear transform T_k applied to a
-point, completion states that each factor the whole support, and the
-classical cluster diagram completed from its own lifted initial data.  None
-of them runs in the package.
+point, completion states that each factor the whole support, the
+classical cluster diagram completed from its own lifted initial data, and
+the classical limit and lift in the standard frame, where every lifted
+coefficient keeps its denominator in v - 1/v.  None of them runs in the
+package.
 tests/test_no_dead_code.py checks that every function here is called by
 some test.
 """
@@ -29,7 +31,8 @@ from scatdiag.lattice import _cut, _ray_sum, _unit_basis, p_star, pair, skew, to
 from scatdiag.qp import cyclic_derivative
 from scatdiag.reps import (Rep, all_subspaces, is_semistable, kernel_basis, make_rep, mat_mul,
                            mat_vec, rref_p)
-from scatdiag.torus import CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement, dilog_group_element
+from scatdiag.torus import (CLASSICAL, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
+                            dilog_group_element)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +216,45 @@ def t_k(seed, k, sign, m):
 
 def lifted_cluster_sd(seed, order):
     """The classical cluster diagram completed from the classical dilogarithms
-    at the unit vectors, carried by their canonical quantum lifts: it shares
-    no completion with the quantum diagram that `cluster_sd` views."""
+    at the unit vectors, carried by the frame images of their quantum lifts:
+    it shares no completion with the quantum diagram that `cluster_sd` views."""
     eta = {n: dilog_group_element(seed, n, order, CLASSICAL) for n in _unit_basis(seed.rank)}
     return scattering.complete_from_initial(eta, seed, order, CLASSICAL)
+
+
+# ---------------------------------------------------------------------------
+# the classical limit and the canonical lift in the standard frame
+# ---------------------------------------------------------------------------
+
+_EPS = (CoeffFn.v_power(2) - CoeffFn.from_int(1)).mul_vpow(-1)     # v - 1/v
+
+
+def standard_classical_map(elem):
+    """A quantum element at q^(1/2) = 1: each lie coefficient times v - 1/v,
+    evaluated at v = 1; group elements through log and exp.  A pole at
+    v = 1 raises PoleError with its key."""
+    if elem.convention != QUANTUM:
+        raise ValueError("classical_map expects a quantum element")
+    if elem.flavor == GROUP:
+        return standard_classical_map(elem.log()).exp()
+    out = {}
+    for d, c in elem.coeffs.items():
+        try:
+            out[d] = CoeffFn.from_fraction((c * _EPS).eval_at_v1())
+        except coeff.PoleError:
+            raise coeff.PoleError("pole at v = 1 at x^%s" % (list(d),)) from None
+    return GradedElement(elem.seed, elem.order, CLASSICAL, LIE, out)
+
+
+def standard_lift_classical(elem):
+    """The canonical quantum lift: a classical lie coefficient c becomes
+    c/(v - 1/v); group elements lift through log and exp."""
+    if elem.convention != CLASSICAL:
+        raise ValueError("lift expects a classical element")
+    if elem.flavor == GROUP:
+        return standard_lift_classical(elem.log()).exp()
+    return GradedElement(elem.seed, elem.order, QUANTUM, LIE,
+                         {d: c / _EPS for d, c in elem.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

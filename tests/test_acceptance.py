@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from scatdiag.lattice import (Seed, a2_seed, a3_seed, apply_change_to_dimvec,
                               kronecker_seed, markov_seed, pair)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
@@ -110,6 +112,22 @@ def test_criterion_04_pentagon():
     elapsed = time.time() - t0
     assert elapsed < 10.0, "pentagon exceeded 10 s: %.1fs" % elapsed
     _report("4 pentagon / dt_series (I_10)", elapsed)
+
+
+A4 = Seed(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0)))
+
+
+@pytest.mark.parametrize("seed, order", [(a3_seed(), 5), (A4, 4)], ids=["a3-5", "a4-4"])
+def test_criterion_04_classical_dt_series_is_phi0(seed, order):
+    # two routes through the frame: the product of the framed lifts of the
+    # crossed dilogarithms, and the factorization at 0 of the frame image of
+    # the quantum diagram's carrier
+    t0 = time.time()
+    seq = find_green_to_red(seed, 2 * seed.rank)
+    assert seq is not None
+    zero = (F(0),) * seed.rank
+    assert dt_series(seed, seq, order, CLASSICAL) == cluster_sd(seed, order).phi(zero)
+    _report("4 dt_series = phi(0) (rank %d)" % seed.rank, time.time() - t0)
 
 
 def test_criterion_05_mutation_theorem():

@@ -61,6 +61,29 @@ def test_classical_limit():
         (ONE / (v(1) - ONE)).eval_at_v1()
 
 
+def test_classical_limit_over_powers_of_v_minus_inverse_v(rng):
+    # the Taylor reading against the value of the product, poles included:
+    # the numerators vanish to orders 0..3 at v = 1, so every outcome occurs
+    eps = v(1) - v(-1)
+    for _ in range(300):
+        c = random_coeff(rng)
+        for _ in range(rng.randint(0, 3)):
+            c = c * (v(1) - ONE)
+        for k in range(4):
+            want = c
+            for _ in range(k):
+                want = want / eps
+            try:
+                value = want.eval_at_v1()
+            except PoleError:
+                with pytest.raises(PoleError):
+                    c.eval_at_v1(k)
+                continue
+            assert c.eval_at_v1(k) == value
+    with pytest.raises(ValueError):
+        ONE.eval_at_v1(-1)
+
+
 def test_eval_at_sqrt_irrational_point():
     f = v(1) / (q_power(1) - ONE)
     assert f.eval_at_sqrt(2) == (Fraction(0), Fraction(1))

@@ -9,7 +9,7 @@ from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power, subst_neg
 from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
                             GradedElement, classical_map, dilog_group_element,
-                            lift_classical, sigma)
+                            lift_classical, rescale, sigma)
 from conftest import random_coeff, random_lie
 from oracles import (bracket, dilog_lie_element, dt_product, power_series_per_power,
                      product_per_term)
@@ -413,6 +413,10 @@ def _dilog(convention=QUANTUM):
     (lambda: _dilog().log().group_inverse(), "inverse needs a group element"),
     (lambda: classical_map(_dilog(CLASSICAL)), "expects a quantum element"),
     (lambda: lift_classical(_dilog()), "expects a classical element"),
+    (lambda: rescale(_dilog(CLASSICAL), 1), "expects a quantum element"),
+    (lambda: rescale(_dilog(DT_TWIST), 1), "expects a quantum element"),
+    (lambda: rescale(_dilog(), 1.0), "needs an int power"),
+    (lambda: rescale(_dilog(), True), "needs an int power"),
 ])
 def test_graded_element_refuses_the_wrong_flavor_or_convention(call, match):
     with pytest.raises(ValueError, match=match):
