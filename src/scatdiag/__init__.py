@@ -1,8 +1,7 @@
 """Exact-arithmetic scattering diagrams for quivers with potential."""
 
 from .lattice import Seed, a2_seed, a3_seed, kronecker_seed, markov_seed
-from .torus import (CLASSICAL, DT_TWIST, QUANTUM, GradedElement,
-                    classical_map, dilog_group_element, lift_classical)
+from .torus import CLASSICAL, DT_TWIST, QUANTUM, GradedElement, dilog_group_element
 from .scattering import (ScatDiagram, central_difference, cluster_sd,
                          complete_from_initial, dt_in_sd, endpoint_product,
                          factorize, mutate_sd_check, path_ordered_product,

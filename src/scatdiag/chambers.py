@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lattice import Seed, check_depth, mutate_seed
-from .torus import GradedElement, dilog_group_element
-from .scattering import Report, corrupted, expose, to_carrier, _first_difference
+from .torus import GradedElement, dilog_group_element, expose, to_carrier
+from .scattering import Report, corrupted, _first_difference
 
 
 @dataclass(frozen=True)

@@ -312,15 +312,15 @@ class CoeffFn:
 
     def eval_at_v1(self, k=0):
         """Exact value at v = 1 of self / (v - 1/v)^k for an int k >= 0 (the
-        classical limit; `torus.framed_limit` reads x^d with k = |d| - 1);
+        classical limit; `torus._framed_limit` reads x^d with k = |d| - 1);
         PoleError at a pole.
 
         With self = v^shift num/den in lowest terms and v - 1/v =
         (v - 1)(v + 1)/v, the value is T_k / (den(1) 2^k), T_j the Taylor
         coefficients of num at v = 1, when den(1) != 0 and T_j = 0 for
         j < k.  It forms no product and no gcd."""
-        if k < 0:
-            raise ValueError("the power of v - 1/v must be >= 0: %r" % (k,))
+        if type(k) is not int or k < 0:
+            raise ValueError("the power of v - 1/v must be an int >= 0: %r" % (k,))
         if not self.num:
             return Fraction(0)
         dv = _pval(self.den, 1)

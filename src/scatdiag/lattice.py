@@ -111,9 +111,12 @@ def pair(m, d):
 
 
 def check_covector(m, rank):
-    """Reject a covector whose length is not the seed rank."""
+    """Reject a covector whose length is not the seed rank, or with an entry
+    that is not exact: an int or a Fraction (a bool or a float is neither)."""
     if len(m) != rank:
         raise ValueError("covector has %d entries, the seed rank is %d" % (len(m), rank))
+    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in m):
+        raise ValueError("covector entries must be ints or Fractions: %r" % (tuple(m),))
 
 
 def check_depth(depth):

@@ -2,13 +2,10 @@
 
 A diagram is stored as the group element g it corresponds to; walls and
 chambers are derived views.  Everything runs in one carrier, the quantum
-torus: quantum elements are their own carriers, dt elements are carried by
-sigma (v -> -v) and exposed by it again, and classical elements are carried
-by the frame image x^d -> (v - 1/v)^|d| x^d of their canonical quantum lift
-(`torus.framed_lift`, whose coefficients are Laurent polynomials) and
-exposed through the classical limit in that frame (`torus.framed_limit`).
-Factorization keeps supports, and sigma and the frame map are
-automorphisms, so the noncommutative group structure (and hence the
+torus (`torus.to_carrier`, `torus.expose`): dt elements are carried by
+sigma (v -> -v) and classical ones by the frame image of their canonical
+quantum lift.  Factorization keeps supports, and sigma and the frame map
+are automorphisms, so the noncommutative group structure (and hence the
 scattering corrections) is computed exactly in every convention.
 
 Sign conventions.  Factorization splits g = g_minus * g_zero * g_plus
@@ -33,7 +30,7 @@ from .lattice import (check_covector, face_enumerate, mutate_seed, p_star, pair,
                       rational_primitive, total_degree, apply_change_to_dimvec, _cut,
                       _unit_basis)
 from .torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM, GradedElement,
-                    dilog_group_element, framed_lift, framed_limit, rescale, sigma,
+                    dilog_group_element, expose, rescale, to_carrier,
                     _acc, _by_degree, _full, _product, _zero_key)
 
 
@@ -68,22 +65,6 @@ def _first_difference(a, b):
     key = min((d for d in set(a) | set(b) if a.get(d, ZERO) != b.get(d, ZERO)),
               default=None)
     return None if key is None else (key, (a.get(key, ZERO), b.get(key, ZERO)))
-
-
-# ---------------------------------------------------------------------------
-# carrier plumbing: every convention computes in the quantum torus
-# ---------------------------------------------------------------------------
-
-def to_carrier(elem):
-    if elem.convention == CLASSICAL:
-        return framed_lift(elem)
-    return sigma(elem) if elem.convention == DT_TWIST else elem
-
-
-def expose(elem, convention):
-    if convention == CLASSICAL:
-        return framed_limit(elem)
-    return sigma(elem) if convention == DT_TWIST else elem
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +599,7 @@ def cluster_sd(seed, order):
     is the frame image of the quantum diagram's, exposed by the classical
     limit."""
     return ScatDiagram(seed, order, CLASSICAL,
-                       rescale(quantum_cluster_sd(seed, order).carrier, 1))
+                       rescale(quantum_cluster_sd(seed, order).carrier))
 
 
 # the completed diagram of a seed's cluster initial data, by convention
@@ -637,13 +618,12 @@ def path_ordered_product(sd, a, b):
     is rejected (perturb and retry).  Consistency says the result equals
     endpoint_product(sd, a, b).
     """
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
-    normals = sd.wall_normals()
     for point in (a, b):
         check_covector(point, sd.seed.rank)
-        if any(pair(point, n) == 0 for n in normals):
-            raise ValueError("path endpoint lies on a wall")
+    a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    normals = sd.wall_normals()
+    if any(pair(point, n) == 0 for point in (a, b) for n in normals):
+        raise ValueError("path endpoint lies on a wall")
     crossings = {}
     for n in normals:
         sa, sb = pair(a, n), pair(b, n)

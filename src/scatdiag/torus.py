@@ -18,15 +18,15 @@ quantum convention a Lie element is the plain series with the
 1/(v - 1/v) normalization already multiplied into its coefficients; the
 classical limit divides it back out before evaluating at v = 1.
 
-The frame map x^d -> (v - 1/v)^(k|d|) x^d (`rescale`) is an automorphism
-of the quantum torus, since the twist reads only the keys and total
-degrees add.  In the frame (k = 1) the lift of a classical lie coefficient
-c at x^d is c (v - 1/v)^(|d|-1), a Laurent polynomial, so the products,
-exps, inverses and logs of lifted classical elements keep integer
-denominators and need no polynomial gcd.  `framed_lift` and
-`framed_limit` carry classical elements in and out of the frame;
-`lift_classical` and `classical_map` are the same maps in the standard
-frame, k = 0.
+Every convention computes in one carrier, the quantum torus (`to_carrier`,
+`expose`).  A quantum element carries itself and a dt element is carried
+by sigma.  A classical element is carried in the frame: the frame map
+x^d -> (v - 1/v)^|d| x^d (`rescale`) is an automorphism of the quantum
+torus, since the twist reads only the keys and total degrees add, and
+the frame image of the lift of a classical lie coefficient c at x^d is
+c (v - 1/v)^(|d|-1), a Laurent polynomial.  So the products, exps,
+inverses and logs of carried classical elements keep integer
+denominators and need no polynomial gcd.
 
 The Euler operator E(x^d) = |d| x^d is a derivation in every convention.
 Where the support of a commutes ({d1, d2} = 0: every classical element, and
@@ -38,8 +38,7 @@ convention, from g h = 1.  Only exp and log of a noncommuting support sum powers
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, raw_product, subst_neg_v,
                     sum_terms)
@@ -329,7 +328,7 @@ def _int_vector(d):
 
 
 # ---------------------------------------------------------------------------
-# sigma, the frame map, the classical limit and the classical <-> quantum lift
+# sigma, the frame map and the carrier of each convention
 # ---------------------------------------------------------------------------
 
 _SIGMA = {QUANTUM: DT_TWIST, DT_TWIST: QUANTUM}
@@ -343,53 +342,61 @@ def sigma(elem):
                          {d: subst_neg_v(c) for d, c in elem.coeffs.items()})
 
 
-_EPS = (CoeffFn.v_power(2) - ONE).mul_vpow(-1)     # v - 1/v
-
-
-@lru_cache(maxsize=None)
 def _eps_power(k):
-    """(v - 1/v)^k for an int k of either sign."""
-    if k < 0:
-        return _eps_power(-k).inverse()
-    return ONE if k == 0 else _eps_power(k - 1) * _EPS
+    """(v - 1/v)^k = (v^2 - 1)^k / v^k for an int k >= 0, by the binomial
+    theorem; in lowest terms, as the numerator's end coefficients are +-1."""
+    num = [0] * (2 * k + 1)
+    num[::2] = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+    return CoeffFn(-k, tuple(num), (1,), _canonical=True)
 
 
-def rescale(elem, k):
-    """The frame map x^d -> (v - 1/v)^(k|d|) x^d of the quantum torus.
+def rescale(elem):
+    """The frame map x^d -> (v - 1/v)^|d| x^d of the quantum torus.
 
     The twist v^{d1,d2} reads only the keys and total degrees add, so it is
     an automorphism: it commutes with products, exp, log, the group inverse
-    and factorization, and rescale(., -k) undoes rescale(., k)."""
+    and factorization."""
     if elem.convention != QUANTUM:
         raise ValueError("rescale expects a quantum element")
-    if type(k) is not int:
-        raise ValueError("rescale needs an int power: %r" % (k,))
     return GradedElement(elem.seed, elem.order, QUANTUM, elem.flavor,
-                         {d: c * _eps_power(k * total_degree(d))
-                          for d, c in elem.coeffs.items()})
+                         {d: c * _eps_power(total_degree(d)) for d, c in elem.coeffs.items()})
 
 
-def framed_lift(elem):
-    """The lift of a classical element into the frame, rescale(., 1) of the
-    canonical lift: a lie coefficient c at x^d becomes c (v - 1/v)^(|d|-1),
-    a Laurent polynomial; group elements lift through log/exp."""
-    if elem.convention != CLASSICAL:
-        raise ValueError("lift expects a classical element")
+def to_carrier(elem):
+    """The quantum carrier of elem: itself, sigma of a dt element, or the
+    frame image of the canonical lift of a classical one."""
+    if elem.convention == CLASSICAL:
+        return _framed_lift(elem)
+    return sigma(elem) if elem.convention == DT_TWIST else elem
+
+
+def expose(elem, convention):
+    """The element of `convention` that the quantum carrier elem carries,
+    the inverse of `to_carrier`."""
+    if elem.convention != QUANTUM:
+        raise ValueError("expose expects a quantum element")
+    if convention == CLASSICAL:
+        return _framed_limit(elem)
+    return sigma(elem) if convention == DT_TWIST else elem
+
+
+def _framed_lift(elem):
+    """The frame image of the canonical lift c/(v - 1/v) of a classical lie
+    coefficient c at x^d: c (v - 1/v)^(|d|-1), a Laurent polynomial; group
+    elements lift through log/exp."""
     if elem.flavor == GROUP:
-        return framed_lift(elem.log()).exp()
+        return _framed_lift(elem.log()).exp()
     out = {d: c * _eps_power(total_degree(d) - 1) for d, c in elem.coeffs.items()}
     return GradedElement(elem.seed, elem.order, QUANTUM, LIE, out)
 
 
-def framed_limit(elem):
-    """The classical limit of an element in the frame, the inverse of
-    `framed_lift`: a lie coefficient a at x^d becomes (v - 1/v)^(1-|d|) a at
-    v = 1.  Group elements go through log and exp; a pole at v = 1 raises
-    PoleError with its key."""
-    if elem.convention != QUANTUM:
-        raise ValueError("the classical limit expects a quantum element")
+def _framed_limit(elem):
+    """The classical limit in the frame, the inverse of `_framed_lift`: a lie
+    coefficient a at x^d becomes (v - 1/v)^(1-|d|) a at v = 1.  Group
+    elements go through log and exp; a pole at v = 1 raises PoleError with
+    its key."""
     if elem.flavor == GROUP:
-        return framed_limit(elem.log()).exp()
+        return _framed_limit(elem.log()).exp()
     out = {}
     for d, c in elem.coeffs.items():
         try:
@@ -397,21 +404,3 @@ def framed_limit(elem):
         except PoleError:
             raise PoleError("pole at v = 1 at x^%s" % (list(d),)) from None
     return GradedElement(elem.seed, elem.order, CLASSICAL, LIE, out)
-
-
-def classical_map(elem):
-    """Evaluate a quantum element at q^(1/2) = 1 (x-hat^d -> x^d): its lie
-    coefficients are multiplied by v - 1/v first.  This is `framed_limit`
-    of its frame image.
-
-    Group elements go through log and exp so the result is a genuine
-    classical group element; a pole at v = 1 raises PoleError with its key.
-    """
-    return framed_limit(rescale(elem, 1))
-
-
-def lift_classical(elem):
-    """Canonical quantum lift: a classical lie coefficient c becomes
-    c/(v - 1/v); group elements lift through log/exp.  This is
-    `framed_lift` taken out of the frame."""
-    return rescale(framed_lift(elem), -1)

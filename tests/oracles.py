@@ -246,6 +246,23 @@ def standard_classical_map(elem):
     return GradedElement(elem.seed, elem.order, CLASSICAL, LIE, out)
 
 
+def rescale_power(elem, k):
+    """The frame map x^d -> (v - 1/v)^(k|d|) x^d for an int k of either sign,
+    by k|d| products with v - 1/v or with its inverse: the reference for
+    `torus.rescale` (k = 1) and its inverse (k = -1)."""
+    if elem.convention != QUANTUM:
+        raise ValueError("rescale expects a quantum element")
+    if type(k) is not int:
+        raise ValueError("rescale needs an int power: %r" % (k,))
+    step = _EPS if k > 0 else _EPS.inverse()
+    out = {}
+    for d, c in elem.coeffs.items():
+        for _ in range(abs(k) * total_degree(d)):
+            c = c * step
+        out[d] = c
+    return GradedElement(elem.seed, elem.order, QUANTUM, elem.flavor, out)
+
+
 def standard_lift_classical(elem):
     """The canonical quantum lift: a classical lie coefficient c becomes
     c/(v - 1/v); group elements lift through log and exp."""

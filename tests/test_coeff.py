@@ -80,8 +80,11 @@ def test_classical_limit_over_powers_of_v_minus_inverse_v(rng):
                     c.eval_at_v1(k)
                 continue
             assert c.eval_at_v1(k) == value
-    with pytest.raises(ValueError):
-        ONE.eval_at_v1(-1)
+    # a negative power, and a power that is not an int (True was read as 1,
+    # and 1.5 reached range)
+    for k in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            ONE.eval_at_v1(k)
 
 
 def test_eval_at_sqrt_irrational_point():

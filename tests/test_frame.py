@@ -3,7 +3,7 @@
 Classical elements are carried by the frame images of their canonical
 quantum lifts.  The standard-frame limit and lift of the test oracles, where
 every lifted coefficient keeps its denominator in v - 1/v, are the
-reference for the public `classical_map` and `lift_classical`, for the
+reference for the classical limit and the lift through the frame, for the
 carrier round trip and for the classical DT series.
 """
 
@@ -11,15 +11,14 @@ import random
 
 import pytest
 
-from scatdiag import coeff, scattering, torus
+from scatdiag import coeff, torus
 from scatdiag.chambers import crossing_data, dt_series, find_green_to_red
 from scatdiag.coeff import CoeffFn, ONE, PoleError
 from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed, primitive
-from scatdiag.scattering import expose, to_carrier
-from scatdiag.torus import (CLASSICAL, LIE, QUANTUM, GradedElement, classical_map,
-                            dilog_group_element, lift_classical, rescale)
+from scatdiag.torus import (CLASSICAL, LIE, QUANTUM, GradedElement, dilog_group_element,
+                            expose, rescale, to_carrier)
 from conftest import random_lie, random_skew_seed
-from oracles import standard_classical_map, standard_lift_classical
+from oracles import rescale_power, standard_classical_map, standard_lift_classical
 
 FRAME_CASES = [
     (a2_seed(), 8), (a3_seed(), 5), (kronecker_seed(2), 6), (markov_seed(), 4),
@@ -72,10 +71,11 @@ def _frame_mismatches(seed, order, rng):
     quantum += [g.log() for g in quantum]
     sequence = _sequence(rng, seed)
     checks = {
-        "classical_map": all(classical_map(x) == standard_classical_map(x) for x in quantum),
-        "lift_classical": all(lift_classical(c) == standard_lift_classical(c)
-                              for c in classical),
-        "carrier": all(to_carrier(c) == rescale(standard_lift_classical(c), 1)
+        "limit": all(expose(rescale(x), CLASSICAL) == standard_classical_map(x)
+                     for x in quantum),
+        "lift": all(rescale_power(to_carrier(c), -1) == standard_lift_classical(c)
+                    for c in classical),
+        "carrier": all(to_carrier(c) == rescale(standard_lift_classical(c))
                        for c in classical),
         "round trip": all(expose(to_carrier(c), CLASSICAL) == c for c in classical),
         "dt_series": dt_series(seed, sequence, order, CLASSICAL)
@@ -101,11 +101,9 @@ def _lift_one_degree_too_high(elem):
 @pytest.mark.parametrize("seed, order", FRAME_CASES[:2], ids=FRAME_IDS[:2])
 def test_a_lift_off_by_one_degree_fails(seed, order, monkeypatch):
     # negative control: the lift into the frame must be c (v - 1/v)^(|d|-1)
-    monkeypatch.setattr(torus, "framed_lift", _lift_one_degree_too_high)
-    monkeypatch.setattr(scattering, "framed_lift", _lift_one_degree_too_high)
+    monkeypatch.setattr(torus, "_framed_lift", _lift_one_degree_too_high)
     rng = random.Random(10 * order + seed.rank)
-    assert _frame_mismatches(seed, order, rng) == \
-        ["carrier", "dt_series", "lift_classical", "round trip"]
+    assert _frame_mismatches(seed, order, rng) == ["carrier", "dt_series", "lift", "round trip"]
 
 
 @pytest.mark.parametrize("seed, order", FRAME_CASES, ids=FRAME_IDS)
@@ -114,13 +112,22 @@ def test_rescale_is_an_automorphism(seed, order):
     lie = random_lie(rng, seed, QUANTUM, order, nterms=5)
     a = dilog_group_element(seed, _ray(rng, seed), order, QUANTUM).mul(lie.exp())
     b = dilog_group_element(seed, _ray(rng, seed), order, QUANTUM)
-    frame = lambda x: rescale(x, 1)
-    assert frame(a.mul(b)) == frame(a).mul(frame(b))
-    assert frame(lie.exp()) == frame(lie).exp()
-    assert frame(a.log()) == frame(a).log()
-    assert frame(a.group_inverse()) == frame(a).group_inverse()
-    assert rescale(frame(a), -1) == a
-    assert rescale(frame(lie), -1) == lie
+    assert rescale(a.mul(b)) == rescale(a).mul(rescale(b))
+    assert rescale(lie.exp()) == rescale(lie).exp()
+    assert rescale(a.log()) == rescale(a).log()
+    assert rescale(a.group_inverse()) == rescale(a).group_inverse()
+    assert rescale(a) == rescale_power(a, 1)
+    assert rescale_power(rescale(a), -1) == a
+    assert rescale_power(rescale(lie), -1) == lie
+
+
+def test_eps_power_is_the_product_of_copies_of_v_minus_inverse_v():
+    # CoeffFn equality compares canonical forms, so the closed form, built
+    # without canonicalising, must already be in lowest terms
+    eps, product = CoeffFn.v_power(1) - CoeffFn.v_power(-1), ONE
+    for k in range(13):
+        assert torus._eps_power(k) == product
+        product = product * eps
 
 
 def test_a_pole_is_named_by_the_same_key_on_both_paths():
@@ -130,12 +137,11 @@ def test_a_pole_is_named_by_the_same_key_on_both_paths():
     bad = GradedElement(seed, 4, QUANTUM, LIE, {(0, 1): ONE, (1, 0): pole, (1, 1): pole})
     for x in (bad, bad.exp()):
         messages = []
-        for limit in (standard_classical_map, classical_map,
-                      lambda y: expose(rescale(y, 1), CLASSICAL)):
+        for limit in (standard_classical_map, lambda y: expose(rescale(y), CLASSICAL)):
             with pytest.raises(PoleError) as info:
                 limit(x)
             messages.append(str(info.value))
-        assert messages == ["pole at v = 1 at x^[1, 0]"] * 3
+        assert messages == ["pole at v = 1 at x^[1, 0]"] * 2
 
 
 def test_classical_dt_series_gcd_count(monkeypatch):

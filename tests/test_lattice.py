@@ -9,7 +9,11 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               dedupe_primitive, face_enumerate, markov_seed,
                               mutate_seed, p_star, pair, primitive,
                               rational_primitive, skew)
-from scatdiag.scattering import cluster_sd, mutate_sd_check
+from scatdiag.qp import SeedWithPotential
+from scatdiag.reps import (is_semistable, iq_wall_series_brute, semistable_transport_check,
+                           simple_rep)
+from scatdiag.scattering import (cluster_sd, factorize, mutate_sd_check, path_ordered_product,
+                                 quantum_cluster_sd)
 from conftest import random_skew_seed, random_rational_point
 from oracles import (cone_generators, cone_interior_point, in_cone, mat_rank,
                      nullspace, reduce_ray_generators, t_k)
@@ -76,6 +80,31 @@ def test_mutate_seed_rejects_a_vertex_or_sign_that_is_not_an_int():
     sd_mut = cluster_sd(mutate_seed(a2_seed(), 1, 1)[0], 3)
     with pytest.raises(ValueError):
         mutate_sd_check(sd, True, 1, sd_mut)
+
+
+def _covector_call(name, m):
+    """A call of the entry point `name` with the covector m on A2."""
+    sd, sp = quantum_cluster_sd(a2_seed(), 3), SeedWithPotential.make(a2_seed())
+    calls = {
+        "phi": lambda: sd.phi(m),
+        "factorize": lambda: factorize(sd.group_element(), m),
+        "is_semistable": lambda: is_semistable(simple_rep(sp, 2, 1), m),
+        "semistable_transport_check": lambda: semistable_transport_check(sp, 1, m),
+        "iq_wall_series_brute": lambda: iq_wall_series_brute(sp, m, [(1, 1)], 2),
+        "path_ordered_product": lambda: path_ordered_product(sd, m, (F(-1, 2), F(-5, 4))),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize("name", ["phi", "factorize", "is_semistable",
+                                  "semistable_transport_check", "iq_wall_series_brute",
+                                  "path_ordered_product"])
+@pytest.mark.parametrize("m", [(1.0, -2.0), (True, True), (1.5, F(1, 4))],
+                         ids=["float", "bool", "float-and-fraction"])
+def test_a_covector_entry_that_is_not_an_int_or_a_fraction_is_refused(name, m):
+    # a float covector was read by its float signs, and True as 1
+    with pytest.raises(ValueError, match="must be ints or Fractions"):
+        _covector_call(name, m)()
 
 
 def test_mutate_seed_roundtrip(rng):

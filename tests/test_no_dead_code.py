@@ -5,11 +5,12 @@ an attribute there, outside its own def.  The package holds what it runs:
 a public module-level function is used in src/ or exported from
 `__init__`, and a public method is used in src/ unless its class is
 exported, when a use in tests/ will do.
-Every function of the test oracles is called by some test.  A module-level
-function counts as used only where its name is read, imported or looked up
-on a module, so a method call of the same name does not keep it alive; a
-method counts as used only where it is looked up as an attribute, so a
-variable of the same name does not keep it alive."""
+Every function of the test oracles is called by some test, and every
+`functools` cache in the package is on an allow-list with its reason.
+A module-level function counts as used only where its name is read,
+imported or looked up on a module, so a method call of the same name does
+not keep it alive; a method counts as used only where it is looked up as
+an attribute, so a variable of the same name does not keep it alive."""
 
 import ast
 from collections import Counter
@@ -174,3 +175,32 @@ def test_every_oracle_is_called_by_a_test():
             seen.add(name)
             todo.extend(_name_uses(oracles[name]))
     assert sorted(set(oracles) - seen) == []
+
+
+# functools caches keep their entries for the life of the process, so a
+# benchmark that runs rounds in one process must clear each of them
+# between rounds; a new one needs its reason here
+CACHES = {
+    "qp.mutate_sp": "a representation's reflection mutates its seed with "
+                    "potential, and reps.reflect runs once per representation",
+    "reps.all_subspaces": "the subspaces of F_p^n are listed once per (p, n) "
+                          "and shared by every semistability test over F_p",
+}
+
+
+def _is_functools_cache(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else \
+        getattr(decorator, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_every_functools_cache_is_allowed():
+    cached = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_is_functools_cache, node.decorator_list))):
+                cached.append("%s.%s" % (path.stem, node.name))
+    assert sorted(cached) == sorted(CACHES)

@@ -12,18 +12,17 @@ from scatdiag.lattice import (Seed, a2_seed, a3_seed, covector_to_new_basis,
                               kronecker_seed, markov_seed, mutate_seed, pair,
                               primitive, rational_primitive, _unit_basis)
 from scatdiag.torus import (CLASSICAL, DT_TWIST, LIE, QUANTUM, GradedElement,
-                            classical_map, dilog_group_element)
+                            dilog_group_element, expose, to_carrier)
 from scatdiag.scattering import (BUILDERS, DegenerateSegmentError, ScatDiagram,
                                  _factor, _group, central_difference, cluster_sd,
                                  complete_from_initial, corrupted, dt_in_sd,
-                                 endpoint_product, expose, factorize,
+                                 endpoint_product, factorize,
                                  mutate_sd_check, mutation_suite, path_ordered_product,
-                                 psi_extract,
-                                 quantum_cluster_sd, to_carrier)
+                                 psi_extract, quantum_cluster_sd)
 from conftest import (random_initial_data, random_lie, random_rational_point,
                       random_skew_seed)
 from oracles import (cells_by_all_pairs, full_ray_states, is_face_of, lifted_cluster_sd, locate,
-                     nullspace, t_k)
+                     nullspace, standard_classical_map, t_k)
 
 F = Fraction
 v = CoeffFn.v_power
@@ -127,12 +126,12 @@ def test_a2_classical_and_dt_walls():
 
 
 def test_e_map_compatibility():
-    # classical_map(quantum cluster diagram) = classical cluster diagram,
-    # completed on its own from the lifted classical data
+    # the classical limit of the quantum cluster diagram is the classical
+    # cluster diagram, completed on its own from the lifted classical data
     a2 = a2_seed()
     q = quantum_cluster_sd(a2, 6).group_element()
     c = lifted_cluster_sd(a2, 6).group_element()
-    assert classical_map(q) == c
+    assert standard_classical_map(q) == c
 
 
 def test_dt_equals_quantum_at_minus_v():

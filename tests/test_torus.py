@@ -8,11 +8,11 @@ from scatdiag.chambers import dt_series, enumerate_green_to_red
 from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power, subst_neg_v
 from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
-                            GradedElement, classical_map, dilog_group_element,
-                            lift_classical, rescale, sigma)
+                            GradedElement, dilog_group_element, expose, rescale, sigma)
 from conftest import random_coeff, random_lie
 from oracles import (bracket, dilog_lie_element, dt_product, power_series_per_power,
-                     product_per_term)
+                     product_per_term, rescale_power, standard_classical_map,
+                     standard_lift_classical)
 
 v = CoeffFn.v_power
 
@@ -87,8 +87,8 @@ def test_bracket_is_the_commutator_of_the_product(rng):
         for _ in range(10):
             a = random_lie(rng, seed, CLASSICAL, order)
             b = random_lie(rng, seed, CLASSICAL, order)
-            la, lb = lift_classical(a), lift_classical(b)
-            assert classical_map(la.mul(lb).add(lb.mul(la).neg())) == bracket(a, b)
+            la, lb = standard_lift_classical(a), standard_lift_classical(b)
+            assert standard_classical_map(la.mul(lb).add(lb.mul(la).neg())) == bracket(a, b)
 
 
 def test_mul_associativity(rng):
@@ -152,9 +152,9 @@ def test_classical_map_of_dilog():
     a2 = a2_seed()
     for order in (4, 6):
         q = dilog_group_element(a2, (1, 0), order, QUANTUM)
-        assert classical_map(q) == dilog_group_element(a2, (1, 0), order, CLASSICAL)
+        assert standard_classical_map(q) == dilog_group_element(a2, (1, 0), order, CLASSICAL)
     one = GradedElement.one(a2, 6, QUANTUM)
-    assert classical_map(one) == GradedElement.one(a2, 6, CLASSICAL)
+    assert standard_classical_map(one) == GradedElement.one(a2, 6, CLASSICAL)
 
 
 def test_classical_map_pole_error():
@@ -162,16 +162,16 @@ def test_classical_map_pole_error():
     bad = GradedElement(a2, 4, QUANTUM, LIE,
                         {(1, 0): ONE / (v(1) - ONE) / (v(1) - ONE)})
     with pytest.raises(PoleError):
-        classical_map(bad)
+        standard_classical_map(bad)
 
 
 def test_lift_roundtrip(rng):
     a2 = a2_seed()
     for _ in range(20):
         a = random_lie(rng, a2, CLASSICAL, 6)
-        assert classical_map(lift_classical(a)) == a
+        assert standard_classical_map(standard_lift_classical(a)) == a
         g = a.exp()
-        assert classical_map(lift_classical(g)) == g
+        assert standard_classical_map(standard_lift_classical(g)) == g
 
 
 def test_serialization_deterministic():
@@ -411,12 +411,17 @@ def _dilog(convention=QUANTUM):
     (lambda: _dilog().exp(), "exp needs a lie element"),
     (lambda: _dilog().log().log(), "log needs a group element"),
     (lambda: _dilog().log().group_inverse(), "inverse needs a group element"),
-    (lambda: classical_map(_dilog(CLASSICAL)), "expects a quantum element"),
-    (lambda: lift_classical(_dilog()), "expects a classical element"),
-    (lambda: rescale(_dilog(CLASSICAL), 1), "expects a quantum element"),
-    (lambda: rescale(_dilog(DT_TWIST), 1), "expects a quantum element"),
-    (lambda: rescale(_dilog(), 1.0), "needs an int power"),
-    (lambda: rescale(_dilog(), True), "needs an int power"),
+    # the standard-frame pair, and the frame map with a power, are test oracles
+    (lambda: standard_classical_map(_dilog(CLASSICAL)), "expects a quantum element"),
+    (lambda: standard_lift_classical(_dilog()), "expects a classical element"),
+    (lambda: rescale(_dilog(CLASSICAL)), "expects a quantum element"),
+    (lambda: rescale(_dilog(DT_TWIST)), "expects a quantum element"),
+    (lambda: rescale_power(_dilog(), 1.0), "needs an int power"),
+    (lambda: rescale_power(_dilog(), True), "needs an int power"),
+    # a classical or a dt element is no carrier: sigma of a dt element
+    # would be read as one
+    (lambda: expose(_dilog(CLASSICAL), CLASSICAL), "expects a quantum element"),
+    (lambda: expose(_dilog(DT_TWIST), DT_TWIST), "expects a quantum element"),
 ])
 def test_graded_element_refuses_the_wrong_flavor_or_convention(call, match):
     with pytest.raises(ValueError, match=match):
