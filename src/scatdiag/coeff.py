@@ -521,7 +521,9 @@ def gl_count(k):
     """Number of points of GL_k over F_q: prod_{i<k} (q^k - q^i); 1 for k = 0."""
     if k < 0:
         raise ValueError("GL count needs k >= 0: %r" % (k,))
-    out = ONE
-    for i in range(k):
-        out = out * (q_power(k) - q_power(i))
-    return out
+    # q^(k(k-1)/2) prod_{i=1..k} (q^i - 1), in lowest terms as it stands: the
+    # numerator's constant term is +-1 and the denominator is 1
+    num = (1,)
+    for i in range(1, k + 1):
+        num = _pmul(num, (-1,) + (0,) * (2 * i - 1) + (1,))
+    return CoeffFn(k * (k - 1), num, (1,), _canonical=True)

@@ -162,28 +162,16 @@ def mutate_seed(seed, k, sign):
         raise ValueError("vertex out of range")
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    kk = k - 1
-    cols = []
-    for j in range(n):
-        if j == kk:
-            col = [0] * n
-            col[kk] = -1
-        else:
-            col = [0] * n
-            col[j] = 1
-            coef = -seed.b[j][kk] if sign == 1 else seed.b[j][kk]
-            col[kk] = max(coef, 0)
-        cols.append(col)
-    change = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    newb = tuple(
-        tuple(skew(seed, _col(change, i), _col(change, j)) for j in range(n))
-        for i in range(n)
-    )
+    kk, b = k - 1, seed.b
+    # s'_k = -s_k and s'_j = s_j + [-sign b_jk]_+ s_k: the identity but for row k
+    row_k = tuple(-1 if j == kk else max(-sign * b[j][kk], 0) for j in range(n))
+    change = tuple(row_k if i == kk else tuple(int(i == j) for j in range(n)) for i in range(n))
+    # B' = change^T B change in closed form, the same for either sign
+    # (Fomin-Zelevinsky, math/0602259)
+    newb = tuple(tuple(-b[i][j] if kk in (i, j) else b[i][j] + (
+        abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
+        for j in range(n)) for i in range(n))
     return Seed(newb), change
-
-
-def _col(mat, j):
-    return tuple(row[j] for row in mat)
 
 
 def apply_change_to_dimvec(change, d):

@@ -9,7 +9,6 @@ that does not stabilize below the cap is reported, not silently truncated.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,15 +17,16 @@ from .lattice import Seed, check_depth, mutate_seed
 
 DEFAULT_CAP = 12
 
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_TYPE_NAMES = {int: "an integer", Fraction: "a Fraction", str: "a string", list: "a list",
+               dict: "an object"}
 
 
 def _typed(value, what, *types):
-    """value, checked at the JSON boundary to have one of the given types
-    (a bool is no integer), else a one-line ValueError naming what it is."""
+    """value, checked to have one of the given types (a bool is no integer
+    and a float no Fraction), else a one-line ValueError naming what it is."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError("%s must be %s, got %r"
-                         % (what, " or ".join(_JSON_TYPES[t] for t in types), value))
+                         % (what, " or ".join(_TYPE_NAMES[t] for t in types), value))
     return value
 
 
@@ -44,8 +44,9 @@ class Quiver:
         names = [a[0] for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
+        n = _typed(self.nvertices, "quiver vertices", int)
         for name, s, t in self.arrows:
-            if not (1 <= s <= self.nvertices and 1 <= t <= self.nvertices):
+            if not all(1 <= _typed(x, "an arrow endpoint", int) <= n for x in (s, t)):
                 raise ValueError("arrow endpoint out of range")
             if s == t:
                 raise ValueError("loops are not allowed")
@@ -164,7 +165,8 @@ class Potential:
             if len(word) > cap:
                 raise ValueError("potential word above the degree cap")
             _check_cycle(quiver, word)
-            c = acc.get(word, Fraction(0)) + Fraction(coeff)
+            coeff = _typed(coeff, "a potential coefficient", int, Fraction)
+            c = acc.get(word, Fraction(0)) + coeff
             if c:
                 acc[word] = c
             else:
@@ -437,14 +439,11 @@ class SeedWithPotential:
         return SeedWithPotential(seed, quiver, pot)
 
 
-# reps.reflect mutates once per representation; a ReductionError is not
-# cached.  typed, so that True and 1.0 do not hit the entry of 1: mutate_seed
-# refuses them
-@functools.lru_cache(maxsize=256, typed=True)
 def mutate_sp(sp, k, sign):
     """Mutate the seed with the chosen sign and the potential by DWZ."""
+    # the seed first: a bad vertex or sign is refused before any DWZ work
+    new_seed, change = mutate_seed(sp.seed, k, sign)
     mutated = _k_mutation(sp.quiver, sp.potential, k)
     if mutated is None:
         raise ReductionError("seed with potential is not mutable at %d" % k)
-    new_seed, change = mutate_seed(sp.seed, k, sign)
     return SeedWithPotential(new_seed, *mutated), change

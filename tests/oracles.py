@@ -11,7 +11,8 @@ every term (with the DT twist (-v)^w and the Lie brackets written out per
 term), the power series that adds one canonical coefficient per power,
 the log of the dilogarithm written down directly, the cells of the minimal
 complex by comparing every pair of faces, the cell of a covector by pairing
-it with every wall normal, the piecewise-linear transform T_k applied to a
+it with every wall normal, the mutated exchange matrix as change^T B change
+with one pairing per entry, the piecewise-linear transform T_k applied to a
 point, completion states that each factor the whole support, the
 classical cluster diagram completed from its own lifted initial data, and
 the classical limit and lift in the standard frame, where every lifted
@@ -183,6 +184,29 @@ def locate(mc, m):
     """The cell of the minimal complex mc whose relative interior holds the
     covector m: the cell of the signs of m on every wall normal."""
     return mc.cell(tuple((pair(m, n) > 0) - (pair(m, n) < 0) for n in mc.normals))
+
+
+# ---------------------------------------------------------------------------
+# seed mutation as a change of basis
+# ---------------------------------------------------------------------------
+
+def mutate_by_change(seed, k, sign):
+    """(B', change) of the mutation at vertex k (1-based) with the given
+    sign: column j of change is s'_j in the old basis, s'_k = -s_k and
+    s'_j = s_j + [-sign b_jk]_+ s_k, and B'_ij = {s'_i, s'_j}, that is
+    change^T B change, one pairing per entry."""
+    n, kk = seed.rank, k - 1
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        if j == kk:
+            col[kk] = -1
+        else:
+            col[j] = 1
+            col[kk] = max(-sign * seed.b[j][kk], 0)
+        cols.append(tuple(col))
+    change = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(tuple(skew(seed, ci, cj) for cj in cols) for ci in cols), change
 
 
 # ---------------------------------------------------------------------------

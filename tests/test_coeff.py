@@ -328,5 +328,16 @@ def test_q_int_rejects_k_below_one():
 
 
 def test_gl_count_rejects_negative_k():
-    with pytest.raises(ValueError):
-        gl_count(-1)
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            gl_count(k)
+
+
+def test_gl_count_closed_form_is_the_product_of_its_field_factors():
+    # q^(k(k-1)/2) prod (q^i - 1), built canonical, against prod_{i<k} (q^k - q^i)
+    for k in range(13):
+        field = ONE
+        for i in range(k):
+            field = field * (q_power(k) - q_power(i))
+        count = gl_count(k)
+        assert (count.shift, count.num, count.den) == (field.shift, field.num, field.den)

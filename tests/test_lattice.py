@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from scatdiag.scattering import (cluster_sd, factorize, mutate_sd_check, path_or
                                  quantum_cluster_sd)
 from conftest import random_skew_seed, random_rational_point
 from oracles import (cone_generators, cone_interior_point, in_cone, mat_rank,
-                     nullspace, reduce_ray_generators, t_k)
+                     mutate_by_change, nullspace, reduce_ray_generators, t_k)
 
 F = Fraction
 
@@ -126,6 +127,39 @@ def test_mutate_seed_roundtrip(rng):
                            for j in range(n)) for i in range(n))
         assert comp == tuple(tuple(1 if i == j else 0 for j in range(n))
                              for i in range(n))
+
+
+# 250 seeded random seeds of rank 1-5, each mutated at every vertex and sign
+_CHANGE_RNG = random.Random(3)
+CHANGE_SEEDS = [random_skew_seed(_CHANGE_RNG, _CHANGE_RNG.randint(1, 5)) for _ in range(250)]
+
+
+def _mismatches(mutated_b):
+    """The (B, k, sign) at which mutated_b differs from change^T B change."""
+    return [(s.b, k, sign) for s in CHANGE_SEEDS for k in range(1, s.rank + 1)
+            for sign in (1, -1) if mutated_b(s, k, sign) != mutate_by_change(s, k, sign)[0]]
+
+
+def test_mutate_seed_closed_form_is_the_change_of_basis():
+    assert {s.rank for s in CHANGE_SEEDS} == {1, 2, 3, 4, 5}
+    assert _mismatches(lambda s, k, sign: mutate_seed(s, k, sign)[0].b) == []
+    assert all(mutate_seed(s, k, sign)[1] == mutate_by_change(s, k, sign)[1]
+               for s in CHANGE_SEEDS for k in range(1, s.rank + 1) for sign in (1, -1))
+
+
+def test_closed_form_without_the_sign_change_at_k_fails_the_change_of_basis():
+    # negative control: row and column k kept instead of negated
+    def unsigned(s, k, sign):
+        b, kk = s.b, k - 1
+        return tuple(tuple(b[i][j] if kk in (i, j) else b[i][j] + (
+            abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
+            for j in range(s.rank)) for i in range(s.rank))
+
+    bad = _mismatches(unsigned)
+    # it differs exactly where row k of B is not zero
+    assert bad == [(s.b, k, sign) for s in CHANGE_SEEDS for k in range(1, s.rank + 1)
+                   for sign in (1, -1) if any(s.b[k - 1])]
+    assert bad
 
 
 def test_t_k_examples():

@@ -181,8 +181,6 @@ def test_every_oracle_is_called_by_a_test():
 # benchmark that runs rounds in one process must clear each of them
 # between rounds; a new one needs its reason here
 CACHES = {
-    "qp.mutate_sp": "a representation's reflection mutates its seed with "
-                    "potential, and reps.reflect runs once per representation",
     "reps.all_subspaces": "the subspaces of F_p^n are listed once per (p, n) "
                           "and shared by every semistability test over F_p",
 }

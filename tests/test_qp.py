@@ -250,8 +250,8 @@ def test_mutate_sp_requires_mutability():
 
 
 def test_mutate_sp_cache_tells_an_int_from_a_bool_or_a_float():
-    # True and 1.0 hashed as 1: once mutate_sp(sp, 1, 1) had run, these
-    # calls got its cached mutation, though mutate_seed refuses them
+    # True and 1.0 hash as 1, so a cache keyed by (sp, k, sign) would hand
+    # these calls the mutation of mutate_sp(sp, 1, 1); mutate_seed refuses them
     sp = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))),
                                 {("a1_2_1", "a2_3_1", "a3_1_1"): 1})
     mutate_sp(sp, 1, 1)
@@ -259,6 +259,32 @@ def test_mutate_sp_cache_tells_an_int_from_a_bool_or_a_float():
     for k, sign in ((True, 1), (1, True), (1.0, 1), (1, 1.0), (1, -1.0)):
         with pytest.raises(ValueError):
             mutate_sp(sp, k, sign)
+
+
+CYCLE_SEED = Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
+CYCLE_WORD = ("a1_2_1", "a2_3_1", "a3_1_1")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SeedWithPotential.make(CYCLE_SEED, {CYCLE_WORD: 0.1}), "coefficient must be"),
+    (lambda: SeedWithPotential.make(CYCLE_SEED, {CYCLE_WORD: True}), "coefficient must be"),
+    (lambda: Potential.make(THREE_CYCLE, [(("a", "b", "c"), 1.0)]), "coefficient must be"),
+    (lambda: Quiver(True, ()), "quiver vertices must be"),
+    (lambda: Quiver(2.0, (("a", 1, 2),)), "quiver vertices must be"),
+    (lambda: Quiver(2, (("a", True, 2),)), "arrow endpoint must be"),
+    (lambda: Quiver(2, (("a", 1, 2.0),)), "arrow endpoint must be"),
+], ids=["float-coeff", "bool-coeff", "float-coeff-list", "bool-vertices",
+        "float-vertices", "bool-source", "float-target"])
+def test_qp_refuses_input_that_is_not_exact(call, match):
+    # a float coefficient was stored as its binary Fraction and True as 1,
+    # and a bool or float vertex count or endpoint compared as a number
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_qp_keeps_int_and_fraction_coefficients():
+    pot = Potential.make(THREE_CYCLE, [(("a", "b", "c"), 2), (("b", "c", "a"), F(-1, 3))])
+    assert pot.terms == ((("a", "b", "c"), F(5, 3)),)
 
 
 def test_sp_json_roundtrip():

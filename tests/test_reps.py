@@ -664,8 +664,9 @@ def test_counting_refuses_oriented_cycles():
         assert not SeedWithPotential.make(Seed(b)).quiver.has_oriented_cycle()
 
 
-def test_mutate_sp_is_cached(monkeypatch):
-    # one DWZ mutation per (sp, k, sign), however many reps are reflected
+def test_transport_check_mutates_once_per_call(monkeypatch):
+    # one DWZ mutation per check, however many reps it reflects, and one on
+    # every mutate_sp call: nothing is cached
     calls = []
     real = qp._k_mutation
 
@@ -674,14 +675,17 @@ def test_mutate_sp_is_cached(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(qp, "_k_mutation", spy)
-    qp.mutate_sp.cache_clear()
-    sp = a2sp()
-    for rep in enumerate_reps(sp, (0, 1), 2) + enumerate_reps(sp, (1, 1), 2)[:1]:
-        reflect(rep, 1, 1)
-    assert len(calls) == 1
+    for _ in range(2):
+        rep = semistable_transport_check(cycsp(), 2, (F(-1), F(2), F(-1)),
+                                         max_total_dim=3, p=2)
+        assert rep.checked >= 15
+    assert len(calls) == 2
+    for _ in range(2):
+        qp.mutate_sp(a2sp(), 1, 1)
+    assert len(calls) == 4
     # a non-mutable input is tried, and refused, on every call
     bad = SeedWithPotential.make(Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))))
     for _ in range(2):
         with pytest.raises(ReductionError):
             qp.mutate_sp(bad, 2, -1)
-    assert len(calls) == 3
+    assert len(calls) == 6
