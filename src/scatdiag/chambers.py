@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lattice import Seed, check_depth, mutate_seed
-from .torus import GradedElement, dilog_group_element, expose, to_carrier
+from .torus import GradedElement, dilog_carrier, expose, to_carrier
 from .scattering import Report, corrupted, _first_difference
 
 
@@ -142,7 +142,7 @@ def dt_series(seed, sequence, order, convention):
     from C^+ to C^-; equals phi(0) of the completed diagram."""
     result = None
     for n0, eps in crossing_data(seed, sequence):
-        value = to_carrier(dilog_group_element(seed, n0, order, convention))
+        value = dilog_carrier(seed, n0, order, convention)
         if eps < 0:
             value = value.group_inverse()
         result = value if result is None else result.mul(value)

@@ -221,6 +221,8 @@ class CoeffFn:
 
     @staticmethod
     def from_int(a):
+        if type(a) is not int:
+            raise ValueError("an integer coefficient must be an int: %r" % (a,))
         if a == 0:
             return ZERO
         if a == 1:
@@ -229,6 +231,8 @@ class CoeffFn:
 
     @staticmethod
     def from_fraction(a, b=1):
+        if type(a) not in (int, Fraction) or type(b) not in (int, Fraction):
+            raise ValueError("a rational coefficient takes ints and Fractions: %r, %r" % (a, b))
         f = Fraction(a, b)
         if f.denominator == 1:
             return CoeffFn.from_int(f.numerator)
@@ -237,6 +241,8 @@ class CoeffFn:
     @staticmethod
     def v_power(k):
         """The monomial v^k (k may be negative)."""
+        if type(k) is not int:
+            raise ValueError("a power of v must be an int: %r" % (k,))
         if k == 0:
             return ONE
         return CoeffFn(k, (1,), (1,), _canonical=True)
@@ -442,18 +448,23 @@ def sum_terms(terms):
     """The sum of raw terms (shift, num, den), each meaning v^shift num/den
     in no particular form (den nonzero), canonicalised once.
 
-    Numerators over the same denominator add with no gcd, and a sum over
-    one denominator is done there.  Denominators that agree up to an
-    integer factor f then go over their primitive part p (positive leading
-    coefficient) times the lcm of the factors, again with no gcd.  Only
-    the distinct primitive denominators join pairwise over their gcd, with
-    no canonical form in between.  `CoeffFn.__add__` is the sum of two terms.
+    Numerators over the same denominator add with no gcd.  Over integer
+    denominators only, `_sum_over_integers` ends the sum; over one
+    denominator it ends there.  Denominators that agree up to an integer
+    factor f go over their primitive part p (positive leading coefficient)
+    times the lcm of the factors, again with no gcd; only distinct primitive
+    denominators join pairwise over their gcd.  `CoeffFn.__add__` sums two terms.
     """
     by_den = {}
     for shift, num, den in terms:
         if num:
             acc = by_den.get(den)
             by_den[den] = (shift, num) if acc is None else _shift_add(*acc, shift, num)
+    for den in by_den:
+        if len(den) > 1:
+            break
+    else:
+        return _sum_over_integers(by_den)
     if len(by_den) == 1:
         (den, (shift, num)), = by_den.items()
         return CoeffFn(shift, num, den) if num else ZERO
@@ -482,6 +493,23 @@ def sum_terms(terms):
         shift, num = _shift_add(shift, _pmul(num, c2), s, _pmul(n, c1))
         den = _pmul(den, c2)
     return CoeffFn(shift, num, den) if num else ZERO
+
+
+def _sum_over_integers(by_den):
+    """The canonical sum of v^s n/d, (s, n) = by_den[(d,)], over the lcm of the ints d."""
+    m = lcm(*(den for den, in by_den))
+    lo = min((s for s, _ in by_den.values()), default=0)
+    out = []        # out[i] is the coefficient of v^(lo + i)
+    for (d,), (s, n) in by_den.items():
+        f = m // d
+        out += [0] * (s - lo + len(n) - len(out))
+        for i, c in enumerate(n, s - lo):
+            out[i] += c * f
+    num = _ptrim(out)
+    if not num:
+        return ZERO
+    start = next(i for i, c in enumerate(num) if c) if not num[0] else 0
+    return CoeffFn(lo + start, *_content_and_sign(num[start:], (m,)), _canonical=True)
 
 
 def raw_product(c1, c2, k=0):

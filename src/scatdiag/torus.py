@@ -78,6 +78,8 @@ class GradedElement:
         for d, c in coeffs.items():
             if len(d) != seed.rank or any(x < 0 for x in d):
                 raise ValueError("dimension vector outside N+ of rank %d: %r" % (seed.rank, d))
+            if type(c) is not CoeffFn:
+                raise ValueError("coefficient at %r is not a CoeffFn: %r" % (d, c))
             if any(d) and total_degree(d) <= order and not c.is_zero():
                 clean[tuple(d)] = c
         self.coeffs = clean
@@ -309,15 +311,33 @@ def dilog_group_element(seed, n, order, convention):
     """
     if convention == DT_TWIST:
         return sigma(dilog_group_element(seed, n, order, QUANTUM))
+    if convention == CLASSICAL:
+        return _classical_dilog_log(seed, n, order).exp()
+    coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k)
+              for k, d in _dilog_keys(seed, n, order).items()}
+    return GradedElement(seed, order, convention, GROUP, coeffs)
+
+
+def dilog_carrier(seed, n, order, convention):
+    """to_carrier of `dilog_group_element` with no detour: the quantum one for
+    quantum and dt, exp of the framed lift of -Li_2(-x^n) for classical."""
+    if convention == CLASSICAL:
+        return _framed_lift(_classical_dilog_log(seed, n, order)).exp()
+    return dilog_group_element(seed, n, order, QUANTUM if convention == DT_TWIST else convention)
+
+
+def _classical_dilog_log(seed, n, order):
+    """-Li_2(-x^n) = sum_k (-1)^(k-1) x^{kn} / k^2, the classical lie element."""
+    return GradedElement(seed, order, CLASSICAL, LIE,
+                         {d: CoeffFn.from_fraction((-1) ** (k - 1), k * k)
+                          for k, d in _dilog_keys(seed, n, order).items()})
+
+
+def _dilog_keys(seed, n, order):
     n = _int_vector(n)
     if len(n) != seed.rank or total_degree(n) < 1 or primitive(n) != n:
         raise ValueError("dilogarithm needs a primitive rank-%d vector: %r" % (seed.rank, n))
-    kn = {k: tuple(k * x for x in n) for k in range(1, order // total_degree(n) + 1)}
-    if convention == CLASSICAL:
-        lie = {d: CoeffFn.from_fraction((-1) ** (k - 1), k * k) for k, d in kn.items()}
-        return GradedElement(seed, order, CLASSICAL, LIE, lie).exp()
-    coeffs = {d: CoeffFn.v_power(k * k) / gl_count(k) for k, d in kn.items()}
-    return GradedElement(seed, order, convention, GROUP, coeffs)
+    return {k: tuple(k * x for x in n) for k in range(1, order // total_degree(n) + 1)}
 
 
 def _int_vector(d):

@@ -6,9 +6,10 @@ time, brute-force isomorphism of representations, King semistability by
 enumerating every subrepresentation, the representations of a dimension
 vector by checking every matrix tuple on its own, Hom spaces by solving the
 intertwiner equations, the sum of two coefficients by its
-own denominator join, the truncated product that canonicalises after
-every term (with the DT twist (-v)^w and the Lie brackets written out per
-term), the power series that adds one canonical coefficient per power,
+own denominator join, the sum of raw terms over integer denominators one
+power of v at a time in Fractions, the truncated product that
+canonicalises after every term (with the DT twist (-v)^w and the Lie
+brackets written out per term), the power series that adds one canonical coefficient per power,
 the log of the dilogarithm written down directly, the cells of the minimal
 complex by comparing every pair of faces, the cell of a covector by pairing
 it with every wall normal, the mutated exchange matrix as change^T B change
@@ -563,6 +564,16 @@ def add_by_denominator_join(x, y):
     _, d1, d2 = coeff._pgcd(x.den, y.den)
     return CoeffFn(s, coeff._padd(coeff._pmul(a, d2), coeff._pmul(b, d1)),
                    coeff._pmul(x.den, d2))
+
+
+def sum_by_powers(terms):
+    """The sum of raw terms (shift, num, (d,)) over integer denominators d,
+    as {power of v: nonzero Fraction}, one coefficient at a time."""
+    out = {}
+    for shift, num, (d,) in terms:
+        for i, c in enumerate(num, shift):
+            out[i] = out.get(i, 0) + Fraction(c, d)
+    return {i: c for i, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

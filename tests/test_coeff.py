@@ -7,8 +7,10 @@ import pytest
 import scatdiag.coeff as coeff
 from scatdiag.coeff import (CoeffFn, ONE, ZERO, PoleError, gl_count, q_power,
                             subst_neg_v, sum_terms)
+from scatdiag.lattice import a2_seed
+from scatdiag.torus import LIE, QUANTUM, GradedElement
 from conftest import random_coeff
-from oracles import add_by_denominator_join, q_int
+from oracles import add_by_denominator_join, q_int, sum_by_powers
 
 v = CoeffFn.v_power
 
@@ -303,6 +305,109 @@ def test_sum_terms_is_a_fold_of_add(rng, monkeypatch):
     assert sum_terms([(0, (2,), (-2, -2)), (0, (3,), (3, 3))]) == ZERO
     assert sum_terms([(0, (1,), (4, 4)), (0, (1,), (-6, -6))]) == \
         CoeffFn(0, (1,), (12, 12))
+
+
+INT_DENS = (-12, -8, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9)
+POLY_DENS = ((1, 1), (-2, 0, 2), (0, 3, -3), (1, 0, 1), (4, 2))
+
+
+def _integer_terms(rng):
+    """Raw terms over integer denominators, negative and not coprime, with
+    numerators that may have zero end coefficients or be all zero; a third
+    of the lists cancel to zero, term against term over other denominators."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            num = (0,) + num + (0,)
+        terms.append((rng.randint(-3, 3), num, (rng.choice(INT_DENS),)))
+    if rng.random() < 0.3:
+        f = rng.choice((-2, 3))
+        terms += [(s, tuple(-f * c for c in n), (f * d,)) for s, n, (d,) in terms]
+    rng.shuffle(terms)
+    return terms
+
+
+def _is_canonical(c):
+    """The canonical form over an integer denominator, read off directly."""
+    if c.is_zero():
+        return (c.shift, c.den) == (0, (1,))
+    return (len(c.den) == 1 and c.den[0] > 0 and c.num[0] != 0 and c.num[-1] != 0
+            and gcd(*c.num, *c.den) == 1)
+
+
+def _integer_lane_mismatches(rng, trials):
+    """The integer-denominator sums of `sum_terms` that differ from the
+    per-power Fraction oracle or are not canonical."""
+    bad = []
+    for _ in range(trials):
+        terms = _integer_terms(rng)
+        total = sum_terms(iter(terms))
+        powers = {total.shift + i: Fraction(c, total.den[0])
+                  for i, c in enumerate(total.num) if c}
+        if powers != sum_by_powers(terms) or not _is_canonical(total):
+            bad.append(terms)
+    return bad
+
+
+def test_integer_denominators_sum_by_powers(rng, monkeypatch):
+    """Sums over integer denominators only take the integer lane: they match
+    the per-power oracle, come out canonical, and form no polynomial gcd
+    and no `_canonicalize`."""
+    assert sum_terms([(2, (0, 0), (3,))]) == ZERO
+    assert sum_terms([(0, (2,), (4,)), (0, (-3,), (6,))]) == ZERO
+    assert sum_terms([(1, (0, 4, 0, -6), (-8,))]) == CoeffFn(2, (-2, 0, 3), (4,))
+    real, lanes, general = coeff._sum_over_integers, [], []
+
+    def lane(by_den):
+        lanes.append(by_den)
+        return real(by_den)
+
+    monkeypatch.setattr(coeff, "_sum_over_integers", lane)
+    monkeypatch.setattr(coeff, "_pgcd", lambda *args: general.append(args))
+    monkeypatch.setattr(coeff, "_canonicalize", lambda *args: general.append(args))
+    assert _integer_lane_mismatches(rng, 600) == []
+    assert (len(lanes), general) == (600, [])
+
+
+def test_integer_lane_that_keeps_the_content_fails(rng, monkeypatch):
+    # negative control: a lane that skips dividing out the common content
+    monkeypatch.setattr(coeff, "gcd", lambda *args: 1)
+    assert _integer_lane_mismatches(rng, 200) != []
+
+
+def test_polynomial_denominators_take_the_general_path(rng, monkeypatch):
+    """A polynomial denominator among integer ones sends the sum down the
+    general path, which agrees with the fold of the reference sum."""
+    real, lanes = coeff._sum_over_integers, []
+    monkeypatch.setattr(coeff, "_sum_over_integers",
+                        lambda by_den: lanes.append(by_den) or real(by_den))
+    for _ in range(300):
+        terms = _integer_terms(rng)
+        terms.insert(rng.randint(0, len(terms)),
+                     (rng.randint(-3, 3), tuple(rng.randint(-3, 3) for _ in range(3)),
+                      rng.choice(POLY_DENS)))
+        expected = functools.reduce(add_by_denominator_join,
+                                    [CoeffFn(*t) for t in terms], ZERO)
+        assert sum_terms(iter(terms)) == expected, terms
+    assert lanes == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CoeffFn.from_int(2.5),
+    lambda: CoeffFn.from_int(True),
+    lambda: CoeffFn.from_fraction(True),
+    lambda: CoeffFn.from_fraction(0.5),
+    lambda: CoeffFn.from_fraction(1, 2.5),
+    lambda: CoeffFn.v_power(1.0),
+    lambda: CoeffFn.v_power(True),
+    lambda: GradedElement(a2_seed(), 3, QUANTUM, LIE, {(1, 0): 2}),
+], ids=["from_int-float", "from_int-bool", "from_fraction-bool", "from_fraction-float",
+        "from_fraction-float-den", "v_power-float", "v_power-bool", "element-int-coefficient"])
+def test_inexact_scalars_are_refused(make):
+    # reject, don't coerce: a float or bool never becomes a coefficient
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_pmul_constant_operand(rng):

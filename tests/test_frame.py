@@ -147,16 +147,27 @@ def test_a_pole_is_named_by_the_same_key_on_both_paths():
 def test_classical_dt_series_gcd_count(monkeypatch):
     # one A3 classical DT series at order 5: with the classical elements
     # carried by their standard lifts, 327 polynomial gcds had both
-    # primitive operands non-constant and so ran GCDHEU; in the frame, none
-    real, heuristic = coeff._pgcd, []
+    # primitive operands non-constant and so ran GCDHEU; in the frame, none.
+    # Every coefficient of the frame has an integer denominator, and sums
+    # over integer denominators take no gcd: 377 gcds and 377
+    # canonicalisations ran before `sum_terms` had its integer lane, none now
+    real, real_canonicalize = coeff._pgcd, coeff._canonicalize
+    gcds, heuristic, canonical = [], [], []
 
     def spy(a, b):
+        gcds.append((a, b))
         if len(coeff._pprim(a)) > 1 and len(coeff._pprim(b)) > 1:
             heuristic.append((a, b))
         return real(a, b)
 
+    def canonicalize(*args):
+        canonical.append(args)
+        return real_canonicalize(*args)
+
     seq = find_green_to_red(a3_seed(), 7)
     assert seq == (1, 2, 3)
     monkeypatch.setattr(coeff, "_pgcd", spy)
+    monkeypatch.setattr(coeff, "_canonicalize", canonicalize)
     dt_series(a3_seed(), seq, 5, CLASSICAL)
     assert len(heuristic) <= 327 // 5
+    assert (len(gcds), len(canonical)) == (0, 0)

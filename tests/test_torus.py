@@ -8,7 +8,8 @@ from scatdiag.chambers import dt_series, enumerate_green_to_red
 from scatdiag.coeff import CoeffFn, ONE, PoleError, gl_count, q_power, subst_neg_v
 from scatdiag.lattice import a2_seed, a3_seed, kronecker_seed, markov_seed
 from scatdiag.torus import (CLASSICAL, CONVENTIONS, DT_TWIST, GROUP, LIE, QUANTUM,
-                            GradedElement, dilog_group_element, expose, rescale, sigma)
+                            GradedElement, dilog_carrier, dilog_group_element, expose,
+                            rescale, sigma, to_carrier)
 from conftest import random_coeff, random_lie
 from oracles import (bracket, dilog_lie_element, dt_product, power_series_per_power,
                      product_per_term, rescale_power, standard_classical_map,
@@ -344,10 +345,11 @@ def test_product_canonicalises_once_per_output_key(monkeypatch, rng):
             assert len(calls) <= len(out)
     # the whole classical DT series of A3 along one maximal green sequence:
     # 1,574 canonicalisations when every term was canonicalised, 622 when
-    # every series summed its powers, 381 now (the gate adds 10 %)
+    # every series summed its powers, 381 before sums over integer
+    # denominators took their own lane, none now
     del calls[:]
     dt_series(a3_seed(), (1, 2, 3), 5, CLASSICAL)
-    assert len(calls) <= 419
+    assert calls == []
 
 
 def test_series_gcd_count(monkeypatch):
@@ -355,8 +357,8 @@ def test_series_gcd_count(monkeypatch):
     sequences: 6,518 polynomial gcds when each power of a series added a
     canonical coefficient and every raw denominator joined over a gcd,
     1,796 when each key is summed once over its primitive denominators,
-    1,054 when the series of a commuting support take one pass over degrees
-    (the gate adds 10 %)."""
+    1,054 when the series of a commuting support take one pass over degrees,
+    none since sums over integer denominators take no gcd."""
     real, calls = coeff._pgcd, []
 
     def spy(*args):
@@ -368,7 +370,7 @@ def test_series_gcd_count(monkeypatch):
     assert seqs == [(1, 2), (2, 1, 2)]
     for seq in seqs:
         dt_series(a2_seed(), seq, 8, CLASSICAL)
-    assert len(calls) <= 1159
+    assert calls == []
 
 
 def test_malformed_inputs_raise_value_error():
@@ -400,6 +402,38 @@ def test_dilog_of_the_zero_vector_raises_value_error():
     for conv in CONVENTIONS:
         with pytest.raises(ValueError):
             dilog_group_element(a2_seed(), (0, 0), 4, conv)
+
+
+CARRIER_RAYS = [(a2_seed(), ((1, 0), (0, 1), (1, 1), (1, 3))),
+                (a3_seed(), ((1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1))),
+                (markov_seed(), ((0, 0, 1), (1, 1, 0), (2, 1, 1))),
+                (kronecker_seed(2), ((1, 0), (1, 1), (2, 1), (3, 2)))]
+
+
+@pytest.mark.parametrize("seed, rays", CARRIER_RAYS, ids=["a2", "a3", "markov", "kronecker2"])
+def test_dilog_carrier_is_the_carrier_of_the_dilogarithm(seed, rays):
+    # orders 1 to 6 include orders below |n|, where the dilogarithm is 1
+    for n in rays:
+        for order in range(1, 7):
+            for conv in CONVENTIONS:
+                assert dilog_carrier(seed, n, order, conv) == \
+                    to_carrier(dilog_group_element(seed, n, order, conv)), (n, order, conv)
+
+
+@pytest.mark.parametrize("n, order", [
+    ((1, 0, 0), 4), ((1,), 4), ((2, 2), 4), ((0, 0), 4), ((1, -1), 4), ((-1, 0), 4),
+    ((1.0, 0), 4), ((True, False), 4), ((1, 0), -1), ((1, 0), True), ((1, 0), 2.5)])
+def test_dilog_carrier_refuses_what_the_dilogarithm_refuses(n, order):
+    # a float order fails in range() on both paths, with a TypeError
+    for conv in (*CONVENTIONS, "foo"):
+        refusals = []
+        for build in (dilog_group_element, dilog_carrier):
+            with pytest.raises((ValueError, TypeError)) as info:
+                build(a2_seed(), n, order, conv)
+            refusals.append((info.type, str(info.value)))
+        assert refusals[0] == refusals[1], (conv, refusals)
+    with pytest.raises(ValueError, match="unknown convention"):
+        dilog_carrier(a2_seed(), (1, 0), 4, "foo")
 
 
 def _dilog(convention=QUANTUM):
