@@ -231,9 +231,12 @@ def build_parser():
     return ap
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:   # argparse rejected the arguments (2) or printed help (0)
         return exc.code
     try:

@@ -445,16 +445,10 @@ ONE = CoeffFn(0, (1,), (1,), _canonical=True)
 
 
 def sum_terms(terms):
-    """The sum of raw terms (shift, num, den), each meaning v^shift num/den
-    in no particular form (den nonzero), canonicalised once.
-
-    Numerators over the same denominator add with no gcd.  Over integer
-    denominators only, `_sum_over_integers` ends the sum; over one
-    denominator it ends there.  Denominators that agree up to an integer
-    factor f go over their primitive part p (positive leading coefficient)
-    times the lcm of the factors, again with no gcd; only distinct primitive
-    denominators join pairwise over their gcd.  `CoeffFn.__add__` sums two terms.
-    """
+    """The canonical sum of raw terms (shift, num, den), each v^shift num/den
+    with den nonzero.  Numerators over equal denominators add with no gcd;
+    then integer denominators alone end in `_sum_over_integers`, else the
+    distinct denominators join pairwise over their gcd (`+` sums two terms)."""
     by_den = {}
     for shift, num, den in terms:
         if num:
@@ -465,30 +459,11 @@ def sum_terms(terms):
             break
     else:
         return _sum_over_integers(by_den)
-    if len(by_den) == 1:
-        (den, (shift, num)), = by_den.items()
-        return CoeffFn(shift, num, den) if num else ZERO
-    by_prim = {}
-    for den, (shift, num) in by_den.items():
-        f = _pcontent(den) if den[-1] > 0 else -_pcontent(den)
-        prim = den if f == 1 else tuple(x // f for x in den)
-        by_prim.setdefault(prim, []).append((f, den, shift, num))
-    groups = []
-    for prim, parts in by_prim.items():
-        if len(parts) == 1:
-            _, den, shift, num = parts[0]
-        else:
-            m = lcm(*(f for f, _, _, _ in parts))
-            shift, num = parts[0][2], ()    # the empty sum
-            for f, _, s, n in parts:
-                shift, num = _shift_add(shift, num, s, _pscale(n, m // f))
-            den = _pscale(prim, m)
-        if num:
-            groups.append((shift, num, den))
-    if not groups:
+    parts = [(den, shift, num) for den, (shift, num) in by_den.items() if num]
+    if not parts:
         return ZERO
-    (shift, num, den), *rest = groups
-    for s, n, d in rest:
+    (den, shift, num), *rest = parts
+    for d, s, n in rest:
         _, c1, c2 = _pgcd(den, d)
         shift, num = _shift_add(shift, _pmul(num, c2), s, _pmul(n, c1))
         den = _pmul(den, c2)

@@ -337,6 +337,8 @@ def _dilog_keys(seed, n, order):
     n = _int_vector(n)
     if len(n) != seed.rank or total_degree(n) < 1 or primitive(n) != n:
         raise ValueError("dilogarithm needs a primitive rank-%d vector: %r" % (seed.rank, n))
+    if type(order) is not int or order < 0:
+        raise ValueError("order must be a non-negative int: %r" % (order,))
     return {k: tuple(k * x for x in n) for k in range(1, order // total_degree(n) + 1)}
 
 

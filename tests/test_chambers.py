@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from scatdiag.lattice import Seed, a2_seed, a3_seed, kronecker_seed, markov_seed
-from scatdiag.torus import CLASSICAL, DT_TWIST, QUANTUM
+from scatdiag.torus import CLASSICAL, DT_TWIST, QUANTUM, GradedElement
 from scatdiag.chambers import (chamber_from_sequence, crossing_data,
                                dt_series, enumerate_chambers,
                                enumerate_green_to_red, find_green_to_red)
@@ -179,6 +179,11 @@ def test_dt_series_pentagon_and_phi0():
         s2 = dt_series(seed, (2, 1, 2), 6, conv)
         assert s1 == s2
         assert s1 == build(seed, 6).phi((F(0), F(0)))
+
+
+@pytest.mark.parametrize("conv", [QUANTUM, CLASSICAL, DT_TWIST])
+def test_dt_series_of_the_empty_sequence_is_one(conv):
+    assert dt_series(a2_seed(), (), 4, conv) == GradedElement.one(a2_seed(), 4, conv)
 
 
 def test_dt_series_rank1():

@@ -179,6 +179,12 @@ def test_mutable_examples():
     assert is_k_mutable(q, Potential.zero(), 1)
     # zero potential on an oriented 3-cycle is not mutable (2-cycles survive)
     assert not is_k_mutable(THREE_CYCLE, Potential.zero(), 2)
+    # abc + (abc)^2 at cap 6: the reduction after the tilde mutation needs
+    # paths above the cap, and a failed reduction counts as not k-mutable
+    w = Potential.make(THREE_CYCLE, {("a", "b", "c"): 1, ("a", "b", "c") * 2: 1}, cap=6)
+    with pytest.raises(ReductionError, match="degree cap exceeded"):
+        mutate_qp(THREE_CYCLE, w, 2)
+    assert not is_k_mutable(THREE_CYCLE, w, 2)
 
 
 def test_involution_three_cycle_exact_potential():
@@ -240,6 +246,11 @@ def test_markov_sp_mutation_matches_seed():
 def test_markov_nondegenerate_to_depth2():
     sp = markov_sp()
     assert nondegenerate_to_depth(sp.quiver, sp.potential, 2)
+    # the negative control: with zero potential the 3-cycle and Markov keep
+    # 2-cycles after one mutation
+    for seed in (Seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0))), markov_seed()):
+        sp = SeedWithPotential.make(seed)
+        assert not nondegenerate_to_depth(sp.quiver, sp.potential, 1)
 
 
 def test_mutate_sp_requires_mutability():
